@@ -1192,7 +1192,9 @@ FleetSim::assemble(int threads)
         m.suspensions = rt.suspensions;
         m.energyJ = rt.energyJ;
 
-        if (!rt.admitted) {
+        // Rejected, or never placed: it arrived at or after the wall
+        // budget, so no pod ever saw it.
+        if (!rt.admitted || rt.pod == kNoPod) {
             m.resolvedBatch = job.batch;
             m.endSec = job.arrivalSec;
             m.achievedStepsPerSec = kNaN;
@@ -1252,8 +1254,9 @@ FleetSim::assemble(int threads)
     for (std::size_t i = 0; i < n; ++i) {
         const FleetTenantMetrics &m = out.tenants[i];
         out.totalSteps += m.stepsDone;
-        if (!m.admitted)
+        if (m.finalPod == kNoPod)
             continue;
+        ++out.placedCount;
         ++pod_ended[m.finalPod];
         if (std::isfinite(m.qosAttainmentPct)) {
             qos_sum += m.qosAttainmentPct;
@@ -1263,7 +1266,6 @@ FleetSim::assemble(int threads)
         }
     }
     }
-    out.placedCount = n - out.rejectedCount;
     out.meanQosAttainmentPct =
         qos_count > 0 ? qos_sum / double(qos_count) : kNaN;
 

@@ -1,6 +1,8 @@
 #include "obs/cli.h"
 
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 
 #include "common/logging.h"
@@ -12,38 +14,26 @@ namespace diva
 namespace obs
 {
 
-namespace
-{
-
-/**
- * Fail fast on unwritable output paths: probe with an append-mode
- * open (never truncates what is already there) so the tool can exit
- * with a clear message at startup instead of silently losing the
- * output after a long run.
- */
 bool
-probeWritable(const std::string &path, const char *flag)
+probeWritable(const std::string &path, const std::string &flag)
 {
     if (path.empty())
         return true;
-    std::ofstream probe(path, std::ios::app);
-    if (!probe) {
+    std::error_code ec;
+    const bool existed = std::filesystem::exists(path, ec);
+    if (!std::ofstream(path, std::ios::app)) {
         std::cerr << "error: " << flag << " path '" << path
                   << "' is not writable\n";
         return false;
     }
+    if (!existed)
+        std::filesystem::remove(path, ec);
     return true;
 }
-
-} // namespace
 
 bool
 CliObs::activate()
 {
-    if (!probeWritable(metricsOut, "--metrics-out") ||
-        !probeWritable(traceOut, "--trace-out") ||
-        !probeWritable(timeseriesOut, "--timeseries-out"))
-        return false;
     SloSpec slo;
     if (!sloSpecText.empty()) {
         std::string err;
@@ -67,6 +57,26 @@ CliObs::activate()
     return true;
 }
 
+namespace
+{
+
+/** Write one output file through `emit`; false (with a DIVA_WARN
+ *  naming `what`) if it could not be written. */
+bool
+writeFile(const std::string &path, const char *what,
+          const std::function<void(std::ostream &)> &emit)
+{
+    std::ofstream os(path);
+    if (os)
+        emit(os);
+    if (os)
+        return true;
+    DIVA_WARN("could not write ", what, " to ", path);
+    return false;
+}
+
+} // namespace
+
 bool
 CliObs::finish()
 {
@@ -84,71 +94,28 @@ CliObs::finish()
                     "trace.track." + name + ".dropped_events",
                     droppedCount);
         }
-        std::ofstream os(metricsOut);
-        if (os)
+        ok = writeFile(metricsOut, "metrics", [](std::ostream &os) {
             MetricsRegistry::instance().snapshot().writeJson(os);
-        if (!os) {
-            DIVA_WARN("could not write metrics to ", metricsOut);
-            ok = false;
-        }
+        });
     }
-    if (!traceOut.empty() && sink) {
-        std::ofstream os(traceOut);
-        if (os)
-            sink->write(os);
-        if (!os) {
-            DIVA_WARN("could not write trace to ", traceOut);
-            ok = false;
-        }
-    }
-    if (telemetry && !timeseriesOut.empty()) {
-        const bool csv =
-            timeseriesOut.size() >= 4 &&
-            timeseriesOut.compare(timeseriesOut.size() - 4, 4,
-                                  ".csv") == 0;
-        std::ofstream os(timeseriesOut);
-        if (os) {
-            if (csv)
-                telemetry->writeCsv(os);
-            else
-                telemetry->writeJson(os);
-        }
-        if (!os) {
-            DIVA_WARN("could not write timeseries to ", timeseriesOut);
-            ok = false;
-        }
-    }
+    if (!traceOut.empty() && sink)
+        ok = writeFile(traceOut, "trace",
+                       [&](std::ostream &os) { sink->write(os); }) &&
+             ok;
+    if (telemetry && !timeseriesOut.empty())
+        ok = writeFile(timeseriesOut, "timeseries",
+                       [&](std::ostream &os) {
+                           if (timeseriesOut.ends_with(".csv"))
+                               telemetry->writeCsv(os);
+                           else
+                               telemetry->writeJson(os);
+                       }) &&
+             ok;
     if (telemetry)
         telemetry->printSloSummary(std::cerr);
     if (profile)
         Profiler::instance().writeTable(std::cerr);
     return ok;
-}
-
-const char *
-cliObsUsage()
-{
-    return
-        "Observability (all optional; no effect on results):\n"
-        "  --metrics-out FILE  write a deterministic counters/gauges/\n"
-        "                      histograms snapshot (JSON)\n"
-        "  --trace-out FILE    write a sim-time Chrome/Perfetto trace\n"
-        "                      (JSON; open in ui.perfetto.dev)\n"
-        "  --trace-max-events N  per-track event cap for --trace-out\n"
-        "                      (default 1048576; excess is counted as\n"
-        "                      droppedEvents)\n"
-        "  --timeseries-out FILE  write windowed sim-time telemetry\n"
-        "                      (diva-timeseries-v1; CSV when FILE ends\n"
-        "                      in .csv, JSON otherwise)\n"
-        "  --obs-window-s W    telemetry window width in simulated\n"
-        "                      seconds (default: trace span / 64)\n"
-        "  --slo-p99-s SPEC    p99 step-latency target: seconds\n"
-        "                      (global) and/or prio:seconds pairs,\n"
-        "                      comma-separated (e.g. \"0.5,1:0.2\");\n"
-        "                      enables the per-window attainment\n"
-        "                      report\n"
-        "  --profile           wall-clock phase table on stderr\n"
-        "  --verbose           extra stderr progress notes\n";
 }
 
 } // namespace obs

@@ -6,7 +6,8 @@
  * values, the switch-on step, and the end-of-run emission of metrics
  * JSON, trace JSON, the timeseries document and the profile table.
  * All three tools (diva_sweep, diva_serve, diva_fleet) funnel through
- * this so the flags mean the same thing everywhere.
+ * this so the flags mean the same thing everywhere; the flags
+ * themselves are declared once in tools/cli_parse.h.
  */
 
 #ifndef DIVA_OBS_CLI_H
@@ -46,23 +47,14 @@ struct CliObs
      *  telemetry layer is on (--timeseries-out / --slo-p99-s). */
     std::unique_ptr<RunTelemetry> telemetry;
 
-    bool
-    any() const
-    {
-        return !metricsOut.empty() || !traceOut.empty() ||
-               !timeseriesOut.empty() || !sloSpecText.empty() ||
-               profile;
-    }
-
     /**
-     * Validate the parsed flags and flip on whatever they ask for:
-     * the metrics registry, the profiler, the trace sink
+     * Validate the parsed --slo-p99-s spec and flip on whatever the
+     * flags ask for: the metrics registry, the profiler, the trace sink
      * (--trace-out) and the telemetry bundle (--timeseries-out /
-     * --slo-p99-s). Every output path is probed for writability here,
-     * so a bad path fails fast at startup -- false means a clear
-     * message already went to stderr and the tool should exit
-     * non-zero. Call once, after argument parsing, before the
-     * simulation.
+     * --slo-p99-s). False means a clear message already went to stderr
+     * and the tool should exit non-zero. Call once, after argument
+     * parsing (which probes the output paths, see probeWritable),
+     * before the simulation.
      */
     bool activate();
 
@@ -77,8 +69,14 @@ struct CliObs
     bool finish();
 };
 
-/** Usage-text block describing the shared observability flags. */
-const char *cliObsUsage();
+/**
+ * Fail fast on an unwritable output path: a tool checks every path it
+ * will write before a long run, not after it. Opens in append mode (an
+ * existing file is never truncated) and removes the file again if the
+ * probe created it. False after "error: FLAG path 'PATH' is not
+ * writable" on stderr; an empty path passes.
+ */
+bool probeWritable(const std::string &path, const std::string &flag);
 
 } // namespace obs
 } // namespace diva

@@ -41,7 +41,7 @@
  *
  * The two historical loops differ in small, output-visible ways
  * (comparator forms, preemption windows, gating conditions); those
- * differences are preserved behind `Config` flags rather than silently
+ * differences are preserved behind `Config::mode` rather than silently
  * unified -- byte-identical CSV/JSON output is a hard contract here.
  *
  * Clients provide task scalars, costs, and billing through a duck-typed
@@ -285,40 +285,54 @@ struct Executor
     std::size_t arrCursor = 0;
     GatedHeap gated;
     std::uint64_t rrSeq = 0;
-    /** Round-robin index-rotation cursor (Config::rrIndexRotation). */
+    /** Round-robin index-rotation cursor (tenant mode). */
     std::uint32_t rrNext = 0;
 
     Counters counters;
 };
 
-/** Mode flags preserving the two historical loops' exact semantics. */
+/**
+ * Which historical serve loop the engine replays bit for bit.
+ *
+ * kTenant (src/tenant/serve.cc) differs from kFleet in five ways:
+ *  - round robin rotates over task indices (first ready index at or
+ *    after the previous pick + 1) instead of enqueue order;
+ *  - an arrival only preempts the quantum if it lands strictly after
+ *    the current step's start (the fleet preempts on any arrival at
+ *    or before `now`);
+ *  - the idle jump skips events whose task could never run a step
+ *    before its departure;
+ *  - no wall-fitting candidate ends the whole run (the fleet retires
+ *    unfitting tasks and keeps serving);
+ *  - boundary comparisons use the wall-based forms
+ *    (`wall - now <= eps`) instead of the fleet's epoch forms
+ *    (`now + eps >= t1`): algebraically equal, bitwise not.
+ *
+ * Only the all-on and all-off combinations of the five are used, so
+ * they are one field, not five independent switches.  None of the
+ * five can be dropped from kTenant either: flipping each one alone
+ * changes diva_serve / diva_sweep output bytes on a seeded replay
+ * corpus (the index rotation, idle skip and wall forms in dozens of
+ * runs, the wall-fit run end in a few) or, for the strict preemption
+ * window, the schedule of a crafted case; test_serve_core pins every
+ * one of them.
+ */
+enum class Mode : std::uint8_t
+{
+    kFleet,
+    kTenant,
+};
+
 struct Config
 {
     Policy policy = Policy::kRoundRobin;
     std::uint64_t quantumIters = 1;
     /** Wall-clock budget in simulated seconds; 0 = unbounded. */
     double wallLimitSec = 0.0;
-
-    /** Tenant round-robin rotates over task indices (first ready index
-     *  at or after the previous pick + 1) instead of enqueue order. */
-    bool rrIndexRotation = false;
+    Mode mode = Mode::kFleet;
     /** Rate-target tasks gate on their next due time.  The fleet
      *  always gates; the tenant loop only under --steps 0 replay. */
     bool rateGates = true;
-    /** An arrival only preempts the quantum if it lands strictly after
-     *  the current iteration's start (tenant loop); the fleet preempts
-     *  on any arrival at or before `now`. */
-    bool strictArrivalPreempt = false;
-    /** The idle jump skips events whose task could never run a step
-     *  before its departure (tenant loop). */
-    bool idleSkipsBlocked = false;
-    /** No wall-fitting candidate ends the whole run (tenant loop); the
-     *  fleet retires unfitting tasks and keeps serving. */
-    bool endRunWhenNoWallFit = false;
-    /** Boundary comparisons use the tenant loop's wall-based forms
-     *  (`wall - now <= eps`) instead of the fleet's epoch forms
-     *  (`now + eps >= t1`).  Algebraically equal, bitwise not. */
-    bool wallBoundary = false;
 
     /** Test/debug: take the multi-quantum fast path.  Off forces a
      *  full scheduler round trip at every quantum expiry; the
@@ -362,7 +376,7 @@ makeKey(const Client &c, Executor &ex, const Config &cfg,
         key.k2 = c.arrivalSec(idx);
         break;
       case Policy::kRoundRobin:
-        if (!cfg.rrIndexRotation)
+        if (cfg.mode != Mode::kTenant)
             key.seq = ++ex.rrSeq;
         break;
     }
@@ -536,7 +550,7 @@ departBlockedAt(const Client &c, const Executor &ex, std::uint32_t idx,
 
 /**
  * The next wake-up event (arrival or gate-due) on this executor.
- * Under `Config::idleSkipsBlocked` events whose task is permanently
+ * In tenant mode, events whose task is permanently
  * departure-blocked are skipped: blocked arrivals stay in the list
  * (they still preempt a running quantum when they land), blocked
  * gated tasks are retired on the spot (they can never run again and
@@ -559,7 +573,7 @@ peekNextEvent(Client &c, Executor &ex, const Config &cfg)
             continue;
         }
         const double a = c.arrivalSec(idx);
-        if (cfg.idleSkipsBlocked &&
+        if (cfg.mode == Mode::kTenant &&
             departBlockedAt(c, ex, idx, a, sw)) {
             ++k;
             continue; // would run past its departure
@@ -575,7 +589,7 @@ peekNextEvent(Client &c, Executor &ex, const Config &cfg)
             ex.gated.pop();
             continue;
         }
-        if (cfg.idleSkipsBlocked &&
+        if (cfg.mode == Mode::kTenant &&
             departBlockedAt(c, ex, top.idx, top.dueSec, sw)) {
             const std::uint32_t idx = top.idx;
             ex.gated.pop();
@@ -629,13 +643,13 @@ inline void
 runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
 {
     const double wall = cfg.wallLimitSec;
-    const bool wall_boundary = !kSteady && cfg.wallBoundary;
-    const bool idle_skips = !kSteady && cfg.idleSkipsBlocked;
-    const bool end_on_unfit = !kSteady && cfg.endRunWhenNoWallFit;
-    const bool strict_preempt = !kSteady && cfg.strictArrivalPreempt;
-    const bool rr_rotation = !kSteady &&
-                             cfg.policy == Policy::kRoundRobin &&
-                             cfg.rrIndexRotation;
+    // The five tenant-mode behaviours (see Mode), named at their use.
+    const bool tenant = !kSteady && cfg.mode == Mode::kTenant;
+    const bool wall_boundary = tenant;
+    const bool idle_skips = tenant;
+    const bool end_on_unfit = tenant;
+    const bool strict_preempt = tenant;
+    const bool rr_rotation = tenant && cfg.policy == Policy::kRoundRobin;
     const bool coalesce = kSteady || cfg.coalesce;
     const bool rate_gates = kSteady || cfg.rateGates;
     const std::uint64_t quantum = kSteady ? 1 : cfg.quantumIters;
@@ -739,7 +753,7 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
         // Pick the first ready task (in policy order) that can still
         // run a step.  Tasks that can never run again -- their next
         // step would end past their departure, or past the wall --
-        // retire on the spot; under `endRunWhenNoWallFit` wall-unfit
+        // retire on the spot; in tenant mode wall-unfit
         // tasks are only skipped, and if nothing fits the run ends.
         bool saw_unfit = false;
         auto scan = [&](ReadySet::iterator it) {
@@ -976,10 +990,8 @@ template <class Client>
 inline void
 runUntil(Client &c, Executor &ex, const Config &cfg, double t1)
 {
-    if (cfg.policy == Policy::kRoundRobin && !cfg.rrIndexRotation &&
-        cfg.rateGates && !cfg.strictArrivalPreempt &&
-        !cfg.idleSkipsBlocked && !cfg.endRunWhenNoWallFit &&
-        !cfg.wallBoundary && cfg.coalesce && cfg.quantumIters == 1)
+    if (cfg.policy == Policy::kRoundRobin && cfg.mode == Mode::kFleet &&
+        cfg.rateGates && cfg.coalesce && cfg.quantumIters == 1)
         runUntilT<true>(c, ex, cfg, t1);
     else
         runUntilT<false>(c, ex, cfg, t1);

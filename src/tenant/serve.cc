@@ -286,16 +286,10 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
     cfg.policy = corePolicy(spec.policy);
     cfg.quantumIters = spec.opts.quantumIters;
     cfg.wallLimitSec = wall;
-    // The tenant loop's historical semantics (see serve_core::Config):
-    // index-rotating round robin, gating only under open-loop replay,
-    // strict arrival-preemption windows, departure-aware idle jumps,
-    // and ending the run when nothing fits the wall budget.
-    cfg.rrIndexRotation = true;
+    // The tenant loop's historical semantics (see serve_core::Mode),
+    // gating only under open-loop replay.
+    cfg.mode = serve_core::Mode::kTenant;
     cfg.rateGates = spec.opts.openLoop;
-    cfg.strictArrivalPreempt = true;
-    cfg.idleSkipsBlocked = true;
-    cfg.endRunWhenNoWallFit = true;
-    cfg.wallBoundary = true;
 
     serve_core::Executor ex;
     ex.arrivals.resize(n);

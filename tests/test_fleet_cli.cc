@@ -39,6 +39,30 @@ runQuiet(const std::string &cmd)
 #endif
 }
 
+/** Run a command with stdout captured in `path` and stderr dropped;
+ *  returns the exit code (-1 if system() failed). */
+int
+runToFile(const std::string &cmd, const std::string &path)
+{
+    const int status =
+        std::system((cmd + " >" + path + " 2>/dev/null").c_str());
+    if (status == -1)
+        return -1;
+#ifdef WEXITSTATUS
+    return WEXITSTATUS(status);
+#else
+    return status;
+#endif
+}
+
+/** Size of a file in bytes; -1 if it cannot be opened. */
+long
+fileSize(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    return in ? long(in.tellg()) : -1;
+}
+
 class FleetCli : public ::testing::Test
 {
   protected:
@@ -75,6 +99,23 @@ TEST_F(FleetCli, GoodInvocationsSucceed)
     std::remove(csv.c_str());
     std::remove(pod_csv.c_str());
     std::remove(json.c_str());
+}
+
+TEST_F(FleetCli, WallBudgetShorterThanTheTraceSucceeds)
+{
+    // Sessions arriving at or after --wall-s are never placed: the run
+    // still succeeds and their rows carry no pod ("-") and stay
+    // admitted (the wall cut them off; admission did not reject them).
+    const std::string csv = "fleet_cli_wall.csv";
+    ASSERT_EQ(runQuiet(std::string("./diva_fleet --pods 2 --quiet ") +
+                       kSmallTrace + " --wall-s 1 --csv " + csv),
+              0);
+    std::ifstream in(csv);
+    bool unplaced = false;
+    for (std::string row; std::getline(in, row);)
+        unplaced = unplaced || row.find(",-,1,") != std::string::npos;
+    EXPECT_TRUE(unplaced) << "no session arrived after the wall";
+    std::remove(csv.c_str());
 }
 
 TEST_F(FleetCli, EmptyFleetsAndZeroChipPodsFail)
@@ -156,6 +197,24 @@ TEST_F(FleetCli, ObservabilityFlagsValidateAtStartup)
               0);
     EXPECT_TRUE(exists(ts));
     std::remove(ts.c_str());
+}
+
+TEST_F(FleetCli, UnwritableOutputPathsFailBeforeTheRun)
+{
+    // Every path the tool writes is probed before the replay: a bad
+    // one exits non-zero with nothing on stdout (no pod CSV, no
+    // summary) instead of failing after the whole run.
+    const std::string base =
+        std::string("./diva_fleet --pods 1 --quiet ") + kSmallTrace;
+    const std::string out = "fleet_cli_probe_stdout.txt";
+    for (const char *flag :
+         {"--json", "--csv", "--pod-csv", "--save-trace"}) {
+        EXPECT_NE(runToFile(base + " " + flag + " /no/such/dir/x", out),
+                  0)
+            << flag;
+        EXPECT_EQ(fileSize(out), 0) << flag << " wrote to stdout";
+    }
+    std::remove(out.c_str());
 }
 
 TEST_F(FleetCli, SavedTraceReplaysIdentically)

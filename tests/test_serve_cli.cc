@@ -38,6 +38,30 @@ runQuiet(const std::string &cmd)
 #endif
 }
 
+/** Run a command with stdout captured in `path` and stderr dropped;
+ *  returns the exit code (-1 if system() failed). */
+int
+runToFile(const std::string &cmd, const std::string &path)
+{
+    const int status =
+        std::system((cmd + " >" + path + " 2>/dev/null").c_str());
+    if (status == -1)
+        return -1;
+#ifdef WEXITSTATUS
+    return WEXITSTATUS(status);
+#else
+    return status;
+#endif
+}
+
+/** Size of a file in bytes; -1 if it cannot be opened. */
+long
+fileSize(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    return in ? long(in.tellg()) : -1;
+}
+
 class ServeCli : public ::testing::Test
 {
   protected:
@@ -163,6 +187,29 @@ TEST_F(ServeCli, TraceFlagsValidate)
     }
     EXPECT_NE(runQuiet("./diva_serve --trace " + path + " --quiet"), 0);
     std::remove(path.c_str());
+}
+
+TEST_F(ServeCli, UnwritableOutputPathsFailBeforeTheRun)
+{
+    // Every path the tools write is probed before the simulation: a
+    // bad one exits non-zero with nothing on stdout (no CSV, no
+    // summary) instead of failing after the whole run.
+    const std::string out = "serve_cli_probe_stdout.txt";
+    const std::string serve = "./diva_serve --tenants 2 --steps 4 --quiet";
+    const std::string replay =
+        "./diva_serve --arrivals poisson:rate=4,seed=3,hold=1,qos=2 "
+        "--steps 0 --quiet";
+    const std::string sweep =
+        "./diva_sweep --quiet --models SqueezeNet --batches 8";
+    for (const std::string &cmd :
+         {serve + " --csv /no/such/dir/x.csv",
+          serve + " --json /no/such/dir/x.json",
+          replay + " --save-trace /no/such/dir/t.csv",
+          sweep + " --json /no/such/dir/x.json"}) {
+        EXPECT_NE(runToFile(cmd, out), 0) << cmd;
+        EXPECT_EQ(fileSize(out), 0) << cmd << ": wrote to stdout";
+    }
+    std::remove(out.c_str());
 }
 
 TEST_F(ServeCli, SweepTraceModeValidates)

@@ -8,7 +8,9 @@
  * land on exactly the state k single-quantum advances produce; (3)
  * thread-count determinism -- the fleet emitters must produce the same
  * bytes with 1 and 4 engine threads (run in-process so the TSan job
- * also proves the epoch parallelism race-free).
+ * also proves the epoch parallelism race-free); (4) tenant-mode
+ * behaviours -- one crafted schedule per serve_core::Mode::kTenant
+ * difference, each failing if that difference is dropped.
  *
  * The golden tests run the tool binaries out of the build directory
  * (ctest's working directory) against fixtures under
@@ -154,6 +156,31 @@ TEST_F(ServeCoreGolden, FleetReplayMatchesPreRefactorBytes)
     expectFixture("sc_fleet.csv", "fleet_smoke.csv");
     expectFixture("sc_fleet.json", "fleet_smoke.json");
     expectFixture("sc_fleet_pod.csv", "fleet_smoke_pod.csv");
+}
+
+/** A prioritized diurnal replay under quantum 4 (CSV only): pins the
+ *  tenant mode's departure-blocked idle skips and round-robin index
+ *  rotation, which the fixtures above never reach. */
+TEST_F(ServeCoreGolden, DiurnalQuantumReplayMatchesGoldenBytes)
+{
+    ASSERT_EQ(runQuiet("./diva_serve --arrivals diurnal:rate=6,seed=3,"
+                       "hold=1,qos=2,prios=3 --steps 0 --policies all "
+                       "--quantum 4 --quiet --no-summary "
+                       "--csv sc_diurnal_q.csv"),
+              0);
+    expectFixture("sc_diurnal_q.csv", "serve_diurnal_quantum.csv");
+}
+
+/** A wall-bounded diurnal replay (CSV only): pins the tenant mode's
+ *  run end when nothing fits the wall, and index rotation. */
+TEST_F(ServeCoreGolden, DiurnalWallReplayMatchesGoldenBytes)
+{
+    ASSERT_EQ(runQuiet("./diva_serve --arrivals diurnal:rate=10,seed=4,"
+                       "hold=0.5,qos=4 --steps 0 --policies all "
+                       "--wall-s 1.5 --quiet --no-summary "
+                       "--csv sc_diurnal_w.csv"),
+              0);
+    expectFixture("sc_diurnal_w.csv", "serve_diurnal_wall.csv");
 }
 
 // ---------------------------------------------- coalescing equivalence
@@ -330,12 +357,8 @@ TEST(ServeCoreCoalescing, TenantModeMultiQuantumAdvanceEqualsSingleSteps)
     serve_core::Config cfg;
     cfg.policy = serve_core::Policy::kRoundRobin;
     cfg.quantumIters = 3;
-    cfg.rrIndexRotation = true;
+    cfg.mode = serve_core::Mode::kTenant;
     cfg.rateGates = true; // keep the rate-gated task gated
-    cfg.strictArrivalPreempt = true;
-    cfg.idleSkipsBlocked = true;
-    cfg.endRunWhenNoWallFit = true;
-    cfg.wallBoundary = true;
     expectCoalescingEquivalence(cfg);
 }
 
@@ -345,6 +368,113 @@ TEST(ServeCoreCoalescing, EdfModeMultiQuantumAdvanceEqualsSingleSteps)
     cfg.policy = serve_core::Policy::kEdf;
     cfg.quantumIters = 2;
     expectCoalescingEquivalence(cfg);
+}
+
+// ------------------------------------------ tenant-mode behaviours
+
+/**
+ * One case per tenant-mode behaviour (serve_core::Mode): each builds a
+ * schedule that only that behaviour produces, so dropping it from the
+ * tenant mode fails the case.  All tasks take 1 ms steps unless noted;
+ * the client bills 0.5 ms per task switch.
+ */
+MiniClient::Task
+task(double arrival, std::uint64_t steps, double cost = 0.001)
+{
+    MiniClient::Task t;
+    t.arrival = arrival;
+    t.steps = steps;
+    t.costSec = cost;
+    return t;
+}
+
+/** Run a tenant-mode round-robin executor to the end of its events. */
+serve_core::Executor
+runTenant(MiniClient &c, std::uint64_t quantum, double wall = 0.0)
+{
+    serve_core::Config cfg;
+    cfg.mode = serve_core::Mode::kTenant;
+    cfg.rateGates = false;
+    cfg.quantumIters = quantum;
+    cfg.wallLimitSec = wall;
+    serve_core::Executor ex = freshExecutor(c);
+    serve_core::runUntil(c, ex, cfg, serve_core::kInfSec);
+    return ex;
+}
+
+std::vector<std::uint32_t>
+pickOrder(const MiniClient &c)
+{
+    std::vector<std::uint32_t> order;
+    for (const auto &[idx, start, lat] : c.stepLog)
+        if (order.empty() || order.back() != idx)
+            order.push_back(idx);
+    return order;
+}
+
+TEST(ServeCoreTenantMode, ArrivalPreemptsOnlyAfterTheStepStart)
+{
+    // Task 2 lands at 4.2 ms, during the switch into task 1 (4.0 ->
+    // 4.5 ms): before task 1's first step starts, so it does not cut
+    // that quantum short.  Task 1 runs its full quantum of 4 and
+    // task 2 starts after one more switch, at 9.0 ms.  The fleet's
+    // any-arrival-at-or-before-now check would preempt after task 1's
+    // first step and hand task 2 the engine at 6.0 ms.
+    MiniClient c({task(0.0, 4), task(0.0, 8), task(0.0042, 2)});
+    runTenant(c, 4);
+    std::vector<double> task1_starts;
+    double task2_first = -1.0;
+    for (const auto &[idx, start, lat] : c.stepLog) {
+        if (idx == 1 && task2_first < 0.0)
+            task1_starts.push_back(start);
+        if (idx == 2 && task2_first < 0.0)
+            task2_first = start;
+    }
+    ASSERT_EQ(task1_starts.size(), 4u);
+    for (std::size_t k = 0; k < 4; ++k)
+        EXPECT_NEAR(task1_starts[k], 0.0045 + 0.001 * double(k), 1e-12);
+    EXPECT_NEAR(task2_first, 0.009, 1e-12);
+}
+
+TEST(ServeCoreTenantMode, IdleJumpSkipsDepartureBlockedArrivals)
+{
+    // Task 1 arrives at 10 ms but departs at 10.5 ms: the switch plus
+    // one step cannot end before it leaves, so it can never run.  The
+    // idle jump skips it and the run ends when task 0 finishes at
+    // 2 ms; without the skip the clock would jump to 10 ms first.
+    MiniClient::Task blocked = task(0.010, 4);
+    blocked.depart = 0.0105;
+    MiniClient c({task(0.0, 2), blocked});
+    const serve_core::Executor ex = runTenant(c, 1);
+    EXPECT_NEAR(ex.nowSec, 0.002, 1e-12);
+    EXPECT_EQ(c.cores[1].done, 0u);
+}
+
+TEST(ServeCoreTenantMode, RoundRobinRotatesOverTaskIndices)
+{
+    // Tasks 0 and 1 arrive at 0, task 2 at 0.1 ms.  Index rotation
+    // runs 0, 1, 2, 0; enqueue order would put the re-enqueued task 0
+    // ahead of the later arrival: 0, 1, 0, 2.
+    MiniClient c({task(0.0, 3), task(0.0, 3), task(0.0001, 3)});
+    runTenant(c, 1);
+    const std::vector<std::uint32_t> order = pickOrder(c);
+    ASSERT_GE(order.size(), 4u);
+    EXPECT_EQ(std::vector<std::uint32_t>(order.begin(), order.begin() + 4),
+              (std::vector<std::uint32_t>{0, 1, 2, 0}));
+}
+
+TEST(ServeCoreTenantMode, NoWallFitEndsTheRun)
+{
+    // Wall 10 ms.  Tasks 0 and 1 (4 ms steps) take 0-4 and 4.5-8.5 ms;
+    // then neither fits another step before the wall and the run
+    // ends at 8.5 ms.  Task 2 (0.2 ms steps, arriving at 9 ms) would
+    // fit, but the run is already over; retiring the unfit tasks and
+    // serving on would run it.
+    MiniClient c({task(0.0, 2, 0.004), task(0.0, 5, 0.004),
+                  task(0.009, 1, 0.0002)});
+    const serve_core::Executor ex = runTenant(c, 1, 0.010);
+    EXPECT_NEAR(ex.nowSec, 0.0085, 1e-12);
+    EXPECT_EQ(c.cores[2].done, 0u);
 }
 
 // ------------------------------------------- thread-count determinism

@@ -20,23 +20,17 @@
  * accounting go to stderr.
  */
 
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "arrivals/generate.h"
-#include "arrivals/trace.h"
 #include "cli_parse.h"
 #include "common/format.h"
-#include "common/logging.h"
 #include "common/table.h"
 #include "fleet/emit.h"
 #include "fleet/engine.h"
-#include "obs/cli.h"
 #include "obs/profile.h"
-#include "sweep/disk_cache.h"
 #include "sweep/runner.h"
 
 using namespace diva;
@@ -44,102 +38,15 @@ using namespace diva;
 namespace
 {
 
-void
-usage()
-{
-    std::cerr <<
-        "usage: diva_fleet [options]\n"
-        "\n"
-        "Fleet shape:\n"
-        "  --pods N            N identical single-chip DiVa pods\n"
-        "                      (default 8)\n"
-        "  --pod SPEC          add a pod group; SPEC is key=value\n"
-        "                      pairs: df=WS|OS|DiVa, ppu=on|off,\n"
-        "                      chips=N, count=N, ici-gbs=G, link-lat=C\n"
-        "                      -- e.g. df=OS,chips=4,count=16.\n"
-        "                      Repeat for a heterogeneous fleet\n"
-        "                      (replaces --pods)\n"
-        "\n"
-        "Arrival trace (open-loop replay drives the fleet):\n"
-        "  --arrivals SPEC     generate a seeded arrival trace:\n"
-        "                      kind[:key=val,...], kind poisson|onoff|\n"
-        "                      diurnal, keys rate,horizon,seed,cap,on,\n"
-        "                      off,peak,steps,batch,qos,hold,prios --\n"
-        "                      e.g. diurnal:rate=40,horizon=64,seed=1\n"
-        "                      (default diurnal:rate=4,horizon=16,\n"
-        "                      seed=1)\n"
-        "  --trace FILE        replay a recorded trace (.csv, or\n"
-        "                      .jsonl/.json with one object per line)\n"
-        "  --save-trace PATH   write the replayed trace as canonical\n"
-        "                      CSV (same seed => byte-identical file)\n"
-        "\n"
-        "Cluster policy:\n"
-        "  --placement NAME    first-fit, load, or energy\n"
-        "                      (default first-fit)\n"
-        "  --policy NAME       per-pod scheduler: fifo, rr, prio, or\n"
-        "                      edf (default rr)\n"
-        "  --admission-cap U   fraction of one pod the admitted QoS\n"
-        "                      demand placed there may claim\n"
-        "                      (default 1.0); infeasible tenants are\n"
-        "                      rejected\n"
-        "  --rebalance-every S enable tenant migration between pods,\n"
-        "                      checking load skew every S simulated\n"
-        "                      seconds (0 = auto: an eighth of the\n"
-        "                      trace span)\n"
-        "  --skew F            utilization gap that triggers migration\n"
-        "                      (default 0.25)\n"
-        "  --max-migrations N  migration cap per control round\n"
-        "                      (default 64)\n"
-        "\n"
-        "Energy budget:\n"
-        "  --power-cap-w W     sustained fleet power cap in watts;\n"
-        "                      low-priority tenants preempt when the\n"
-        "                      projected draw exceeds it\n"
-        "  --budget-j J        total joule budget for the whole run; a\n"
-        "                      draining budget throttles progressively\n"
-        "  --control-every S   control-loop interval for budget/\n"
-        "                      rebalance decisions (overrides auto)\n"
-        "\n"
-        "Serving:\n"
-        "  --working-set F     fraction of SRAM a context switch or\n"
-        "                      migration moves, in (0, 1] (default 1)\n"
-        "  --quantum N         iterations per scheduling quantum\n"
-        "                      (default 1)\n"
-        "  --wall-s S          wall-clock budget in simulated seconds;\n"
-        "                      0 = run to completion\n"
-        "  --backends LIST     allowed isolated-cost backends by\n"
-        "                      registry name (default: all)\n"
-        "\n"
-        "Execution:\n"
-        "  --threads N         worker threads for cost pricing and the\n"
-        "                      per-epoch pod simulations (default 1;\n"
-        "                      output is byte-identical for any value)\n"
-        "  --cache-dir PATH    persistent result cache shared with\n"
-        "                      diva_sweep/diva_serve\n"
-        "  --cache             like --cache-dir with the default dir\n"
-        "  --quiet             no stderr progress\n"
-        "\n"
-        "Output (deterministic; independent of --threads and cache):\n"
-        "  --pod-csv PATH      write the per-pod CSV to PATH instead\n"
-        "                      of stdout\n"
-        "  --csv PATH          also write the per-tenant CSV (one row\n"
-        "                      per session; large traces make this big)\n"
-        "  --json PATH         also write a JSON report (fleet + pods)\n"
-        "  --json-tenants      include every tenant in the JSON report\n"
-        "  --no-summary        skip the stdout summary tables\n"
-        "\n" << obs::cliObsUsage();
-}
+constexpr char kTool[] = "diva_fleet";
 
 struct Args
 {
     int pods = 8;
     std::vector<std::string> podSpecs;
-    std::string arrivalsSpec;
-    std::string tracePath;
-    std::string saveTracePath;
+    cli::TraceInput trace;
     PlacementKind placement = PlacementKind::kFirstFit;
     SchedPolicy policy = SchedPolicy::kRoundRobin;
-    double admissionCap = 1.0;
     bool rebalance = false;
     double rebalanceEvery = 0.0;
     double skew = 0.25;
@@ -148,248 +55,98 @@ struct Args
     double budgetJ = 0.0;
     double controlEvery = 0.0;
     double workingSet = 1.0;
-    std::uint64_t quantum = 1;
-    double wallSec = 0.0;
-    std::vector<std::string> backends;
-    int threads = 1;
-    std::string cacheDir;
-    bool quiet = false;
-    bool summary = true;
+    cli::Serving serving;
+    cli::Execution exec;
+    cli::Output out;
     std::string podCsvPath;
-    std::string csvPath;
-    std::string jsonPath;
     bool jsonTenants = false;
-    bool verbose = false;
     obs::CliObs obs;
 };
 
-using cli::parseDoubleText;
-using cli::parseIntText;
-
-bool
-fail(const std::string &msg)
+cli::Spec
+flagSpec(Args &args)
 {
-    std::cerr << "diva_fleet: " << msg << "\n";
-    return false;
+    cli::Spec spec(kTool);
+    spec.section("Fleet shape")
+        .add(cli::value("--pods", "N",
+                        "N identical single-chip DiVa pods (default 8)",
+                        args.pods, cli::integer<int>(1)))
+        .add({"--pod", "SPEC",
+              "add a pod group; SPEC is key=value pairs: df=WS|OS|DiVa, "
+              "ppu=on|off, chips=N, count=N, ici-gbs=G, link-lat=C -- "
+              "e.g. df=OS,chips=4,count=16. Repeat for a heterogeneous "
+              "fleet (replaces --pods)",
+              [&args](const std::string &v) {
+                  args.podSpecs.push_back(v);
+                  return std::string();
+              }});
+    spec.section("Arrival trace (open-loop replay drives the fleet)");
+    cli::addTraceInput(spec, args.trace, true,
+                       " (default diurnal:rate=4,horizon=16,seed=1)");
+    spec.section("Cluster policy")
+        .add(cli::value("--placement", "NAME",
+                        "first-fit, load, or energy (default first-fit)",
+                        args.placement,
+                        cli::named(placementFromName, "placement",
+                                   "first-fit, load, or energy")))
+        .add(cli::value("--policy", "NAME",
+                        "per-pod scheduler: fifo, rr, prio, or edf "
+                        "(default rr)",
+                        args.policy, cli::policyKind()))
+        .add({"--rebalance-every", "S",
+              "enable tenant migration between pods, checking load skew "
+              "every S simulated seconds (0 = auto: an eighth of the "
+              "trace span)",
+              [&args](const std::string &v) {
+                  args.rebalance = true;
+                  return cli::nonNegative()("--rebalance-every", v,
+                                            args.rebalanceEvery);
+              }})
+        .add(cli::value("--skew", "F",
+                        "utilization gap that triggers migration "
+                        "(default 0.25)",
+                        args.skew, cli::positive()))
+        .add(cli::value("--max-migrations", "N",
+                        "migration cap per control round (default 64)",
+                        args.maxMigrations, cli::integer<int>(1)));
+    spec.section("Energy budget")
+        .add(cli::value("--power-cap-w", "W",
+                        "sustained fleet power cap in watts; low-priority "
+                        "tenants preempt when the projected draw exceeds "
+                        "it",
+                        args.powerCapW, cli::positive()))
+        .add(cli::value("--budget-j", "J",
+                        "total joule budget for the whole run; a draining "
+                        "budget throttles progressively",
+                        args.budgetJ, cli::positive()))
+        .add(cli::value("--control-every", "S",
+                        "control-loop interval for budget/rebalance "
+                        "decisions (overrides auto)",
+                        args.controlEvery, cli::positive()));
+    spec.section("Serving")
+        .add(cli::value("--working-set", "F",
+                        "fraction of SRAM a context switch or migration "
+                        "moves, in (0, 1] (default 1)",
+                        args.workingSet, cli::fraction()));
+    cli::addServing(spec, args.serving);
+    cli::addExecution(spec, args.exec,
+                      "allowed isolated-cost backends by registry name "
+                      "(default: all)");
+    cli::addOutput(spec, args.out,
+                   "also write the per-tenant CSV (one row per session; "
+                   "large traces make this big)",
+                   true);
+    spec.add(cli::output("--pod-csv", "PATH",
+                         "write the per-pod CSV to PATH instead of stdout",
+                         args.podCsvPath))
+        .add(cli::toggle("--json-tenants",
+                         "include every tenant in the JSON report",
+                         args.jsonTenants));
+    cli::addObs(spec, args.obs);
+    return spec;
 }
 
-bool
-parseArgs(int argc, char **argv, Args &args)
-{
-    auto need = [&](int &i) -> std::optional<std::string> {
-        if (i + 1 >= argc) {
-            fail(std::string(argv[i]) + " needs a value");
-            return std::nullopt;
-        }
-        return std::string(argv[++i]);
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        std::optional<std::string> v;
-        if (a == "--help" || a == "-h") {
-            usage();
-            std::exit(0);
-        } else if (a == "--quiet") {
-            args.quiet = true;
-        } else if (a == "--no-summary") {
-            args.summary = false;
-        } else if (a == "--json-tenants") {
-            args.jsonTenants = true;
-        } else if (a == "--pods") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 1)
-                return fail("--pods must be >= 1, got '" + *v + "'");
-            args.pods = int(*n);
-        } else if (a == "--pod") {
-            if (!(v = need(i)))
-                return false;
-            args.podSpecs.push_back(*v);
-        } else if (a == "--arrivals") {
-            if (!(v = need(i)))
-                return false;
-            args.arrivalsSpec = *v;
-        } else if (a == "--trace") {
-            if (!(v = need(i)))
-                return false;
-            args.tracePath = *v;
-        } else if (a == "--save-trace") {
-            if (!(v = need(i)))
-                return false;
-            args.saveTracePath = *v;
-        } else if (a == "--placement") {
-            if (!(v = need(i)))
-                return false;
-            const auto p = placementFromName(*v);
-            if (!p)
-                return fail("unknown placement '" + *v +
-                            "' (want first-fit, load, or energy)");
-            args.placement = *p;
-        } else if (a == "--policy") {
-            if (!(v = need(i)))
-                return false;
-            const auto p = policyFromName(*v);
-            if (!p)
-                return fail("unknown policy '" + *v +
-                            "' (want fifo, rr, prio, or edf)");
-            args.policy = *p;
-        } else if (a == "--admission-cap") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d <= 0.0)
-                return fail("--admission-cap must be > 0, got '" + *v +
-                            "'");
-            args.admissionCap = *d;
-        } else if (a == "--rebalance-every") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d < 0.0)
-                return fail("--rebalance-every must be >= 0 (0 = "
-                            "auto), got '" + *v + "'");
-            args.rebalance = true;
-            args.rebalanceEvery = *d;
-        } else if (a == "--skew") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d <= 0.0)
-                return fail("--skew must be > 0, got '" + *v + "'");
-            args.skew = *d;
-        } else if (a == "--max-migrations") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 1)
-                return fail("--max-migrations must be >= 1, got '" +
-                            *v + "'");
-            args.maxMigrations = int(*n);
-        } else if (a == "--power-cap-w") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d <= 0.0)
-                return fail("--power-cap-w must be > 0, got '" + *v +
-                            "'");
-            args.powerCapW = *d;
-        } else if (a == "--budget-j") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d <= 0.0)
-                return fail("--budget-j must be > 0, got '" + *v + "'");
-            args.budgetJ = *d;
-        } else if (a == "--control-every") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d <= 0.0)
-                return fail("--control-every must be > 0, got '" + *v +
-                            "'");
-            args.controlEvery = *d;
-        } else if (a == "--working-set") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || !(*d > 0.0) || *d > 1.0)
-                return fail("--working-set must be in (0, 1], got '" +
-                            *v + "'");
-            args.workingSet = *d;
-        } else if (a == "--quantum") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 1)
-                return fail("--quantum must be >= 1, got '" + *v + "'");
-            args.quantum = std::uint64_t(*n);
-        } else if (a == "--wall-s") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d <= 0.0)
-                return fail("--wall-s must be > 0, got '" + *v + "'");
-            args.wallSec = *d;
-        } else if (a == "--backends") {
-            if (!(v = need(i)))
-                return false;
-            const auto names = cli::parseBackendList("diva_fleet", *v);
-            if (!names)
-                return false;
-            args.backends = *names;
-        } else if (a == "--threads") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 1)
-                return fail("--threads must be >= 1, got '" + *v + "'");
-            args.threads = int(*n);
-        } else if (a == "--cache-dir") {
-            if (!(v = need(i)))
-                return false;
-            args.cacheDir = *v;
-        } else if (a == "--cache") {
-            args.cacheDir = DiskCache::defaultDir();
-        } else if (a == "--pod-csv") {
-            if (!(v = need(i)))
-                return false;
-            args.podCsvPath = *v;
-        } else if (a == "--csv") {
-            if (!(v = need(i)))
-                return false;
-            args.csvPath = *v;
-        } else if (a == "--json") {
-            if (!(v = need(i)))
-                return false;
-            args.jsonPath = *v;
-        } else if (a == "--metrics-out") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.metricsOut = *v;
-        } else if (a == "--trace-out") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.traceOut = *v;
-        } else if (a == "--trace-max-events") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 1)
-                return fail("--trace-max-events must be >= 1, got '" +
-                            *v + "'");
-            args.obs.traceMaxEvents = std::size_t(*n);
-        } else if (a == "--timeseries-out") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.timeseriesOut = *v;
-        } else if (a == "--obs-window-s") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d <= 0.0)
-                return fail("--obs-window-s must be > 0, got '" + *v +
-                            "'");
-            args.obs.obsWindowSec = *d;
-        } else if (a == "--slo-p99-s") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.sloSpecText = *v;
-        } else if (a == "--profile") {
-            args.obs.profile = true;
-        } else if (a == "--verbose") {
-            args.verbose = true;
-        } else {
-            fail("unknown option '" + a + "'");
-            usage();
-            return false;
-        }
-    }
-    if (!args.arrivalsSpec.empty() && !args.tracePath.empty())
-        return fail("--arrivals and --trace are mutually exclusive");
-    return true;
-}
-
+/** False after a "diva_fleet: ..." error on stderr. */
 bool
 buildFleetSpec(const Args &args, FleetSpec &spec)
 {
@@ -399,7 +156,7 @@ buildFleetSpec(const Args &args, FleetSpec &spec)
             std::string err;
             const auto group = parsePodTemplate(text, &err);
             if (!group)
-                return fail("--pod '" + text + "': " + err);
+                return cli::fail(kTool, "--pod '" + text + "': " + err);
             groups.push_back(*group);
         }
     } else {
@@ -408,7 +165,7 @@ buildFleetSpec(const Args &args, FleetSpec &spec)
     spec = buildFleet(groups);
     spec.policy = args.policy;
     spec.placement = args.placement;
-    spec.podDemandCap = args.admissionCap;
+    spec.podDemandCap = args.serving.admissionCap;
     spec.rebalance.enabled = args.rebalance;
     spec.rebalance.skewThreshold = args.skew;
     spec.rebalance.maxPerRound = args.maxMigrations;
@@ -418,12 +175,12 @@ buildFleetSpec(const Args &args, FleetSpec &spec)
                                   ? args.controlEvery
                                   : args.rebalanceEvery;
     spec.workingSetFraction = args.workingSet;
-    spec.quantumIters = args.quantum;
-    spec.wallLimitSec = args.wallSec;
-    spec.backends = args.backends;
+    spec.quantumIters = args.serving.quantum;
+    spec.wallLimitSec = args.serving.wallSec;
+    spec.backends = args.exec.backends;
     const std::string err = spec.validationError();
     if (!err.empty())
-        return fail(err);
+        return cli::fail(kTool, err);
     return true;
 }
 
@@ -473,64 +230,29 @@ int
 main(int argc, char **argv)
 {
     Args args;
-    if (!parseArgs(argc, argv, args))
-        return 1;
-    if (args.verbose)
-        setLogVerbosity(LogVerbosity::kVerbose);
-    if (!args.obs.activate())
+    if (!flagSpec(args).parse(argc, argv) || !args.obs.activate())
         return 1;
 
     FleetSpec spec;
     if (!buildFleetSpec(args, spec))
         return 1;
 
-    ArrivalTrace trace;
-    if (!args.tracePath.empty()) {
-        std::string err;
-        trace = loadTraceFile(args.tracePath, &err);
-        if (!err.empty()) {
-            std::cerr << "diva_fleet: --trace: " << err << "\n";
-            return 1;
-        }
-    } else {
-        const std::string spec_text = args.arrivalsSpec.empty()
-                                          ? "diurnal:rate=4,horizon="
-                                            "16,seed=1"
-                                          : args.arrivalsSpec;
-        std::string err;
-        const auto gen = parseTraceGenSpec(spec_text, &err);
-        if (!gen) {
-            std::cerr << "diva_fleet: --arrivals: " << err << "\n";
-            return 1;
-        }
-        trace = generateTrace(*gen);
-        if (trace.jobs.empty()) {
-            std::cerr << "diva_fleet: --arrivals produced no arrivals "
-                         "inside the horizon; raise rate or horizon\n";
-            return 1;
-        }
-    }
-    if (!args.saveTracePath.empty()) {
-        std::ofstream trace_file(args.saveTracePath);
-        if (!trace_file) {
-            std::cerr << "diva_fleet: cannot write "
-                      << args.saveTracePath << "\n";
-            return 1;
-        }
-        writeTraceCsv(trace_file, trace);
-    }
+    const std::optional<ArrivalTrace> trace = cli::resolveTrace(
+        kTool, args.trace, {}, "diurnal:rate=4,horizon=16,seed=1");
+    if (!trace)
+        return 1;
 
     SweepOptions opts;
-    opts.threads = args.threads;
-    opts.cacheDir = args.cacheDir;
+    opts.threads = args.exec.threads;
+    opts.cacheDir = args.exec.cacheDir;
     SweepRunner runner(opts);
-    if (!args.quiet && runner.diskCache())
+    if (!args.exec.quiet && runner.diskCache())
         std::cerr << "disk cache: " << runner.diskCache()->size()
                   << " entries in " << runner.diskCache()->filePath()
                   << "\n";
-    if (!args.quiet)
-        std::cerr << "replaying trace '" << trace.name << "' ("
-                  << trace.jobs.size() << " sessions) on " << spec.name
+    if (!args.exec.quiet)
+        std::cerr << "replaying trace '" << trace->name << "' ("
+                  << trace->jobs.size() << " sessions) on " << spec.name
                   << " under " << policyName(spec.policy) << "/"
                   << placementName(spec.placement)
                   << (spec.rebalance.enabled ? ", rebalance on" : "")
@@ -538,50 +260,32 @@ main(int argc, char **argv)
                   << "...\n";
 
     const FleetResult fleet = simulateFleet(
-        spec, trace, runner, args.threads, args.obs.sink.get(),
+        spec, *trace, runner, args.exec.threads, args.obs.sink.get(),
         args.obs.telemetry.get());
     if (!fleet.ok())
         std::cerr << "diva_fleet: " << fleet.error << "\n";
-    else if (!args.quiet)
+    else if (!args.exec.quiet)
         std::cerr << "plan cache: " << fleet.planHits << " hits, "
                   << fleet.planMisses << " misses\n";
 
     {
         obs::ScopedPhase emitPhase("emit");
-        std::ofstream pod_csv_file;
-        if (!args.podCsvPath.empty()) {
-            pod_csv_file.open(args.podCsvPath);
-            if (!pod_csv_file) {
-                std::cerr << "diva_fleet: cannot write "
-                          << args.podCsvPath << "\n";
-                return 1;
-            }
-        }
-        std::ostream &pod_csv =
-            args.podCsvPath.empty() ? std::cout : pod_csv_file;
-        writeFleetPodCsv(pod_csv, fleet);
-
-        if (!args.csvPath.empty()) {
-            std::ofstream csv_file(args.csvPath);
-            if (!csv_file) {
-                std::cerr << "diva_fleet: cannot write " << args.csvPath
-                          << "\n";
-                return 1;
-            }
-            writeFleetTenantCsv(csv_file, fleet);
-        }
-        if (!args.jsonPath.empty()) {
-            std::ofstream json_file(args.jsonPath);
-            if (!json_file) {
-                std::cerr << "diva_fleet: cannot write " << args.jsonPath
-                          << "\n";
-                return 1;
-            }
-            writeFleetJson(json_file, fleet, args.jsonTenants);
-        }
+        if (!cli::emitTo(kTool, args.podCsvPath, true,
+                         [&](std::ostream &os) {
+                             writeFleetPodCsv(os, fleet);
+                         }) ||
+            !cli::emitTo(kTool, args.out.csvPath, false,
+                         [&](std::ostream &os) {
+                             writeFleetTenantCsv(os, fleet);
+                         }) ||
+            !cli::emitTo(kTool, args.out.jsonPath, false,
+                         [&](std::ostream &os) {
+                             writeFleetJson(os, fleet, args.jsonTenants);
+                         }))
+            return 1;
     }
 
-    if (args.summary && fleet.ok())
+    if (args.out.summary && fleet.ok())
         printSummary(std::cout, fleet);
     if (!args.obs.finish())
         return 1;

@@ -16,24 +16,17 @@
  * Progress and cache accounting go to stderr.
  */
 
-#include <cmath>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "arrivals/generate.h"
 #include "arrivals/replay.h"
-#include "arrivals/trace.h"
 #include "cli_parse.h"
-#include "common/logging.h"
+#include "common/format.h"
 #include "common/table.h"
-#include "obs/cli.h"
 #include "obs/profile.h"
-#include "sweep/disk_cache.h"
-#include "sweep/emit.h"
 #include "sweep/runner.h"
 #include "tenant/emit.h"
 #include "tenant/serve.h"
@@ -43,128 +36,36 @@ using namespace diva;
 namespace
 {
 
-void
-usage()
-{
-    std::cerr <<
-        "usage: diva_serve [options]\n"
-        "\n"
-        "Tenant mix:\n"
-        "  --tenants N         N generated tenants rotating through a\n"
-        "                      fixed model mix (default 3)\n"
-        "  --tenant SPEC       add an explicit tenant; SPEC is\n"
-        "                      model[:batch[:qos_sps[:arrival_s[:prio\n"
-        "                      [:steps[:depart_s]]]]]], e.g.\n"
-        "                      ResNet-50:32:2.5:0:1:64 (batch 'auto' =\n"
-        "                      largest that fits; depart_s 0 = stays)\n"
-        "  --steps N           steps per generated tenant (default 32;\n"
-        "                      0 = unbounded, needs --wall-s)\n"
-        "  --batch N|auto      batch per generated tenant (default 8)\n"
-        "  --arrive-every S    stagger generated arrivals (default 0)\n"
-        "  --qos auto|none|R   generated tenants' steps/sec target:\n"
-        "                      auto = fair share of the isolated rate\n"
-        "                      (default), none, or an explicit rate\n"
-        "\n"
-        "Arrival traces (replace the static mix; open-loop replay):\n"
-        "  --arrivals SPEC     generate a seeded arrival trace:\n"
-        "                      kind[:key=val,...], kind poisson|onoff|\n"
-        "                      diurnal, keys rate,horizon,seed,cap,on,\n"
-        "                      off,peak,steps,batch,qos,hold,prios --\n"
-        "                      e.g. poisson:rate=4,seed=7,hold=2\n"
-        "  --trace FILE        replay a recorded trace (.csv, or\n"
-        "                      .jsonl/.json with one object per line)\n"
-        "  --save-trace PATH   write the replayed trace as canonical\n"
-        "                      CSV (seeded generators: same seed =>\n"
-        "                      byte-identical file)\n"
-        "  --admission         run the QoS admission controller: shed\n"
-        "                      tenants whose aggregate demand exceeds\n"
-        "                      capacity (also works without a trace)\n"
-        "  --admission-cap U   utilization the admitted QoS demand may\n"
-        "                      claim (default 1.0)\n"
-        "\n"
-        "Scheduling:\n"
-        "  --policy NAME       fifo, rr, prio, or edf (default rr)\n"
-        "  --policies LIST     compare several policies in one run\n"
-        "                      (or 'all')\n"
-        "  --quantum N         iterations per scheduling quantum\n"
-        "                      (default 1)\n"
-        "  --wall-s S          wall-clock budget in simulated seconds;\n"
-        "                      0 = run every tenant to completion\n"
-        "\n"
-        "Platform:\n"
-        "  --dataflow NAME     WS, OS, or DiVa (default DiVa)\n"
-        "  --ppu on|off        post-processing unit (default on;\n"
-        "                      WS is always off)\n"
-        "  --chips N           time-share a data-parallel pod of N\n"
-        "                      chips (default 1)\n"
-        "  --backends LIST     allowed isolated-cost backends by\n"
-        "                      registry name (default: all); the serve\n"
-        "                      prices tenants on 'pod' when --chips > 1,\n"
-        "                      else 'chip'\n"
-        "\n"
-        "Execution:\n"
-        "  --threads N         worker threads for the isolated-cost\n"
-        "                      simulations (default 1)\n"
-        "  --cache-dir PATH    persistent result cache shared with\n"
-        "                      diva_sweep\n"
-        "  --cache             like --cache-dir with the default dir\n"
-        "  --quiet             no stderr progress\n"
-        "\n"
-        "Output (deterministic; independent of --threads and cache):\n"
-        "  --csv PATH          write per-tenant CSV to PATH instead of\n"
-        "                      stdout\n"
-        "  --json PATH         also write a JSON report\n"
-        "  --no-summary        skip the stdout summary tables\n"
-        "\n" << obs::cliObsUsage();
-}
+constexpr char kTool[] = "diva_serve";
 
 struct Args
 {
     int tenants = 3;
     std::vector<TenantJob> explicitTenants;
-    std::string arrivalsSpec;
-    std::string tracePath;
-    std::string saveTracePath;
-    bool admission = false;
-    double admissionCap = 1.0;
     std::uint64_t steps = 32;
     int batch = 8;
     double arriveEvery = 0.0;
     enum class QosMode { kAuto, kNone, kRate } qosMode = QosMode::kAuto;
     double qosRate = 0.0;
+    cli::TraceInput trace;
+    bool admission = false;
     std::vector<SchedPolicy> policies = {SchedPolicy::kRoundRobin};
-    std::uint64_t quantum = 1;
-    double wallSec = 0.0;
+    cli::Serving serving;
     Dataflow dataflow = Dataflow::kOuterProduct;
     bool ppu = true;
     int chips = 1;
-    std::vector<std::string> backends;
-    int threads = 1;
-    std::string cacheDir;
-    bool quiet = false;
-    bool summary = true;
-    std::string csvPath;
-    std::string jsonPath;
-    bool verbose = false;
+    cli::Execution exec;
+    cli::Output out;
     obs::CliObs obs;
 };
-
-using cli::parseDoubleText;
-using cli::parseIntText;
-
-bool
-fail(const std::string &msg)
-{
-    std::cerr << "diva_serve: " << msg << "\n";
-    return false;
-}
 
 /** "Steps not given in the spec": resolved to --steps after parsing,
  *  so --tenant and --steps may appear in any order. */
 constexpr std::uint64_t kStepsUnset = ~std::uint64_t(0);
 
-/** model[:batch[:qos_sps[:arrival_s[:prio[:steps[:depart_s]]]]]] */
-bool
+/** model[:batch[:qos_sps[:arrival_s[:prio[:steps[:depart_s]]]]]];
+ *  "" on success, else the error message. */
+std::string
 parseTenantSpec(const std::string &spec, TenantJob &job)
 {
     std::vector<std::string> f;
@@ -172,298 +73,133 @@ parseTenantSpec(const std::string &spec, TenantJob &job)
     for (std::string item; std::getline(ss, item, ':');)
         f.push_back(item);
     if (f.empty() || f.size() > 7 || f[0].empty())
-        return fail("--tenant expects model[:batch[:qos_sps[:arrival_s"
-                    "[:prio[:steps[:depart_s]]]]]], got '" + spec +
-                    "'");
+        return "--tenant expects model[:batch[:qos_sps[:arrival_s"
+               "[:prio[:steps[:depart_s]]]]]], got '" + spec + "'";
     job.model = f[0];
     job.steps = kStepsUnset;
-    if (f.size() > 1) {
-        if (f[1] == "auto") {
-            job.batch = kAutoBatch;
-        } else {
-            const auto n = parseIntText(f[1]);
-            if (!n || *n < 1)
-                return fail("--tenant batch must be >= 1 or 'auto' in '" +
-                            spec + "'");
-            job.batch = int(*n);
-        }
-    }
-    if (f.size() > 2) {
-        const auto v = parseDoubleText(f[2]);
-        if (!v || *v < 0.0)
-            return fail("--tenant qos_sps must be >= 0 in '" + spec + "'");
-        job.qosStepsPerSec = *v;
-    }
-    if (f.size() > 3) {
-        const auto v = parseDoubleText(f[3]);
-        if (!v || *v < 0.0)
-            return fail("--tenant arrival_s must be >= 0 in '" + spec +
-                        "'");
-        job.arrivalSec = *v;
-    }
-    if (f.size() > 4) {
-        const auto n = parseIntText(f[4]);
-        if (!n)
-            return fail("--tenant prio must be an integer in '" + spec +
-                        "'");
-        job.priority = int(*n);
-    }
-    if (f.size() > 5) {
-        const auto n = parseIntText(f[5]);
-        if (!n || *n < 0)
-            return fail("--tenant steps must be >= 0 in '" + spec + "'");
-        job.steps = std::uint64_t(*n);
-    }
-    if (f.size() > 6) {
-        const auto v = parseDoubleText(f[6]);
-        if (!v || *v < 0.0)
-            return fail("--tenant depart_s must be >= 0 in '" + spec +
-                        "'");
-        job.departSec = *v;
-    }
-    return true;
+    // Spec field i, parsed by `kind` into `dst` when present.
+    auto field = [&]<class T>(std::size_t i, const char *name, T &dst,
+                              cli::Kind<T> kind) {
+        return i < f.size() ? kind(std::string("--tenant ") + name, f[i],
+                                   dst)
+                            : std::string();
+    };
+    for (const std::string &err :
+         {field(1, "batch", job.batch,
+                cli::orAuto(kAutoBatch, cli::integer<int>(1))),
+          field(2, "qos_sps", job.qosStepsPerSec, cli::nonNegative()),
+          field(3, "arrival_s", job.arrivalSec, cli::nonNegative()),
+          field(4, "prio", job.priority, cli::integer<int>()),
+          field(5, "steps", job.steps, cli::integer<std::uint64_t>(0)),
+          field(6, "depart_s", job.departSec, cli::nonNegative())})
+        if (!err.empty())
+            return err + " in '" + spec + "'";
+    return "";
 }
 
-bool
-parseArgs(int argc, char **argv, Args &args)
+cli::Spec
+flagSpec(Args &args)
 {
-    auto need = [&](int &i) -> std::optional<std::string> {
-        if (i + 1 >= argc) {
-            fail(std::string(argv[i]) + " needs a value");
-            return std::nullopt;
-        }
-        return std::string(argv[++i]);
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        std::optional<std::string> v;
-        if (a == "--help" || a == "-h") {
-            usage();
-            std::exit(0);
-        } else if (a == "--quiet") {
-            args.quiet = true;
-        } else if (a == "--no-summary") {
-            args.summary = false;
-        } else if (a == "--tenants") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 1)
-                return fail("--tenants must be >= 1, got '" + *v + "'");
-            args.tenants = int(*n);
-        } else if (a == "--tenant") {
-            if (!(v = need(i)))
-                return false;
-            TenantJob job;
-            if (!parseTenantSpec(*v, job))
-                return false;
-            args.explicitTenants.push_back(std::move(job));
-        } else if (a == "--arrivals") {
-            if (!(v = need(i)))
-                return false;
-            args.arrivalsSpec = *v;
-        } else if (a == "--trace") {
-            if (!(v = need(i)))
-                return false;
-            args.tracePath = *v;
-        } else if (a == "--save-trace") {
-            if (!(v = need(i)))
-                return false;
-            args.saveTracePath = *v;
-        } else if (a == "--admission") {
-            args.admission = true;
-        } else if (a == "--admission-cap") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d <= 0.0)
-                return fail("--admission-cap must be > 0, got '" + *v +
-                            "'");
-            args.admissionCap = *d;
-        } else if (a == "--steps") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 0)
-                return fail("--steps must be >= 0, got '" + *v + "'");
-            args.steps = std::uint64_t(*n);
-        } else if (a == "--batch") {
-            if (!(v = need(i)))
-                return false;
-            if (*v == "auto") {
-                args.batch = kAutoBatch;
-            } else {
-                const auto n = parseIntText(*v);
-                if (!n || *n < 1)
-                    return fail("--batch must be >= 1 or 'auto', got '" +
-                                *v + "'");
-                args.batch = int(*n);
-            }
-        } else if (a == "--arrive-every") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d < 0.0)
-                return fail("--arrive-every must be >= 0, got '" + *v +
-                            "'");
-            args.arriveEvery = *d;
-        } else if (a == "--qos") {
-            if (!(v = need(i)))
-                return false;
-            if (*v == "auto") {
-                args.qosMode = Args::QosMode::kAuto;
-            } else if (*v == "none") {
-                args.qosMode = Args::QosMode::kNone;
-            } else {
-                const auto d = parseDoubleText(*v);
-                if (!d || *d <= 0.0)
-                    return fail("--qos takes auto, none, or a rate > 0; "
-                                "got '" + *v + "'");
-                args.qosMode = Args::QosMode::kRate;
-                args.qosRate = *d;
-            }
-        } else if (a == "--policy" || a == "--policies") {
-            if (!(v = need(i)))
-                return false;
-            args.policies.clear();
-            if (a == "--policies" && *v == "all") {
-                args.policies = allPolicies();
-                continue;
-            }
-            for (const std::string &name : cli::splitList(*v)) {
-                const auto p = policyFromName(name);
-                if (!p)
-                    return fail("unknown policy '" + name +
-                                "' (want fifo, rr, prio, or edf)");
-                args.policies.push_back(*p);
-            }
-            if (args.policies.empty())
-                return fail(a + " needs at least one policy");
-        } else if (a == "--quantum") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 1)
-                return fail("--quantum must be >= 1, got '" + *v + "'");
-            args.quantum = std::uint64_t(*n);
-        } else if (a == "--wall-s") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d <= 0.0)
-                return fail("--wall-s must be > 0, got '" + *v + "'");
-            args.wallSec = *d;
-        } else if (a == "--dataflow") {
-            if (!(v = need(i)))
-                return false;
-            if (*v == "WS")
-                args.dataflow = Dataflow::kWeightStationary;
-            else if (*v == "OS")
-                args.dataflow = Dataflow::kOutputStationary;
-            else if (*v == "DiVa")
-                args.dataflow = Dataflow::kOuterProduct;
-            else
-                return fail("--dataflow takes WS, OS, or DiVa; got '" +
-                            *v + "'");
-        } else if (a == "--ppu") {
-            if (!(v = need(i)))
-                return false;
-            if (*v == "on")
-                args.ppu = true;
-            else if (*v == "off")
-                args.ppu = false;
-            else
-                return fail("--ppu takes on/off, got '" + *v + "'");
-        } else if (a == "--chips") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 1)
-                return fail("--chips must be >= 1, got '" + *v + "'");
-            args.chips = int(*n);
-        } else if (a == "--backends") {
-            if (!(v = need(i)))
-                return false;
-            const auto names = cli::parseBackendList("diva_serve", *v);
-            if (!names)
-                return false;
-            args.backends = *names;
-        } else if (a == "--threads") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 1)
-                return fail("--threads must be >= 1, got '" + *v + "'");
-            args.threads = int(*n);
-        } else if (a == "--cache-dir") {
-            if (!(v = need(i)))
-                return false;
-            args.cacheDir = *v;
-        } else if (a == "--cache") {
-            args.cacheDir = DiskCache::defaultDir();
-        } else if (a == "--csv") {
-            if (!(v = need(i)))
-                return false;
-            args.csvPath = *v;
-        } else if (a == "--json") {
-            if (!(v = need(i)))
-                return false;
-            args.jsonPath = *v;
-        } else if (a == "--metrics-out") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.metricsOut = *v;
-        } else if (a == "--trace-out") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.traceOut = *v;
-        } else if (a == "--trace-max-events") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 1)
-                return fail("--trace-max-events must be >= 1, got '" +
-                            *v + "'");
-            args.obs.traceMaxEvents = std::size_t(*n);
-        } else if (a == "--timeseries-out") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.timeseriesOut = *v;
-        } else if (a == "--obs-window-s") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d <= 0.0)
-                return fail("--obs-window-s must be > 0, got '" + *v +
-                            "'");
-            args.obs.obsWindowSec = *d;
-        } else if (a == "--slo-p99-s") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.sloSpecText = *v;
-        } else if (a == "--profile") {
-            args.obs.profile = true;
-        } else if (a == "--verbose") {
-            args.verbose = true;
-        } else {
-            fail("unknown option '" + a + "'");
-            usage();
-            return false;
-        }
-    }
-    if (!args.arrivalsSpec.empty() && !args.tracePath.empty())
-        return fail("--arrivals and --trace are mutually exclusive");
-    const bool trace_mode =
-        !args.arrivalsSpec.empty() || !args.tracePath.empty();
-    if (trace_mode && !args.explicitTenants.empty())
-        return fail("--tenant cannot be combined with --arrivals/"
-                    "--trace (the trace is the mix)");
-    if (!args.saveTracePath.empty() && !trace_mode)
-        return fail("--save-trace needs --arrivals or --trace");
-    if (args.steps == 0 && args.wallSec <= 0.0 &&
-        args.explicitTenants.empty() && !trace_mode)
-        return fail("--steps 0 (unbounded) needs --wall-s");
-    return true;
+    cli::Spec spec(kTool);
+    spec.section("Tenant mix")
+        .add(cli::value("--tenants", "N",
+                        "N generated tenants rotating through a fixed "
+                        "model mix (default 3)",
+                        args.tenants, cli::integer<int>(1)))
+        .add({"--tenant", "SPEC",
+              "add an explicit tenant; SPEC is model[:batch[:qos_sps"
+              "[:arrival_s[:prio[:steps[:depart_s]]]]]], e.g. "
+              "ResNet-50:32:2.5:0:1:64 (batch 'auto' = largest that "
+              "fits; depart_s 0 = stays)",
+              [&args](const std::string &v) {
+                  TenantJob job;
+                  std::string err = parseTenantSpec(v, job);
+                  if (err.empty())
+                      args.explicitTenants.push_back(std::move(job));
+                  return err;
+              }})
+        .add(cli::value("--steps", "N",
+                        "steps per generated tenant (default 32; 0 = "
+                        "unbounded, needs --wall-s)",
+                        args.steps, cli::integer<std::uint64_t>(0)))
+        .add(cli::value("--batch", "N|auto",
+                        "batch per generated tenant (default 8)",
+                        args.batch,
+                        cli::orAuto(kAutoBatch, cli::integer<int>(1))))
+        .add(cli::value("--arrive-every", "S",
+                        "stagger generated arrivals (default 0)",
+                        args.arriveEvery, cli::nonNegative()))
+        .add({"--qos", "auto|none|R",
+              "generated tenants' steps/sec target: auto = fair share "
+              "of the isolated rate (default), none, or an explicit rate",
+              [&args](const std::string &v) -> std::string {
+                  if (v == "auto" || v == "none") {
+                      args.qosMode = v == "auto" ? Args::QosMode::kAuto
+                                                 : Args::QosMode::kNone;
+                      return "";
+                  }
+                  const std::optional<double> rate = parseDoubleText(v);
+                  if (!rate || *rate <= 0.0)
+                      return "--qos takes auto, none, or a rate > 0; "
+                             "got '" + v + "'";
+                  args.qosMode = Args::QosMode::kRate;
+                  args.qosRate = *rate;
+                  return "";
+              }});
+    spec.section("Arrival traces (replace the static mix; open-loop "
+                 "replay)");
+    cli::addTraceInput(spec, args.trace, true);
+    spec.add(cli::toggle("--admission",
+                         "run the QoS admission controller: shed tenants "
+                         "whose aggregate demand exceeds capacity (also "
+                         "works without a trace)",
+                         args.admission));
+    spec.section("Scheduling")
+        .add(cli::policyList("--policy",
+                             "fifo, rr, prio, or edf (default rr)",
+                             args.policies, false))
+        .add(cli::policyList("--policies",
+                             "compare several policies in one run (or "
+                             "'all')",
+                             args.policies, true));
+    cli::addServing(spec, args.serving);
+    spec.section("Platform")
+        .add(cli::value("--dataflow", "NAME",
+                        "WS, OS, or DiVa (default DiVa)", args.dataflow,
+                        cli::dataflowKind()))
+        .add(cli::value("--ppu", "on|off",
+                        "post-processing unit (default on; WS is always "
+                        "off)",
+                        args.ppu, cli::onOffKind()))
+        .add(cli::value("--chips", "N",
+                        "time-share a data-parallel pod of N chips "
+                        "(default 1)",
+                        args.chips, cli::integer<int>(1)));
+    cli::addExecution(spec, args.exec,
+                      "allowed isolated-cost backends by registry name "
+                      "(default: all); the serve prices tenants on 'pod' "
+                      "when --chips > 1, else 'chip'");
+    cli::addOutput(spec, args.out,
+                   "write per-tenant CSV to PATH instead of stdout", true);
+    cli::addObs(spec, args.obs);
+    spec.rule([&args] {
+        return args.trace.any() && !args.explicitTenants.empty()
+                   ? "--tenant cannot be combined with --arrivals/--trace "
+                     "(the trace is the mix)"
+                   : "";
+    });
+    spec.rule([&args] {
+        return !args.trace.saveTracePath.empty() && !args.trace.any()
+                   ? "--save-trace needs --arrivals or --trace"
+                   : "";
+    });
+    spec.rule([&args] {
+        return args.steps == 0 && args.serving.wallSec <= 0.0 &&
+                       args.explicitTenants.empty() && !args.trace.any()
+                   ? "--steps 0 (unbounded) needs --wall-s"
+                   : "";
+    });
+    return spec;
 }
 
 AcceleratorConfig
@@ -571,74 +307,47 @@ int
 main(int argc, char **argv)
 {
     Args args;
-    if (!parseArgs(argc, argv, args))
-        return 1;
-    if (args.verbose)
-        setLogVerbosity(LogVerbosity::kVerbose);
-    if (!args.obs.activate())
+    if (!flagSpec(args).parse(argc, argv) || !args.obs.activate())
         return 1;
 
     SweepOptions opts;
-    opts.threads = args.threads;
-    opts.cacheDir = args.cacheDir;
+    opts.threads = args.exec.threads;
+    opts.cacheDir = args.exec.cacheDir;
     SweepRunner runner(opts);
-    if (!args.quiet && runner.diskCache())
+    if (!args.exec.quiet && runner.diskCache())
         std::cerr << "disk cache: " << runner.diskCache()->size()
                   << " entries in " << runner.diskCache()->filePath()
                   << "\n";
 
     // Trace replay: the arrival stream (generated or recorded)
     // replaces the static mix and drives the serve loop open-loop.
-    const bool trace_mode =
-        !args.arrivalsSpec.empty() || !args.tracePath.empty();
+    const bool trace_mode = args.trace.any();
     ArrivalTrace trace;
-    if (!args.tracePath.empty()) {
-        std::string err;
-        trace = loadTraceFile(args.tracePath, &err);
-        if (!err.empty()) {
-            std::cerr << "diva_serve: --trace: " << err << "\n";
-            return 1;
-        }
-    } else if (!args.arrivalsSpec.empty()) {
-        std::string err;
-        auto gen = parseTraceGenSpec(args.arrivalsSpec, &err);
-        if (!gen) {
-            std::cerr << "diva_serve: --arrivals: " << err << "\n";
-            return 1;
-        }
+    if (trace_mode) {
         // Spec keys win; otherwise the mix-level flags fill the
         // per-session template.
-        if (!gen->stepsSet)
-            gen->steps = args.steps;
-        if (!gen->batchSet)
-            gen->batch = args.batch;
-        if (!gen->qosSet && args.qosMode == Args::QosMode::kRate)
-            gen->qosStepsPerSec = args.qosRate;
-        trace = generateTrace(*gen);
-        if (trace.jobs.empty()) {
-            std::cerr << "diva_serve: --arrivals produced no arrivals "
-                         "inside the horizon; raise rate or horizon\n";
+        std::optional<ArrivalTrace> t = cli::resolveTrace(
+            kTool, args.trace, [&](TraceGenSpec &gen) {
+                if (!gen.stepsSet)
+                    gen.steps = args.steps;
+                if (!gen.batchSet)
+                    gen.batch = args.batch;
+                if (!gen.qosSet && args.qosMode == Args::QosMode::kRate)
+                    gen.qosStepsPerSec = args.qosRate;
+            });
+        if (!t)
             return 1;
-        }
-    }
-    if (!args.saveTracePath.empty()) {
-        std::ofstream trace_file(args.saveTracePath);
-        if (!trace_file) {
-            std::cerr << "diva_serve: cannot write "
-                      << args.saveTracePath << "\n";
-            return 1;
-        }
-        writeTraceCsv(trace_file, trace);
+        trace = std::move(*t);
     }
 
     ServeSpec spec;
     spec.workload = buildWorkload(args);
     spec.config = platformConfig(args);
     spec.chips = args.chips;
-    spec.backends = args.backends;
+    spec.backends = args.exec.backends;
     spec.policy = args.policies.front();
-    spec.opts.quantumIters = args.quantum;
-    spec.opts.wallLimitSec = args.wallSec;
+    spec.opts.quantumIters = args.serving.quantum;
+    spec.opts.wallLimitSec = args.serving.wallSec;
     spec.opts.autoQosFairShare =
         !trace_mode && args.explicitTenants.empty() &&
         args.qosMode == Args::QosMode::kAuto;
@@ -647,7 +356,7 @@ main(int argc, char **argv)
     spec.opts.telemetry = args.obs.telemetry.get();
 
     AdmissionOptions admission;
-    admission.utilizationCap = args.admissionCap;
+    admission.utilizationCap = args.serving.admissionCap;
 
     std::vector<ServeResult> serves;
     bool any_error = false;
@@ -659,7 +368,7 @@ main(int argc, char **argv)
         if (args.obs.sink)
             spec.opts.traceTrack = args.obs.sink->track(
                 policy_idx++, std::string("serve ") + policyName(policy));
-        if (!args.quiet)
+        if (!args.exec.quiet)
             std::cerr << (trace_mode ? "replaying trace '" + trace.name +
                                            "', "
                                      : "serving ")
@@ -699,29 +408,16 @@ main(int argc, char **argv)
 
     {
         obs::ScopedPhase emit_phase("emit");
-        std::ofstream csv_file;
-        if (!args.csvPath.empty()) {
-            csv_file.open(args.csvPath);
-            if (!csv_file) {
-                std::cerr << "diva_serve: cannot write " << args.csvPath
-                          << "\n";
-                return 1;
-            }
-        }
-        std::ostream &csv = args.csvPath.empty() ? std::cout : csv_file;
-        writeServeCsv(csv, serves);
-
-        if (!args.jsonPath.empty()) {
-            std::ofstream json_file(args.jsonPath);
-            if (!json_file) {
-                std::cerr << "diva_serve: cannot write "
-                          << args.jsonPath << "\n";
-                return 1;
-            }
-            writeServeJson(json_file, serves);
-        }
-
-        if (args.summary)
+        if (!cli::emitTo(kTool, args.out.csvPath, true,
+                         [&](std::ostream &os) {
+                             writeServeCsv(os, serves);
+                         }) ||
+            !cli::emitTo(kTool, args.out.jsonPath, false,
+                         [&](std::ostream &os) {
+                             writeServeJson(os, serves);
+                         }))
+            return 1;
+        if (args.out.summary)
             printSummary(std::cout, serves);
     }
     if (!args.obs.finish())

@@ -25,26 +25,20 @@
  */
 
 #include <algorithm>
-#include <climits>
+#include <cctype>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "arrivals/generate.h"
 #include "arrivals/replay.h"
-#include "arrivals/trace.h"
 #include "backend/registry.h"
 #include "cli_parse.h"
-#include "common/logging.h"
 #include "common/table.h"
-#include "obs/cli.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "sweep/aggregate.h"
@@ -61,98 +55,7 @@ using namespace diva;
 namespace
 {
 
-void
-usage()
-{
-    std::cerr <<
-        "usage: diva_sweep [options]\n"
-        "\n"
-        "Sweep axes (comma-separated lists):\n"
-        "  --models LIST       zoo models (default ResNet-50,BERT-base;\n"
-        "                      see --list-models)\n"
-        "  --scales LIST       input scales: image side / seq len\n"
-        "                      (default 0 = paper baseline)\n"
-        "  --dataflows LIST    WS,OS,DiVa (default all)\n"
-        "  --ppu LIST          off,on (default both; invalid combos\n"
-        "                      such as WS+PPU are skipped)\n"
-        "  --algos LIST        sgd,dpsgd,dpsgdr (default dpsgd,dpsgdr)\n"
-        "  --batches LIST      sizes or 'auto' = largest vanilla DP-SGD\n"
-        "                      batch under 16 GiB (default auto,32,64)\n"
-        "  --microbatches LIST micro-batch sizes, 0 = monolithic\n"
-        "                      (default 0)\n"
-        "  --chips LIST        add a data-parallel pod backend with\n"
-        "                      these chip counts\n"
-        "  --ici-gbs LIST      pod interconnect bandwidths in GB/s\n"
-        "                      (default 70; implies --chips 8)\n"
-        "  --link-lat LIST     pod link latencies in core cycles\n"
-        "                      (default 500; implies --chips 8)\n"
-        "  --gpus LIST         add GPU baselines: v100-fp32,v100-fp16,\n"
-        "                      a100-fp32,a100-fp16\n"
-        "  --backends LIST     execution backends by registry name\n"
-        "                      (chip,pod,gpu); default: chip, plus pod\n"
-        "                      when a pod axis is given, plus gpu when\n"
-        "                      --gpus is given\n"
-        "\n"
-        "Execution:\n"
-        "  --threads N         worker threads (default 1)\n"
-        "  --quiet             no stderr progress\n"
-        "  --no-plan-cache     rebuild workload plans per scenario\n"
-        "                      (output is byte-identical either way)\n"
-        "  --cache-dir PATH    persistent result cache: scenarios\n"
-        "                      simulated by earlier invocations are\n"
-        "                      served from disk\n"
-        "  --cache             like --cache-dir with the default dir\n"
-        "                      ($DIVA_CACHE_DIR, else ~/.cache/diva)\n"
-        "\n"
-        "Search mode:\n"
-        "  --mode MODE         sweep (default), energy (best config\n"
-        "                      under an energy budget), tenant\n"
-        "                      (multi-tenant time-sharing serve over\n"
-        "                      policy x config axes), duration\n"
-        "                      (steps completed per tenant/config in a\n"
-        "                      fixed --wall-s budget), or trace\n"
-        "                      (open-loop arrival replay over policy x\n"
-        "                      config x load axes)\n"
-        "  --budget-j J        max joules per iteration (mode energy)\n"
-        "  --budget-w W        max engine TDP in watts, pod-wide for\n"
-        "                      pods (mode energy)\n"
-        "\n"
-        "Trace mode (--mode trace; shares the plan/result caches):\n"
-        "  --arrivals SPEC     seeded generator spec, e.g.\n"
-        "                      poisson:rate=4,seed=7,hold=2,qos=2\n"
-        "                      (see diva_serve --help for keys)\n"
-        "  --trace FILE        replay a recorded CSV/JSONL trace\n"
-        "  --loads LIST        rate multipliers swept over the\n"
-        "                      generator (default 1; --arrivals only)\n"
-        "  --admission         shed tenants whose aggregate QoS\n"
-        "                      demand exceeds capacity\n"
-        "  --admission-cap U   utilization cap (default 1.0)\n"
-        "\n"
-        "Tenant/duration modes (one tenant per --models entry, batch\n"
-        "and algorithm from the first --batches/--algos value,\n"
-        "fair-share QoS targets):\n"
-        "  --policies LIST     fifo,rr,prio,edf or 'all' (default all)\n"
-        "  --steps N           steps per tenant in tenant mode\n"
-        "                      (default 32)\n"
-        "  --wall-s S          wall-clock budget in simulated seconds\n"
-        "                      (required by duration mode)\n"
-        "  --quantum N         iterations per scheduling quantum\n"
-        "                      (default 1)\n"
-        "  --arrive-every S    stagger tenant arrivals (default 0)\n"
-        "\n"
-        "Output (deterministic; independent of --threads and of the\n"
-        "cache state):\n"
-        "  --csv PATH          write CSV to PATH instead of stdout\n"
-        "  --json PATH         also write a JSON report\n"
-        "  --pareto LIST       print the Pareto frontier over these\n"
-        "                      objectives: cycles,seconds,utilization,\n"
-        "                      energy,dram_bytes,power,area\n"
-        "  --no-speedup        skip the Fig.13-style speedup table\n"
-        "  --list-models       print zoo model names and exit\n"
-        "\n" << obs::cliObsUsage();
-}
-
-using cli::splitList;
+constexpr char kTool[] = "diva_sweep";
 
 std::optional<TrainingAlgorithm>
 parseAlgo(std::string name)
@@ -210,6 +113,17 @@ enum class CliMode
     kTrace,
 };
 
+std::optional<CliMode>
+modeFromName(const std::string &name)
+{
+    const char *names[] = {"sweep", "energy", "tenant", "duration",
+                           "trace"};
+    for (int m = 0; m < 5; ++m)
+        if (name == names[m])
+            return CliMode(m);
+    return std::nullopt;
+}
+
 struct Args
 {
     std::vector<std::string> models = {"ResNet-50", "BERT-base"};
@@ -226,508 +140,215 @@ struct Args
     std::vector<double> iciGbs;
     std::vector<int> linkLatencies;
     std::vector<GpuConfig> gpus;
-    /** Registry names from --backends; empty = infer from the axes. */
-    std::vector<std::string> backendNames;
     std::vector<Objective> pareto;
-    int threads = 1;
-    bool quiet = false;
     bool planCache = true;
     bool speedupTable = true;
     CliMode mode = CliMode::kSweep;
     EnergyBudget budget;
     std::vector<SchedPolicy> policies = allPolicies();
     std::uint64_t steps = 32;
-    double wallSec = 0.0;
-    std::uint64_t quantum = 1;
     double arriveEvery = 0.0;
-    std::string arrivalsSpec;
-    std::string tracePath;
+    cli::TraceInput trace;
     std::vector<double> loads = {1.0};
     bool admission = false;
-    double admissionCap = 1.0;
-    std::string cacheDir;
-    std::string csvPath;
-    std::string jsonPath;
-    bool verbose = false;
+    cli::Serving serving;
+    /** exec.backends: registry names; empty = infer from the axes. */
+    cli::Execution exec;
+    cli::Output out;
     obs::CliObs obs;
 };
 
-/** Shared int parsing with this tool's one-line error report. */
-std::optional<int>
-parseInt(const std::string &flag, const std::string &text)
+cli::Spec
+flagSpec(Args &args)
 {
-    const std::optional<long long> value = cli::parseIntText(text);
-    if (value && *value >= INT_MIN && *value <= INT_MAX)
-        return int(*value);
-    std::cerr << "diva_sweep: " << flag << " expects an integer, got '"
-              << text << "'\n";
-    return std::nullopt;
-}
-
-/** Shared finite-double parsing with this tool's error report. */
-std::optional<double>
-parseDouble(const std::string &flag, const std::string &text)
-{
-    const std::optional<double> value = cli::parseDoubleText(text);
-    if (value)
-        return value;
-    std::cerr << "diva_sweep: " << flag << " expects a number, got '"
-              << text << "'\n";
-    return std::nullopt;
+    const cli::Kind<std::string> model = [](const std::string &,
+                                            const std::string &name,
+                                            std::string &out) {
+        const std::vector<std::string> zoo = knownModels();
+        if (std::find(zoo.begin(), zoo.end(), name) == zoo.end())
+            return "unknown model '" + name + "'; see --list-models";
+        out = name;
+        return std::string();
+    };
+    cli::Spec spec(kTool);
+    spec.section("Sweep axes (comma-separated lists)")
+        .add(cli::list("--models", "LIST",
+                       "zoo models (default ResNet-50,BERT-base; see "
+                       "--list-models)",
+                       args.models, model))
+        .add(cli::list("--scales", "LIST",
+                       "input scales: image side / seq len (default 0 = "
+                       "paper baseline)",
+                       args.scales, cli::integer<int>()))
+        .add(cli::list("--dataflows", "LIST", "WS,OS,DiVa (default all)",
+                       args.dataflows, cli::dataflowKind()))
+        .add(cli::list("--ppu", "LIST",
+                       "off,on (default both; invalid combos such as "
+                       "WS+PPU are skipped)",
+                       args.ppus, cli::onOffKind()))
+        .add(cli::list("--algos", "LIST",
+                       "sgd,dpsgd,dpsgdr (default dpsgd,dpsgdr)",
+                       args.algos,
+                       cli::named(parseAlgo, "algorithm",
+                                  "sgd, dpsgd, or dpsgdr")))
+        .add(cli::list("--batches", "LIST",
+                       "sizes or 'auto' = largest vanilla DP-SGD batch "
+                       "under 16 GiB (default auto,32,64)",
+                       args.batches,
+                       cli::orAuto(kAutoBatch, cli::integer<int>())))
+        .add(cli::list("--microbatches", "LIST",
+                       "micro-batch sizes, 0 = monolithic (default 0)",
+                       args.microbatches, cli::integer<int>()))
+        .add(cli::list("--chips", "LIST",
+                       "add a data-parallel pod backend with these chip "
+                       "counts",
+                       args.chips, cli::integer<int>(1), true))
+        .add(cli::list("--ici-gbs", "LIST",
+                       "pod interconnect bandwidths in GB/s (default 70; "
+                       "implies --chips 8)",
+                       args.iciGbs, cli::positive(), true))
+        .add(cli::list("--link-lat", "LIST",
+                       "pod link latencies in core cycles (default 500; "
+                       "implies --chips 8)",
+                       args.linkLatencies, cli::integer<int>(0), true))
+        .add(cli::list("--gpus", "LIST",
+                       "add GPU baselines: v100-fp32, v100-fp16, a100-fp32, "
+                       "a100-fp16",
+                       args.gpus,
+                       cli::named(parseGpu, "GPU",
+                                  "v100-fp32, v100-fp16, a100-fp32, or "
+                                  "a100-fp16"),
+                       true));
+    cli::addExecution(spec, args.exec,
+                      "execution backends by registry name (chip,pod,gpu); "
+                      "default: chip, plus pod when a pod axis is given, "
+                      "plus gpu when --gpus is given",
+                      std::numeric_limits<int>::min());
+    spec.add(cli::toggle("--no-plan-cache",
+                         "rebuild workload plans per scenario (output is "
+                         "byte-identical either way)",
+                         args.planCache, false));
+    spec.section("Search mode")
+        .add(cli::value("--mode", "MODE",
+                        "sweep (default), energy (best config under an "
+                        "energy budget), tenant (multi-tenant time-sharing "
+                        "serve over policy x config axes), duration (steps "
+                        "completed per tenant/config in a fixed --wall-s "
+                        "budget), or trace (open-loop arrival replay over "
+                        "policy x config x load axes). Tenant and duration "
+                        "serve one tenant per --models entry, with the "
+                        "first --batches/--algos value and fair-share QoS "
+                        "targets",
+                        args.mode,
+                        cli::named(modeFromName, "mode",
+                                   "sweep, energy, tenant, duration, or "
+                                   "trace")))
+        .add(cli::value("--budget-j", "J",
+                        "max joules per iteration (mode energy)",
+                        args.budget.maxJoulesPerIteration, cli::positive()))
+        .add(cli::value("--budget-w", "W",
+                        "max engine TDP in watts, pod-wide for pods (mode "
+                        "energy)",
+                        args.budget.maxPowerW, cli::positive()));
+    spec.section("Trace mode (--mode trace; shares the plan/result "
+                 "caches)");
+    cli::addTraceInput(spec, args.trace, false);
+    spec.add(cli::list("--loads", "LIST",
+                       "rate multipliers swept over the generator (default "
+                       "1; --arrivals only)",
+                       args.loads, cli::positive()))
+        .add(cli::toggle("--admission",
+                         "shed tenants whose aggregate QoS demand exceeds "
+                         "capacity",
+                         args.admission));
+    spec.section("Tenant/duration modes")
+        .add(cli::policyList("--policies",
+                             "fifo,rr,prio,edf or 'all' (default all)",
+                             args.policies, true))
+        .add(cli::value("--steps", "N",
+                        "steps per tenant in tenant mode (default 32)",
+                        args.steps, cli::integer<std::uint64_t>(1)))
+        .add(cli::value("--arrive-every", "S",
+                        "stagger tenant arrivals (default 0)",
+                        args.arriveEvery, cli::nonNegative()));
+    cli::addServing(spec, args.serving);
+    cli::addOutput(spec, args.out, "write CSV to PATH instead of stdout",
+                   false);
+    spec.add(cli::list("--pareto", "LIST",
+                       "print the Pareto frontier over these objectives: "
+                       "cycles, seconds, utilization, energy, dram_bytes, "
+                       "power, area",
+                       args.pareto,
+                       cli::named(objectiveFromName, "objective",
+                                  "cycles, seconds, utilization, energy, "
+                                  "dram_bytes, power, or area"),
+                       true))
+        .add(cli::toggle("--no-speedup",
+                         "skip the Fig.13-style speedup table",
+                         args.speedupTable, false))
+        .add({"--list-models", "", "print zoo model names and exit",
+              [](const std::string &) {
+                  for (const std::string &m : knownModels())
+                      std::cout << m << "\n";
+                  std::exit(0);
+                  return std::string();
+              }});
+    cli::addObs(spec, args.obs);
+    spec.rule([&args] {
+        return args.mode == CliMode::kDuration && args.serving.wallSec <= 0.0
+                   ? "--mode duration needs --wall-s"
+                   : "";
+    });
+    spec.rule([&args] {
+        return args.mode == CliMode::kTrace && !args.trace.any()
+                   ? "--mode trace needs --arrivals or --trace"
+                   : "";
+    });
+    spec.rule([&args] {
+        return !args.trace.tracePath.empty() &&
+                       (args.loads.size() != 1 || args.loads[0] != 1.0)
+                   ? "--loads scales the --arrivals generator; recorded "
+                     "traces replay as-is"
+                   : "";
+    });
+    return spec;
 }
 
 bool
-parseArgs(int argc, char **argv, Args &args)
+hasPodAxis(const Args &args)
 {
-    auto need = [&](int &i) -> std::optional<std::string> {
-        if (i + 1 >= argc) {
-            std::cerr << "diva_sweep: " << argv[i]
-                      << " needs a value\n";
-            return std::nullopt;
-        }
-        return std::string(argv[++i]);
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        std::optional<std::string> v;
-        if (a == "--help" || a == "-h") {
-            usage();
-            std::exit(0);
-        } else if (a == "--list-models") {
-            for (const std::string &m : knownModels())
-                std::cout << m << "\n";
-            std::exit(0);
-        } else if (a == "--quiet") {
-            args.quiet = true;
-        } else if (a == "--no-plan-cache") {
-            args.planCache = false;
-        } else if (a == "--no-speedup") {
-            args.speedupTable = false;
-        } else if (a == "--models") {
-            if (!(v = need(i)))
-                return false;
-            args.models = splitList(*v);
-            const std::vector<std::string> zoo = knownModels();
-            for (const std::string &m : args.models)
-                if (std::find(zoo.begin(), zoo.end(), m) == zoo.end()) {
-                    std::cerr << "diva_sweep: unknown model '" << m
-                              << "'; see --list-models\n";
-                    return false;
-                }
-        } else if (a == "--scales") {
-            if (!(v = need(i)))
-                return false;
-            args.scales.clear();
-            for (const std::string &s : splitList(*v)) {
-                const auto n = parseInt(a, s);
-                if (!n)
-                    return false;
-                args.scales.push_back(*n);
+    return !args.chips.empty() || !args.iciGbs.empty() ||
+           !args.linkLatencies.empty();
+}
+
+/** The pod shape axis: chips x ici x link latency, unspecified axes
+ *  falling back to the MultiChipConfig defaults (8 chips, TPUv3-class
+ *  links). */
+std::vector<MultiChipConfig>
+podShapes(const Args &args)
+{
+    const MultiChipConfig defaults;
+    const std::vector<int> chip_axis =
+        args.chips.empty() ? std::vector<int>{defaults.numChips}
+                           : args.chips;
+    const std::vector<double> ici_axis =
+        args.iciGbs.empty() ? std::vector<double>{defaults.interconnectGBs}
+                            : args.iciGbs;
+    const std::vector<int> lat_axis =
+        args.linkLatencies.empty()
+            ? std::vector<int>{int(defaults.linkLatencyCycles)}
+            : args.linkLatencies;
+    std::vector<MultiChipConfig> shapes;
+    for (int n : chip_axis)
+        for (double ici : ici_axis)
+            for (int lat : lat_axis) {
+                MultiChipConfig pod;
+                pod.numChips = n;
+                pod.interconnectGBs = ici;
+                pod.linkLatencyCycles = Cycles(lat);
+                shapes.push_back(pod);
             }
-        } else if (a == "--dataflows") {
-            if (!(v = need(i)))
-                return false;
-            args.dataflows.clear();
-            for (const std::string &s : splitList(*v)) {
-                if (s == "WS")
-                    args.dataflows.push_back(
-                        Dataflow::kWeightStationary);
-                else if (s == "OS")
-                    args.dataflows.push_back(
-                        Dataflow::kOutputStationary);
-                else if (s == "DiVa")
-                    args.dataflows.push_back(Dataflow::kOuterProduct);
-                else {
-                    std::cerr << "diva_sweep: unknown dataflow '" << s
-                              << "'\n";
-                    return false;
-                }
-            }
-        } else if (a == "--ppu") {
-            if (!(v = need(i)))
-                return false;
-            args.ppus.clear();
-            for (const std::string &s : splitList(*v)) {
-                if (s == "off")
-                    args.ppus.push_back(false);
-                else if (s == "on")
-                    args.ppus.push_back(true);
-                else {
-                    std::cerr << "diva_sweep: --ppu takes off/on\n";
-                    return false;
-                }
-            }
-        } else if (a == "--algos") {
-            if (!(v = need(i)))
-                return false;
-            args.algos.clear();
-            for (const std::string &s : splitList(*v)) {
-                const auto algo = parseAlgo(s);
-                if (!algo) {
-                    std::cerr << "diva_sweep: unknown algorithm '" << s
-                              << "'\n";
-                    return false;
-                }
-                args.algos.push_back(*algo);
-            }
-        } else if (a == "--batches") {
-            if (!(v = need(i)))
-                return false;
-            args.batches.clear();
-            for (const std::string &s : splitList(*v)) {
-                if (s == "auto") {
-                    args.batches.push_back(kAutoBatch);
-                    continue;
-                }
-                const auto n = parseInt(a, s);
-                if (!n)
-                    return false;
-                args.batches.push_back(*n);
-            }
-        } else if (a == "--microbatches") {
-            if (!(v = need(i)))
-                return false;
-            args.microbatches.clear();
-            for (const std::string &s : splitList(*v)) {
-                const auto n = parseInt(a, s);
-                if (!n)
-                    return false;
-                args.microbatches.push_back(*n);
-            }
-        } else if (a == "--chips") {
-            if (!(v = need(i)))
-                return false;
-            for (const std::string &s : splitList(*v)) {
-                const auto n = parseInt(a, s);
-                if (!n)
-                    return false;
-                if (*n < 1) {
-                    std::cerr << "diva_sweep: --chips must be >= 1\n";
-                    return false;
-                }
-                args.chips.push_back(*n);
-            }
-        } else if (a == "--ici-gbs") {
-            if (!(v = need(i)))
-                return false;
-            for (const std::string &s : splitList(*v)) {
-                const auto n = parseDouble(a, s);
-                if (!n)
-                    return false;
-                if (*n <= 0.0) {
-                    std::cerr << "diva_sweep: --ici-gbs must be > 0\n";
-                    return false;
-                }
-                args.iciGbs.push_back(*n);
-            }
-        } else if (a == "--link-lat") {
-            if (!(v = need(i)))
-                return false;
-            for (const std::string &s : splitList(*v)) {
-                const auto n = parseInt(a, s);
-                if (!n)
-                    return false;
-                if (*n < 0) {
-                    std::cerr << "diva_sweep: --link-lat must be >= 0\n";
-                    return false;
-                }
-                args.linkLatencies.push_back(*n);
-            }
-        } else if (a == "--gpus") {
-            if (!(v = need(i)))
-                return false;
-            for (const std::string &s : splitList(*v)) {
-                const auto gpu = parseGpu(s);
-                if (!gpu) {
-                    std::cerr << "diva_sweep: unknown GPU '" << s
-                              << "'\n";
-                    return false;
-                }
-                args.gpus.push_back(*gpu);
-            }
-        } else if (a == "--backends") {
-            if (!(v = need(i)))
-                return false;
-            const auto names = cli::parseBackendList("diva_sweep", *v);
-            if (!names)
-                return false;
-            args.backendNames = *names;
-        } else if (a == "--pareto") {
-            if (!(v = need(i)))
-                return false;
-            for (const std::string &s : splitList(*v)) {
-                const auto obj = objectiveFromName(s);
-                if (!obj) {
-                    std::cerr << "diva_sweep: unknown objective '" << s
-                              << "'\n";
-                    return false;
-                }
-                args.pareto.push_back(*obj);
-            }
-        } else if (a == "--threads") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseInt(a, *v);
-            if (!n)
-                return false;
-            args.threads = *n;
-        } else if (a == "--mode") {
-            if (!(v = need(i)))
-                return false;
-            if (*v == "sweep")
-                args.mode = CliMode::kSweep;
-            else if (*v == "energy")
-                args.mode = CliMode::kEnergy;
-            else if (*v == "tenant")
-                args.mode = CliMode::kTenant;
-            else if (*v == "duration")
-                args.mode = CliMode::kDuration;
-            else if (*v == "trace")
-                args.mode = CliMode::kTrace;
-            else {
-                std::cerr << "diva_sweep: --mode takes sweep, energy, "
-                             "tenant, duration, or trace; got '" << *v
-                          << "'\n";
-                return false;
-            }
-        } else if (a == "--policies") {
-            if (!(v = need(i)))
-                return false;
-            args.policies.clear();
-            if (*v == "all") {
-                args.policies = allPolicies();
-            } else {
-                for (const std::string &s : splitList(*v)) {
-                    const auto p = policyFromName(s);
-                    if (!p) {
-                        std::cerr << "diva_sweep: unknown policy '" << s
-                                  << "' (want fifo, rr, prio, or edf)\n";
-                        return false;
-                    }
-                    args.policies.push_back(*p);
-                }
-            }
-            if (args.policies.empty()) {
-                std::cerr
-                    << "diva_sweep: --policies needs at least one\n";
-                return false;
-            }
-        } else if (a == "--steps") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseInt(a, *v);
-            if (!n)
-                return false;
-            if (*n < 1) {
-                std::cerr << "diva_sweep: --steps must be >= 1\n";
-                return false;
-            }
-            args.steps = std::uint64_t(*n);
-        } else if (a == "--wall-s") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseDouble(a, *v);
-            if (!n)
-                return false;
-            if (*n <= 0.0) {
-                std::cerr << "diva_sweep: --wall-s must be > 0\n";
-                return false;
-            }
-            args.wallSec = *n;
-        } else if (a == "--quantum") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseInt(a, *v);
-            if (!n)
-                return false;
-            if (*n < 1) {
-                std::cerr << "diva_sweep: --quantum must be >= 1\n";
-                return false;
-            }
-            args.quantum = std::uint64_t(*n);
-        } else if (a == "--arrive-every") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseDouble(a, *v);
-            if (!n)
-                return false;
-            if (*n < 0.0) {
-                std::cerr << "diva_sweep: --arrive-every must be >= 0\n";
-                return false;
-            }
-            args.arriveEvery = *n;
-        } else if (a == "--arrivals") {
-            if (!(v = need(i)))
-                return false;
-            args.arrivalsSpec = *v;
-        } else if (a == "--trace") {
-            if (!(v = need(i)))
-                return false;
-            args.tracePath = *v;
-        } else if (a == "--loads") {
-            if (!(v = need(i)))
-                return false;
-            args.loads.clear();
-            for (const std::string &s : splitList(*v)) {
-                const auto n = parseDouble(a, s);
-                if (!n)
-                    return false;
-                if (*n <= 0.0) {
-                    std::cerr << "diva_sweep: --loads must be > 0\n";
-                    return false;
-                }
-                args.loads.push_back(*n);
-            }
-            if (args.loads.empty()) {
-                std::cerr << "diva_sweep: --loads needs at least one\n";
-                return false;
-            }
-        } else if (a == "--admission") {
-            args.admission = true;
-        } else if (a == "--admission-cap") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseDouble(a, *v);
-            if (!n)
-                return false;
-            if (*n <= 0.0) {
-                std::cerr << "diva_sweep: --admission-cap must be > 0\n";
-                return false;
-            }
-            args.admissionCap = *n;
-        } else if (a == "--budget-j") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseDouble(a, *v);
-            if (!n)
-                return false;
-            if (*n <= 0.0) {
-                std::cerr << "diva_sweep: --budget-j must be > 0\n";
-                return false;
-            }
-            args.budget.maxJoulesPerIteration = *n;
-        } else if (a == "--budget-w") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseDouble(a, *v);
-            if (!n)
-                return false;
-            if (*n <= 0.0) {
-                std::cerr << "diva_sweep: --budget-w must be > 0\n";
-                return false;
-            }
-            args.budget.maxPowerW = *n;
-        } else if (a == "--cache-dir") {
-            if (!(v = need(i)))
-                return false;
-            args.cacheDir = *v;
-        } else if (a == "--cache") {
-            args.cacheDir = DiskCache::defaultDir();
-        } else if (a == "--csv") {
-            if (!(v = need(i)))
-                return false;
-            args.csvPath = *v;
-        } else if (a == "--json") {
-            if (!(v = need(i)))
-                return false;
-            args.jsonPath = *v;
-        } else if (a == "--metrics-out") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.metricsOut = *v;
-        } else if (a == "--trace-out") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.traceOut = *v;
-        } else if (a == "--trace-max-events") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseInt(a, *v);
-            if (!n)
-                return false;
-            if (*n < 1) {
-                std::cerr << "diva_sweep: --trace-max-events must be "
-                             ">= 1, got '" << *v << "'\n";
-                return false;
-            }
-            args.obs.traceMaxEvents = std::size_t(*n);
-        } else if (a == "--timeseries-out") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.timeseriesOut = *v;
-        } else if (a == "--obs-window-s") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseDouble(a, *v);
-            if (!n)
-                return false;
-            if (*n <= 0.0) {
-                std::cerr << "diva_sweep: --obs-window-s must be "
-                             "> 0\n";
-                return false;
-            }
-            args.obs.obsWindowSec = *n;
-        } else if (a == "--slo-p99-s") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.sloSpecText = *v;
-        } else if (a == "--profile") {
-            args.obs.profile = true;
-        } else if (a == "--verbose") {
-            args.verbose = true;
-        } else {
-            std::cerr << "diva_sweep: unknown option '" << a << "'\n";
-            usage();
-            return false;
-        }
-    }
-    if (args.mode == CliMode::kDuration && args.wallSec <= 0.0) {
-        std::cerr << "diva_sweep: --mode duration needs --wall-s\n";
-        return false;
-    }
-    if (args.mode == CliMode::kTrace && args.arrivalsSpec.empty() &&
-        args.tracePath.empty()) {
-        std::cerr << "diva_sweep: --mode trace needs --arrivals or "
-                     "--trace\n";
-        return false;
-    }
-    if (!args.arrivalsSpec.empty() && !args.tracePath.empty()) {
-        std::cerr << "diva_sweep: --arrivals and --trace are mutually "
-                     "exclusive\n";
-        return false;
-    }
-    if (!args.tracePath.empty() &&
-        (args.loads.size() != 1 || args.loads[0] != 1.0)) {
-        std::cerr << "diva_sweep: --loads scales the --arrivals "
-                     "generator; recorded traces replay as-is\n";
-        return false;
-    }
-    if (args.models.empty()) {
-        std::cerr << "diva_sweep: --models needs at least one model\n";
-        return false;
-    }
-    if (args.batches.empty()) {
-        std::cerr << "diva_sweep: --batches needs at least one batch\n";
-        return false;
-    }
-    if (args.algos.empty()) {
-        std::cerr << "diva_sweep: --algos needs at least one\n";
-        return false;
-    }
-    if (args.scales.empty()) {
-        std::cerr << "diva_sweep: --scales needs at least one scale\n";
-        return false;
-    }
-    if (args.microbatches.empty()) {
-        std::cerr << "diva_sweep: --microbatches needs at least one\n";
-        return false;
-    }
-    if (args.dataflows.empty() || args.ppus.empty()) {
-        std::cerr << "diva_sweep: --dataflows/--ppu need at least one "
-                     "entry\n";
-        return false;
-    }
-    return true;
+    return shapes;
 }
 
 SweepSpec
@@ -749,16 +370,15 @@ buildSpec(const Args &args)
     // imply. spec.backends always holds the kinds: the pod/GPU axis
     // decisions below and the speedup-table gating read them.
     spec.backends.clear();
-    if (args.backendNames.empty()) {
+    if (args.exec.backends.empty()) {
         spec.backends = {SweepBackend::kSingleChip};
-        if (!args.chips.empty() || !args.iciGbs.empty() ||
-            !args.linkLatencies.empty())
+        if (hasPodAxis(args))
             spec.backends.push_back(SweepBackend::kMultiChip);
         if (!args.gpus.empty())
             spec.backends.push_back(SweepBackend::kGpu);
     } else {
-        spec.backendNames = args.backendNames;
-        for (const std::string &name : args.backendNames)
+        spec.backendNames = args.exec.backends;
+        for (const std::string &name : args.exec.backends)
             spec.backends.push_back(
                 BackendRegistry::instance().find(name)->kind());
     }
@@ -769,10 +389,8 @@ buildSpec(const Args &args)
     // An explicit --backends list wins over implied axes, but never
     // silently: a sweep missing points the user spelled out reads as
     // complete when it is not.
-    if (!args.backendNames.empty()) {
-        if (!has_backend(SweepBackend::kMultiChip) &&
-            (!args.chips.empty() || !args.iciGbs.empty() ||
-             !args.linkLatencies.empty()))
+    if (!args.exec.backends.empty()) {
+        if (!has_backend(SweepBackend::kMultiChip) && hasPodAxis(args))
             std::cerr << "diva_sweep: warning: --chips/--ici-gbs/"
                          "--link-lat ignored ('pod' is not in "
                          "--backends)\n";
@@ -781,31 +399,8 @@ buildSpec(const Args &args)
                          "is not in --backends)\n";
     }
 
-    // Pod shape axis; unspecified axes fall back to the
-    // MultiChipConfig defaults (8 chips, TPUv3-class links).
-    if (has_backend(SweepBackend::kMultiChip)) {
-        const MultiChipConfig defaults;
-        const std::vector<int> chip_axis =
-            args.chips.empty() ? std::vector<int>{defaults.numChips}
-                               : args.chips;
-        const std::vector<double> ici_axis =
-            args.iciGbs.empty()
-                ? std::vector<double>{defaults.interconnectGBs}
-                : args.iciGbs;
-        const std::vector<int> lat_axis =
-            args.linkLatencies.empty()
-                ? std::vector<int>{int(defaults.linkLatencyCycles)}
-                : args.linkLatencies;
-        for (int n : chip_axis)
-            for (double ici : ici_axis)
-                for (int lat : lat_axis) {
-                    MultiChipConfig pod;
-                    pod.numChips = n;
-                    pod.interconnectGBs = ici;
-                    pod.linkLatencyCycles = Cycles(lat);
-                    spec.pods.push_back(pod);
-                }
-    }
+    if (has_backend(SweepBackend::kMultiChip))
+        spec.pods = podShapes(args);
     if (has_backend(SweepBackend::kGpu))
         // --backends gpu without --gpus sweeps the paper's four
         // design points.
@@ -993,36 +588,18 @@ platformAxis(const Args &args)
         std::cerr << "diva_sweep: no valid accelerator design points\n";
         return platforms;
     }
-    if (!args.chips.empty() || !args.iciGbs.empty() ||
-        !args.linkLatencies.empty()) {
-        const MultiChipConfig defaults;
-        const std::vector<int> chip_axis =
-            args.chips.empty() ? std::vector<int>{defaults.numChips}
-                               : args.chips;
-        const std::vector<double> ici_axis =
-            args.iciGbs.empty()
-                ? std::vector<double>{defaults.interconnectGBs}
-                : args.iciGbs;
-        const std::vector<int> lat_axis =
-            args.linkLatencies.empty()
-                ? std::vector<int>{int(defaults.linkLatencyCycles)}
-                : args.linkLatencies;
+    if (hasPodAxis(args)) {
         const std::size_t single_chip = platforms.size();
         for (std::size_t p = 0; p < single_chip; ++p)
-            for (int n : chip_axis) {
+            for (const MultiChipConfig &shape : podShapes(args)) {
                 // chips=1 has no interconnect and is already covered
                 // by the single-chip platforms above.
-                if (n <= 1)
+                if (shape.numChips <= 1)
                     continue;
-                for (double ici : ici_axis)
-                    for (int lat : lat_axis) {
-                        Platform pod = platforms[p];
-                        pod.chips = n;
-                        pod.pod.numChips = n;
-                        pod.pod.interconnectGBs = ici;
-                        pod.pod.linkLatencyCycles = Cycles(lat);
-                        platforms.push_back(pod);
-                    }
+                Platform pod = platforms[p];
+                pod.chips = shape.numChips;
+                pod.pod = shape;
+                platforms.push_back(pod);
             }
     }
     return platforms;
@@ -1033,28 +610,14 @@ bool
 emitServes(const Args &args, const std::vector<ServeResult> &serves)
 {
     obs::ScopedPhase emit_phase("emit");
-    std::ofstream csv_file;
-    if (!args.csvPath.empty()) {
-        csv_file.open(args.csvPath);
-        if (!csv_file) {
-            std::cerr << "diva_sweep: cannot write " << args.csvPath
-                      << "\n";
-            return false;
-        }
-    }
-    std::ostream &csv = args.csvPath.empty() ? std::cout : csv_file;
-    writeServeCsv(csv, serves);
-
-    if (!args.jsonPath.empty()) {
-        std::ofstream json_file(args.jsonPath);
-        if (!json_file) {
-            std::cerr << "diva_sweep: cannot write " << args.jsonPath
-                      << "\n";
-            return false;
-        }
-        writeServeJson(json_file, serves);
-    }
-    return true;
+    return cli::emitTo(kTool, args.out.csvPath, true,
+                       [&](std::ostream &os) {
+                           writeServeCsv(os, serves);
+                       }) &&
+           cli::emitTo(kTool, args.out.jsonPath, false,
+                       [&](std::ostream &os) {
+                           writeServeJson(os, serves);
+                       });
 }
 
 /**
@@ -1106,10 +669,10 @@ runTenantModes(const Args &args, SweepRunner &runner)
             spec.config = p.config;
             spec.chips = p.chips;
             spec.pod = p.pod;
-            spec.backends = args.backendNames;
+            spec.backends = args.exec.backends;
             spec.policy = policy;
-            spec.opts.quantumIters = args.quantum;
-            spec.opts.wallLimitSec = args.wallSec;
+            spec.opts.quantumIters = args.serving.quantum;
+            spec.opts.wallLimitSec = args.serving.wallSec;
             spec.opts.autoQosFairShare = true;
             // One telemetry bundle across all cells; the serve loop
             // prefixes its series "serve.<policy>.", and per-tenant
@@ -1120,7 +683,7 @@ runTenantModes(const Args &args, SweepRunner &runner)
             if (args.obs.sink)
                 spec.opts.traceTrack = args.obs.sink->track(
                     cell++, p.config.name + " " + policyName(policy));
-            if (!args.quiet)
+            if (!args.exec.quiet)
                 std::cerr << "serving " << mix.jobs.size()
                           << " tenant(s) under " << policyName(policy)
                           << " on " << p.config.name
@@ -1188,35 +751,16 @@ runTraceMode(const Args &args, SweepRunner &runner)
     // Resolve the traces of the load axis up front so a bad spec or
     // file fails before any simulation.
     std::vector<ArrivalTrace> traces;
-    if (!args.tracePath.empty()) {
-        std::string err;
-        traces.push_back(loadTraceFile(args.tracePath, &err));
-        if (!err.empty()) {
-            std::cerr << "diva_sweep: --trace: " << err << "\n";
+    for (double load : args.loads) {
+        std::optional<ArrivalTrace> t = cli::resolveTrace(
+            kTool, args.trace, [&](TraceGenSpec &gen) {
+                gen.ratePerSec *= load;
+                if (!gen.stepsSet)
+                    gen.steps = args.steps;
+            });
+        if (!t)
             return 1;
-        }
-    } else {
-        std::string err;
-        const auto base = parseTraceGenSpec(args.arrivalsSpec, &err);
-        if (!base) {
-            std::cerr << "diva_sweep: --arrivals: " << err << "\n";
-            return 1;
-        }
-        for (double load : args.loads) {
-            TraceGenSpec gen = *base;
-            gen.ratePerSec = base->ratePerSec * load;
-            if (!gen.stepsSet)
-                gen.steps = args.steps;
-            ArrivalTrace t = generateTrace(gen);
-            if (t.jobs.empty()) {
-                std::cerr << "diva_sweep: --arrivals at load "
-                          << formatDouble(load)
-                          << " produced no arrivals; raise rate or "
-                             "horizon\n";
-                return 1;
-            }
-            traces.push_back(std::move(t));
-        }
+        traces.push_back(std::move(*t));
     }
 
     const std::vector<Platform> platforms = platformAxis(args);
@@ -1224,7 +768,7 @@ runTraceMode(const Args &args, SweepRunner &runner)
         return 1;
 
     AdmissionOptions admission;
-    admission.utilizationCap = args.admissionCap;
+    admission.utilizationCap = args.serving.admissionCap;
 
     std::vector<ServeResult> serves;
     std::size_t failures = 0;
@@ -1235,9 +779,9 @@ runTraceMode(const Args &args, SweepRunner &runner)
         // change per cell.
         ReplaySpec rs;
         rs.trace = trace;
-        rs.backends = args.backendNames;
-        rs.opts.quantumIters = args.quantum;
-        rs.opts.wallLimitSec = args.wallSec;
+        rs.backends = args.exec.backends;
+        rs.opts.quantumIters = args.serving.quantum;
+        rs.opts.wallLimitSec = args.serving.wallSec;
         // Shared telemetry bundle: replay cells run sequentially and
         // the serve loop prefixes its series "serve.<policy>.".
         rs.opts.telemetry = args.obs.telemetry.get();
@@ -1255,7 +799,7 @@ runTraceMode(const Args &args, SweepRunner &runner)
                     rs.opts.traceTrack = args.obs.sink->track(
                         cell++, trace.name + " " + p.config.name + " " +
                                     policyName(policy));
-                if (!args.quiet)
+                if (!args.exec.quiet)
                     std::cerr << "replaying '" << trace.name << "' ("
                               << trace.jobs.size() << " session(s)) "
                               << "under " << policyName(policy)
@@ -1313,25 +857,21 @@ int
 main(int argc, char **argv)
 {
     Args args;
-    if (!parseArgs(argc, argv, args))
-        return 1;
-    if (args.verbose)
-        setLogVerbosity(LogVerbosity::kVerbose);
-    if (!args.obs.activate())
+    if (!flagSpec(args).parse(argc, argv) || !args.obs.activate())
         return 1;
 
     SweepOptions opts;
-    opts.threads = args.threads;
+    opts.threads = args.exec.threads;
     opts.planCache = args.planCache;
-    opts.cacheDir = args.cacheDir;
-    if (!args.quiet)
+    opts.cacheDir = args.exec.cacheDir;
+    if (!args.exec.quiet)
         opts.progress = [](std::size_t done, std::size_t total,
                            const Scenario &s) {
             std::cerr << "[" << done << "/" << total << "] "
                       << s.label() << "\n";
         };
     SweepRunner runner(opts);
-    if (!args.quiet && runner.diskCache()) {
+    if (!args.exec.quiet && runner.diskCache()) {
         const DiskCache &dc = *runner.diskCache();
         std::cerr << "disk cache: " << dc.size() << " entries in "
                   << dc.filePath();
@@ -1341,15 +881,11 @@ main(int argc, char **argv)
         std::cerr << "\n";
     }
 
-    if (args.mode == CliMode::kTenant ||
-        args.mode == CliMode::kDuration) {
-        const int rc = runTenantModes(args, runner);
-        if (!args.obs.finish())
-            return rc != 0 ? rc : 1;
-        return rc;
-    }
-    if (args.mode == CliMode::kTrace) {
-        const int rc = runTraceMode(args, runner);
+    if (args.mode == CliMode::kTenant || args.mode == CliMode::kDuration ||
+        args.mode == CliMode::kTrace) {
+        const int rc = args.mode == CliMode::kTrace
+                           ? runTraceMode(args, runner)
+                           : runTenantModes(args, runner);
         if (!args.obs.finish())
             return rc != 0 ? rc : 1;
         return rc;
@@ -1378,14 +914,14 @@ main(int argc, char **argv)
         base.backendNames = {"chip"};
         base.pods.clear();
         base.gpus.clear();
-        if (!args.quiet)
+        if (!args.exec.quiet)
             std::cerr << "sweeping WS baseline...\n";
         baseline = runner.run(base);
     }
 
-    if (!args.quiet)
+    if (!args.exec.quiet)
         std::cerr << "sweeping " << expansion.scenarios.size()
-                  << " scenarios on " << args.threads << " thread(s)...\n";
+                  << " scenarios on " << args.exec.threads << " thread(s)...\n";
     const SweepReport report = runner.run(expansion.scenarios);
 
     // Sweep scenarios have no arrival clock, so the trace lays the
@@ -1405,27 +941,11 @@ main(int argc, char **argv)
 
     {
         obs::ScopedPhase emit_phase("emit");
-        std::ofstream csv_file;
-        if (!args.csvPath.empty()) {
-            csv_file.open(args.csvPath);
-            if (!csv_file) {
-                std::cerr << "diva_sweep: cannot write " << args.csvPath
-                          << "\n";
-                return 1;
-            }
-        }
-        std::ostream &csv = args.csvPath.empty() ? std::cout : csv_file;
-        writeCsv(csv, report);
-
-        if (!args.jsonPath.empty()) {
-            std::ofstream json_file(args.jsonPath);
-            if (!json_file) {
-                std::cerr << "diva_sweep: cannot write "
-                          << args.jsonPath << "\n";
-                return 1;
-            }
-            writeJson(json_file, report);
-        }
+        if (!cli::emitTo(kTool, args.out.csvPath, true,
+                         [&](std::ostream &os) { writeCsv(os, report); }) ||
+            !cli::emitTo(kTool, args.out.jsonPath, false,
+                         [&](std::ostream &os) { writeJson(os, report); }))
+            return 1;
     }
 
     std::cout << "\n=== sweep summary ===\n"
