@@ -1,7 +1,7 @@
 /**
  * @file
  * Fleet-engine throughput benchmark: replays generated diurnal traces
- * on 8- and 64-pod fleets (load-aware placement, rebalance on) and
+ * on 8- and 64-pod fleets (first-fit placement, rebalance on) and
  * reports how fast the engine chews through sessions. Besides the
  * google-benchmark microbenchmarks it writes BENCH_fleet.json (path
  * overridable with --out) -- sessions/sec, serve-core events/sec,
@@ -13,7 +13,8 @@
  * catches scaling regressions (a serialized pool, a contended lock)
  * and not just single-point throughput drift.  An "obs_overhead_p64"
  * row times the 64-pod replay with the windowed telemetry + SLO layer
- * off and on; ci/check_bench.py gates the fractional cost at 5%.
+ * off and on; ci/check_bench.py gates the fractional cost at 0.08 by
+ * default (the 5% telemetry budget plus headroom for runner noise).
  * Flags:
  *
  *   --threads N    epoch workers for the headline rows (default: the
@@ -146,7 +147,7 @@ timeReplay(int pods, int sessions, SweepRunner &runner, int threads)
  * global + per-priority SLO targets, i.e. every per-step hook live).
  * Best-of-5 each way, with the off/on pairs interleaved, so scheduler
  * noise and clock drift do not masquerade as overhead;
- * ci/check_bench.py gates obs_overhead_frac at 5%.
+ * ci/check_bench.py gates obs_overhead_frac at 0.08 by default.
  */
 ReplayFigures
 timeObsOverhead(int pods, int sessions, int threads)
@@ -242,7 +243,7 @@ writeFleetJson(const std::string &path,
          {"obs_sessions_per_sec",
           "same replay with full windowed telemetry + SLO monitoring"},
          {"obs_overhead_frac",
-          "1 - obs_sessions_per_sec / sessions_per_sec, gated <= 0.05"}},
+          "1 - obs_sessions_per_sec / sessions_per_sec, gated <= 0.08"}},
         "fleets", rows);
 }
 

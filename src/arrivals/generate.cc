@@ -142,21 +142,14 @@ generateTrace(const TraceGenSpec &spec)
     }
 
     ArrivalTrace trace;
-    {
-        std::ostringstream oss;
-        oss << arrivalKindName(spec.kind) << "-r"
-            << formatDouble(spec.ratePerSec) << "-s" << spec.seed;
-        trace.name = oss.str();
-    }
+    trace.name = std::string(arrivalKindName(spec.kind)) + "-r" +
+                 formatDouble(spec.ratePerSec) + "-s" +
+                 std::to_string(spec.seed);
     const std::vector<std::string> &rotation = defaultModelRotation();
     for (std::size_t i = 0; i < times.size(); ++i) {
         TenantJob job;
         job.model = rotation[i % rotation.size()];
-        {
-            std::ostringstream oss;
-            oss << "a" << i << ":" << job.model;
-            job.name = oss.str();
-        }
+        job.name = sessionName(i, job.model);
         job.batch = spec.batch;
         job.steps = spec.steps;
         job.arrivalSec = times[i];

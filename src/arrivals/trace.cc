@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
+#include <charconv>
+#include <climits>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <sstream>
-
-#include <climits>
+#include <string_view>
 
 #include "common/format.h"
 #include "common/parse.h"
@@ -18,7 +19,24 @@ namespace diva
 namespace
 {
 
-/** Column order of the canonical CSV form. */
+/** Columns of the canonical CSV form, in its column order. */
+enum class Column
+{
+    kName,
+    kModel,
+    kScale,
+    kBatch,
+    kMicrobatch,
+    kAlgorithm,
+    kArrival,
+    kDepart,
+    kPriority,
+    kSteps,
+    kQosSps,
+    kQosDeadline,
+};
+
+/** Column names, indexed by Column. */
 const char *const kColumns[] = {
     "name",     "model",    "scale", "batch",     "microbatch",
     "algorithm", "arrival_s", "depart_s", "priority", "steps",
@@ -26,6 +44,7 @@ const char *const kColumns[] = {
 };
 constexpr std::size_t kNumColumns =
     sizeof(kColumns) / sizeof(*kColumns);
+static_assert(kNumColumns == std::size_t(Column::kQosDeadline) + 1);
 
 std::string
 lower(std::string s)
@@ -35,85 +54,133 @@ lower(std::string s)
     return s;
 }
 
-/** Split one CSV line; quoted cells are not supported in traces (no
- *  comma-bearing values exist in the schema). */
-std::vector<std::string>
-splitCsvLine(const std::string &line)
+/** ASCII case-insensitive equality; `lowered` is already lower-case. */
+bool
+equalsLower(std::string_view text, std::string_view lowered)
 {
-    std::vector<std::string> cells;
-    std::stringstream ss(line);
-    std::string cell;
-    while (std::getline(ss, cell, ','))
-        cells.push_back(cell);
-    if (!line.empty() && line.back() == ',')
-        cells.push_back("");
-    return cells;
+    return text.size() == lowered.size() &&
+           std::equal(text.begin(), text.end(), lowered.begin(),
+                      [](char a, char b) {
+                          return std::tolower(
+                                     static_cast<unsigned char>(a)) == b;
+                      });
 }
 
-/** Apply one (column, text) pair to `job`; "" on success. */
-std::string
-applyField(TenantJob &job, const std::string &column,
-           const std::string &text)
+/** The column a (case-insensitive) header cell or JSONL key names. */
+std::optional<Column>
+columnFromName(std::string_view text)
 {
-    if (column == "name") {
+    for (std::size_t c = 0; c < kNumColumns; ++c)
+        if (equalsLower(text, kColumns[c]))
+            return Column(c);
+    return std::nullopt;
+}
+
+/** Split one CSV line into `cells` (views into `line`); quoted cells
+ *  are not supported in traces (no comma-bearing values exist in the
+ *  schema). A trailing comma ends in one empty cell. */
+void
+splitCsvLine(std::string_view line, std::vector<std::string_view> *cells)
+{
+    cells->clear();
+    for (;;) {
+        const std::size_t comma = line.find(',');
+        cells->push_back(line.substr(0, comma));
+        if (comma == std::string_view::npos)
+            return;
+        line.remove_prefix(comma + 1);
+    }
+}
+
+/** Apply one cell of `column` to `job`; "" on success. */
+std::string
+applyField(TenantJob &job, Column column, std::string_view text)
+{
+    const std::string_view name = kColumns[std::size_t(column)];
+    switch (column) {
+      case Column::kName:
         job.name = text;
         return "";
-    }
-    if (column == "model") {
+      case Column::kModel:
         if (text.empty())
             return "model must not be empty";
         job.model = text;
         return "";
-    }
-    if (column == "algorithm") {
+      case Column::kAlgorithm:
         if (!algorithmFromName(text, &job.algorithm))
-            return "unknown algorithm '" + text + "'";
+            return "unknown algorithm '" + std::string(text) + "'";
         return "";
-    }
-    if (column == "scale" || column == "batch" ||
-        column == "microbatch" || column == "priority" ||
-        column == "steps") {
+      case Column::kScale:
+      case Column::kBatch:
+      case Column::kMicrobatch:
+      case Column::kPriority:
+      case Column::kSteps: {
         // Bounded parses: an out-of-range cell rejects the trace
         // instead of silently wrapping into the int-typed fields.
-        const long long lo = column == "priority" ? INT_MIN : 0;
+        const long long lo = column == Column::kPriority ? INT_MIN : 0;
         const long long hi =
-            column == "steps" ? LLONG_MAX : INT_MAX;
+            column == Column::kSteps ? LLONG_MAX : INT_MAX;
         const std::optional<long long> v =
             parseBoundedIntText(text, lo, hi);
         if (!v)
-            return column + " must be an integer in [" +
+            return std::string(name) + " must be an integer in [" +
                    std::to_string(lo) + ", " + std::to_string(hi) +
-                   "], got '" + text + "'";
-        if (column == "scale")
+                   "], got '" + std::string(text) + "'";
+        if (column == Column::kScale)
             job.modelScale = int(*v);
-        else if (column == "batch")
+        else if (column == Column::kBatch)
             job.batch = int(*v);
-        else if (column == "microbatch")
+        else if (column == Column::kMicrobatch)
             job.microbatch = int(*v);
-        else if (column == "priority")
+        else if (column == Column::kPriority)
             job.priority = int(*v);
         else
             job.steps = std::uint64_t(*v);
         return "";
-    }
-    if (column == "arrival_s" || column == "depart_s" ||
-        column == "qos_sps" || column == "qos_deadline_s") {
+      }
+      case Column::kArrival:
+      case Column::kDepart:
+      case Column::kQosSps:
+      case Column::kQosDeadline: {
         const std::optional<double> parsed = parseDoubleText(text);
         if (!parsed || *parsed < 0.0)
-            return column + " must be a finite number >= 0, got '" +
-                   text + "'";
+            return std::string(name) +
+                   " must be a finite number >= 0, got '" +
+                   std::string(text) + "'";
         const double v = *parsed;
-        if (column == "arrival_s")
+        if (column == Column::kArrival)
             job.arrivalSec = v;
-        else if (column == "depart_s")
+        else if (column == Column::kDepart)
             job.departSec = v;
-        else if (column == "qos_sps")
+        else if (column == Column::kQosSps)
             job.qosStepsPerSec = v;
         else
             job.qosDeadlineSec = v;
         return "";
+      }
     }
-    return "unknown column '" + column + "'";
+    return "";
+}
+
+template <class Int>
+void
+appendInt(std::string &out, Int v)
+{
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/** Bytes left in `is`, or 0 when the stream cannot seek (a pipe). */
+std::size_t
+remainingBytes(std::istream &is)
+{
+    const std::istream::pos_type here = is.tellg();
+    if (here == std::istream::pos_type(-1))
+        return 0;
+    is.seekg(0, std::ios::end);
+    const std::istream::pos_type end = is.tellg();
+    is.seekg(here);
+    return end > here ? std::size_t(end - here) : 0;
 }
 
 ArrivalTrace
@@ -229,22 +296,22 @@ scanFlatJson(const std::string &line,
 } // namespace
 
 bool
-algorithmFromName(const std::string &text, TrainingAlgorithm *out)
+algorithmFromName(std::string_view text, TrainingAlgorithm *out)
 {
     if (text.empty()) {
         *out = TrainingAlgorithm::kDpSgdR;
         return true;
     }
-    const std::string t = lower(text);
-    if (t == "sgd") {
+    if (equalsLower(text, "sgd")) {
         *out = TrainingAlgorithm::kSgd;
         return true;
     }
-    if (t == "dpsgd" || t == "dp-sgd") {
+    if (equalsLower(text, "dpsgd") || equalsLower(text, "dp-sgd")) {
         *out = TrainingAlgorithm::kDpSgd;
         return true;
     }
-    if (t == "dpsgdr" || t == "dp-sgd-r" || t == "dp-sgd(r)") {
+    if (equalsLower(text, "dpsgdr") || equalsLower(text, "dp-sgd-r") ||
+        equalsLower(text, "dp-sgd(r)")) {
         *out = TrainingAlgorithm::kDpSgdR;
         return true;
     }
@@ -279,6 +346,16 @@ ArrivalTrace::workload() const
 }
 
 std::string
+sessionName(std::size_t index, const std::string &model)
+{
+    std::string name = "a";
+    name += std::to_string(index);
+    name += ':';
+    name += model;
+    return name;
+}
+
+std::string
 traceCsvHeader()
 {
     std::string header;
@@ -293,15 +370,37 @@ traceCsvHeader()
 void
 writeTraceCsv(std::ostream &os, const ArrivalTrace &trace)
 {
-    os << "# trace: " << trace.name << '\n' << traceCsvHeader() << '\n';
-    for (const TenantJob &j : trace.jobs)
-        os << csvCell(j.name) << ',' << csvCell(j.model) << ','
-           << j.modelScale << ',' << j.batch << ',' << j.microbatch
-           << ',' << algorithmName(j.algorithm) << ','
-           << formatDouble(j.arrivalSec) << ','
-           << formatDouble(j.departSec) << ',' << j.priority << ','
-           << j.steps << ',' << formatDouble(j.qosStepsPerSec) << ','
-           << formatDouble(j.qosDeadlineSec) << '\n';
+    std::string row = "# trace: " + trace.name + '\n' +
+                      traceCsvHeader() + '\n';
+    os.write(row.data(), std::streamsize(row.size()));
+    for (const TenantJob &j : trace.jobs) {
+        row.clear();
+        appendCsvCell(row, j.name);
+        row += ',';
+        appendCsvCell(row, j.model);
+        row += ',';
+        appendInt(row, j.modelScale);
+        row += ',';
+        appendInt(row, j.batch);
+        row += ',';
+        appendInt(row, j.microbatch);
+        row += ',';
+        row += algorithmName(j.algorithm);
+        row += ',';
+        appendDouble(row, j.arrivalSec);
+        row += ',';
+        appendDouble(row, j.departSec);
+        row += ',';
+        appendInt(row, j.priority);
+        row += ',';
+        appendInt(row, j.steps);
+        row += ',';
+        appendDouble(row, j.qosStepsPerSec);
+        row += ',';
+        appendDouble(row, j.qosDeadlineSec);
+        row += '\n';
+        os.write(row.data(), std::streamsize(row.size()));
+    }
 }
 
 ArrivalTrace
@@ -309,38 +408,38 @@ loadTraceCsv(std::istream &is, std::string *error)
 {
     error->clear();
     ArrivalTrace trace;
+    const std::size_t bytes = remainingBytes(is);
     std::string line;
     std::size_t lineno = 0;
-    std::vector<std::string> columns;
+    std::vector<Column> columns;
+    std::vector<std::string_view> cells;
     while (std::getline(is, line)) {
         ++lineno;
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.empty())
+        std::string_view text = line;
+        if (!text.empty() && text.back() == '\r')
+            text.remove_suffix(1);
+        if (text.empty())
             continue;
-        if (line[0] == '#') {
+        if (text[0] == '#') {
             // "# trace: NAME" names the trace; other comments skip.
-            const std::string tag = "# trace: ";
-            if (line.rfind(tag, 0) == 0)
-                trace.name = line.substr(tag.size());
+            constexpr std::string_view tag = "# trace: ";
+            if (text.substr(0, tag.size()) == tag)
+                trace.name = text.substr(tag.size());
             continue;
         }
-        const std::vector<std::string> cells = splitCsvLine(line);
+        splitCsvLine(text, &cells);
         if (columns.empty()) {
             // Header row: every column must be known.
-            for (const std::string &c : cells) {
-                const std::string col = lower(c);
-                if (std::find_if(std::begin(kColumns),
-                                 std::end(kColumns),
-                                 [&](const char *k) {
-                                     return col == k;
-                                 }) == std::end(kColumns))
+            for (std::string_view c : cells) {
+                const std::optional<Column> col = columnFromName(c);
+                if (!col)
                     return failTrace(error, lineno,
-                                     "unknown column '" + c + "'");
-                columns.push_back(col);
+                                     "unknown column '" + std::string(c) +
+                                         "'");
+                columns.push_back(*col);
             }
-            if (std::find(columns.begin(), columns.end(), "model") ==
-                columns.end())
+            if (std::find(columns.begin(), columns.end(),
+                          Column::kModel) == columns.end())
                 return failTrace(error, lineno,
                                  "header needs a 'model' column");
             continue;
@@ -351,16 +450,18 @@ loadTraceCsv(std::istream &is, std::string *error)
                                  std::to_string(columns.size()) +
                                  " cells, got " +
                                  std::to_string(cells.size()));
+        // Size the job list once from the first row's length; rows of
+        // one trace are near-equal, and untouched capacity costs no RSS.
+        if (trace.jobs.empty())
+            trace.jobs.reserve(bytes / (line.size() + 1) + 1);
         TenantJob job;
         for (std::size_t c = 0; c < columns.size(); ++c) {
-            const std::string err =
-                applyField(job, columns[c], cells[c]);
+            const std::string err = applyField(job, columns[c], cells[c]);
             if (!err.empty())
                 return failTrace(error, lineno, err);
         }
         if (job.name.empty())
-            job.name = "a" + std::to_string(trace.jobs.size()) + ":" +
-                       job.model;
+            job.name = sessionName(trace.jobs.size(), job.model);
         trace.jobs.push_back(std::move(job));
     }
     if (columns.empty())
@@ -392,19 +493,15 @@ loadTraceJsonl(std::istream &is, std::string *error)
         TenantJob job;
         bool any_known = false;
         for (const auto &[key, value] : fields) {
-            const std::string col = lower(key);
-            if (col == "trace") {
+            if (equalsLower(key, "trace")) {
                 // {"trace": "NAME"} records name the trace.
                 trace.name = value;
                 continue;
             }
-            const bool known =
-                std::find_if(std::begin(kColumns), std::end(kColumns),
-                             [&](const char *k) { return col == k; }) !=
-                std::end(kColumns);
-            if (!known)
+            const std::optional<Column> col = columnFromName(key);
+            if (!col)
                 continue; // tolerate recorded extra metadata
-            const std::string err = applyField(job, col, value);
+            const std::string err = applyField(job, *col, value);
             if (!err.empty())
                 return failTrace(error, lineno, err);
             any_known = true;
@@ -414,8 +511,7 @@ loadTraceJsonl(std::istream &is, std::string *error)
         if (job.model.empty())
             return failTrace(error, lineno, "record needs a 'model'");
         if (job.name.empty())
-            job.name = "a" + std::to_string(trace.jobs.size()) + ":" +
-                       job.model;
+            job.name = sessionName(trace.jobs.size(), job.model);
         trace.jobs.push_back(std::move(job));
     }
     if (trace.jobs.empty())

@@ -19,6 +19,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tenant/tenant.h"
@@ -51,6 +52,12 @@ struct ArrivalTrace
     TenantWorkload workload() const;
 };
 
+/**
+ * Name of the index-th session when its source gives none:
+ * "a<index>:<model>". The generators and both loaders use it.
+ */
+std::string sessionName(std::size_t index, const std::string &model);
+
 /** Header of the canonical trace CSV. */
 std::string traceCsvHeader();
 
@@ -80,7 +87,7 @@ ArrivalTrace loadTraceFile(const std::string &path, std::string *error);
 
 /** Parse an algorithm name as emitted by algorithmName() (plus the
  *  CLI aliases sgd/dpsgd/dpsgdr); empty text means kDpSgdR. */
-bool algorithmFromName(const std::string &text, TrainingAlgorithm *out);
+bool algorithmFromName(std::string_view text, TrainingAlgorithm *out);
 
 } // namespace diva
 

@@ -7,19 +7,28 @@
 namespace diva
 {
 
+void
+appendCsvCell(std::string &out, std::string_view s)
+{
+    if (s.find_first_of(",\"\n") == std::string_view::npos) {
+        out += s;
+        return;
+    }
+    out += '"';
+    for (char c : s) {
+        if (c == '"')
+            out += '"';
+        out += c;
+    }
+    out += '"';
+}
+
 std::string
 csvCell(const std::string &s)
 {
-    if (s.find_first_of(",\"\n") == std::string::npos)
-        return s;
-    std::string quoted = "\"";
-    for (char c : s) {
-        if (c == '"')
-            quoted += '"';
-        quoted += c;
-    }
-    quoted += '"';
-    return quoted;
+    std::string out;
+    appendCsvCell(out, s);
+    return out;
 }
 
 std::string
@@ -50,34 +59,46 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-std::string
-formatDouble(double v)
+void
+appendDouble(std::string &out, double v)
 {
     // Non-finite values never round-trip (nan != nan would drive the
     // precision loop to 17 digits) and %g spells them platform-
     // dependently; pin the text form.
-    if (std::isnan(v))
-        return "nan";
-    if (std::isinf(v))
-        return v < 0.0 ? "-inf" : "inf";
+    if (std::isnan(v)) {
+        out += "nan";
+        return;
+    }
+    if (std::isinf(v)) {
+        out += v < 0.0 ? "-inf" : "inf";
+        return;
+    }
     // %.17g round-trips but is noisy; use the shortest precision that
     // parses back exactly, floored at 6 (the historical %g default).
     // The shortest-scientific form's mantissa length *is* that
     // precision -- correctly-rounded printf round-trips at any
-    // precision >= it and at none below -- so one to_chars call
-    // replaces the old snprintf/sscanf probe loop (which dominated
-    // million-row CSV emission).
-    char sci[64];
-    const auto res =
-        std::to_chars(sci, sci + sizeof(sci), v,
-                      std::chars_format::scientific);
-    int digits = 0;
-    for (const char *c = sci; c != res.ptr && *c != 'e'; ++c)
-        digits += *c >= '0' && *c <= '9';
+    // precision >= it and at none below. to_chars with an explicit
+    // precision is specified as printf's %.*g, minus the locale and
+    // the format-string parse that made snprintf the cost of
+    // million-row CSV emission.
     char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*g", digits < 6 ? 6 : digits,
-                  v);
-    return buf;
+    const auto sci = std::to_chars(buf, buf + sizeof(buf), v,
+                                   std::chars_format::scientific);
+    int digits = 0;
+    for (const char *c = buf; c != sci.ptr && *c != 'e'; ++c)
+        digits += *c >= '0' && *c <= '9';
+    const auto res =
+        std::to_chars(buf, buf + sizeof(buf), v,
+                      std::chars_format::general, digits < 6 ? 6 : digits);
+    out.append(buf, res.ptr);
+}
+
+std::string
+formatDouble(double v)
+{
+    std::string out;
+    appendDouble(out, v);
+    return out;
 }
 
 std::string

@@ -12,6 +12,7 @@
 #define DIVA_COMMON_FORMAT_H
 
 #include <string>
+#include <string_view>
 
 namespace diva
 {
@@ -22,11 +23,17 @@ namespace diva
  */
 std::string formatDouble(double v);
 
+/** Append formatDouble(v) to `out` without a temporary string. */
+void appendDouble(std::string &out, double v);
+
 /** JSON number token for v: formatDouble, or "null" when non-finite. */
 std::string jsonNumber(double v);
 
 /** Quote a CSV-unsafe cell per RFC 4180; safe cells pass through. */
 std::string csvCell(const std::string &s);
+
+/** Append csvCell(s) to `out` without a temporary string. */
+void appendCsvCell(std::string &out, std::string_view s);
 
 /** Escape a string for embedding in a JSON string literal. */
 std::string jsonEscape(const std::string &s);

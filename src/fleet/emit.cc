@@ -22,20 +22,14 @@ fleetPrefix(const FleetResult &f)
 }
 
 void
-appendDouble(std::string &out, double v)
-{
-    out += formatDouble(v);
-}
-
-void
 appendTenantRow(std::string &out, const std::string &prefix,
                 const FleetResult &f, const FleetTenantMetrics &t)
 {
     out += prefix;
     out += ',';
-    out += csvCell(t.job.name);
+    appendCsvCell(out, t.job.name);
     out += ',';
-    out += csvCell(t.job.model);
+    appendCsvCell(out, t.job.model);
     out += ',';
     out += std::to_string(t.resolvedBatch);
     out += ',';

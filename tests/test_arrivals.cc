@@ -8,6 +8,8 @@
  * subset.
  */
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <sstream>
 
@@ -16,6 +18,7 @@
 #include "arrivals/admission.h"
 #include "arrivals/generate.h"
 #include "arrivals/trace.h"
+#include "common/rng.h"
 
 namespace diva
 {
@@ -105,6 +108,215 @@ TEST(Trace, CsvColumnsMayReorderAndUnknownsReject)
     std::istringstream empty("");
     loadTraceCsv(empty, &err);
     EXPECT_FALSE(err.empty());
+}
+
+// Exact "line N: ..." messages for malformed traces, pinned so loader
+// rewrites keep every message and line number byte-identical.
+TEST(Trace, CsvErrorMessagesArePinned)
+{
+    const struct
+    {
+        const char *csv;
+        const char *message;
+    } cases[] = {
+        {"model,steps\nSqueezeNet\n",
+         "line 2: expected 2 cells, got 1"},
+        {"model,steps\nSqueezeNet,1,2\n",
+         "line 2: expected 2 cells, got 3"},
+        {"model,frobnicate\nSqueezeNet,1\n",
+         "line 1: unknown column 'frobnicate'"},
+        {"name,steps\nx,1\n", "line 1: header needs a 'model' column"},
+        {"model,steps\n,1\n", "line 2: model must not be empty"},
+        {"model,scale\nM,abc\n",
+         "line 2: scale must be an integer in [0, 2147483647], got "
+         "'abc'"},
+        {"model,batch\nM,-1\n",
+         "line 2: batch must be an integer in [0, 2147483647], got "
+         "'-1'"},
+        {"model,microbatch\nM,1.5\n",
+         "line 2: microbatch must be an integer in [0, 2147483647], "
+         "got '1.5'"},
+        {"model,priority\nM,2147483648\n",
+         "line 2: priority must be an integer in [-2147483648, "
+         "2147483647], got '2147483648'"},
+        {"model,steps\nM,-1\n",
+         "line 2: steps must be an integer in [0, 9223372036854775807], "
+         "got '-1'"},
+        {"model,steps\nM,0x10\n",
+         "line 2: steps must be an integer in [0, 9223372036854775807], "
+         "got '0x10'"},
+        {"model,steps\nM,99999999999999999999\n",
+         "line 2: steps must be an integer in [0, 9223372036854775807], "
+         "got '99999999999999999999'"},
+        {"model,steps\nM,1 \n",
+         "line 2: steps must be an integer in [0, 9223372036854775807], "
+         "got '1 '"},
+        {"model,algorithm\nM,adam\n", "line 2: unknown algorithm 'adam'"},
+        {"model,arrival_s\nM,-1\n",
+         "line 2: arrival_s must be a finite number >= 0, got '-1'"},
+        {"model,arrival_s\nM,1e-310\n",
+         "line 2: arrival_s must be a finite number >= 0, got '1e-310'"},
+        {"model,depart_s\nM,inf\n",
+         "line 2: depart_s must be a finite number >= 0, got 'inf'"},
+        {"model,qos_sps\nM,1e400\n",
+         "line 2: qos_sps must be a finite number >= 0, got '1e400'"},
+        {"model,qos_deadline_s\nM,nan\n",
+         "line 2: qos_deadline_s must be a finite number >= 0, got "
+         "'nan'"},
+        {"model,qos_deadline_s\nM,1e\n",
+         "line 2: qos_deadline_s must be a finite number >= 0, got "
+         "'1e'"},
+        {"model,steps\r\nM,1\r\nM,x\r\n",
+         "line 3: steps must be an integer in [0, 9223372036854775807], "
+         "got 'x'"},
+        {"# c\n\nmodel,steps\n\n# c2\nM,1\n\nM,x\n",
+         "line 8: steps must be an integer in [0, 9223372036854775807], "
+         "got 'x'"},
+        {"model,steps,\nM,1,\n", "line 1: unknown column ''"},
+        {"model,steps\nM,1,\n", "line 2: expected 2 cells, got 3"},
+        {"model, steps\nM,1\n", "line 1: unknown column ' steps'"},
+        {"# trace: only\n\n", "line 2: missing header row"},
+        {"", "line 0: missing header row"},
+        {"model\n", "line 1: trace has no tenant sessions"},
+        {"model\n# just a comment\n\n",
+         "line 3: trace has no tenant sessions"},
+        {",\n", "line 1: unknown column ''"},
+        {"Model,STEPS\nM,1.0\n",
+         "line 2: steps must be an integer in [0, 9223372036854775807], "
+         "got '1.0'"},
+    };
+    for (const auto &c : cases) {
+        std::istringstream in(c.csv);
+        std::string err;
+        const ArrivalTrace t = loadTraceCsv(in, &err);
+        EXPECT_EQ(err, c.message) << "input: " << c.csv;
+        EXPECT_TRUE(t.jobs.empty()) << "input: " << c.csv;
+    }
+}
+
+// Cells the number grammar accepts beyond the canonical spellings
+// (std::stoll / std::stod rules: leading blanks, '+', hex floats).
+TEST(Trace, CsvAcceptsTheStdNumberSpellings)
+{
+    std::istringstream in("model,priority,arrival_s,qos_sps\n"
+                          "M, 1,0x1p3,.5\n"
+                          "M,+2,8,1.\n"
+                          "M,-0,8, 2.5\n"
+                          "M,\t3,8,+0.5\n"
+                          "M,007,8,2.2250738585072014e-308\n"
+                          "M,-7,8,0e-400\n");
+    std::string err;
+    const ArrivalTrace t = loadTraceCsv(in, &err);
+    ASSERT_TRUE(err.empty()) << err;
+    ASSERT_EQ(t.jobs.size(), 6u);
+    const int priorities[] = {1, 2, 0, 3, 7, -7};
+    const double qos[] = {0.5, 1.0, 2.5, 0.5, 2.2250738585072014e-308,
+                          0.0};
+    for (std::size_t i = 0; i < t.jobs.size(); ++i) {
+        EXPECT_EQ(t.jobs[i].priority, priorities[i]) << i;
+        EXPECT_EQ(t.jobs[i].arrivalSec, 8.0) << i;
+        EXPECT_EQ(t.jobs[i].qosStepsPerSec, qos[i]) << i;
+    }
+}
+
+/** True when `err` reads "line N: <message>". */
+bool
+isLineError(const std::string &err)
+{
+    std::size_t i = 5;
+    if (err.compare(0, i, "line ") != 0)
+        return false;
+    while (i < err.size() &&
+           std::isdigit(static_cast<unsigned char>(err[i])))
+        ++i;
+    return i > 5 && err.compare(i, 2, ": ") == 0 && err.size() > i + 2;
+}
+
+/** Seeded byte-level mutation of a trace CSV: delete or duplicate
+ *  bytes, swap two cells of one line, or truncate. */
+std::string
+mutateTrace(std::string s, Rng &rng)
+{
+    const int edits = 1 + int(rng.uniformInt(3));
+    for (int e = 0; e < edits && !s.empty(); ++e) {
+        const std::size_t at = rng.uniformInt(s.size());
+        switch (rng.uniformInt(4)) {
+          case 0:
+            s.erase(at, 1 + rng.uniformInt(3));
+            break;
+          case 1:
+            s.insert(at, s.substr(at, 1 + rng.uniformInt(3)));
+            break;
+          case 2: {
+            // Swap two cells of the line holding `at`.
+            const std::size_t begin = s.rfind('\n', at) + 1;
+            const std::size_t end = std::min(s.find('\n', at), s.size());
+            std::vector<std::string> cells;
+            std::string cell;
+            std::istringstream line(s.substr(begin, end - begin));
+            while (std::getline(line, cell, ','))
+                cells.push_back(cell);
+            if (cells.size() < 2)
+                break;
+            std::swap(cells[rng.uniformInt(cells.size())],
+                      cells[rng.uniformInt(cells.size())]);
+            std::string joined;
+            for (std::size_t c = 0; c < cells.size(); ++c)
+                joined += (c ? "," : "") + cells[c];
+            s.replace(begin, end - begin, joined);
+            break;
+          }
+          default:
+            s.resize(at);
+        }
+    }
+    return s;
+}
+
+// Every mutation of a canonical trace either loads -- and then
+// writeTraceCsv . loadTraceCsv is a fixed point -- or fails with a
+// "line N: ..." message. Nothing may crash (the sanitizer CI job runs
+// this too).
+TEST(Trace, CsvGrammarFuzz)
+{
+    TraceGenSpec spec;
+    spec.ratePerSec = 4.0;
+    spec.horizonSec = 6.0;
+    spec.holdSec = 2.5;
+    spec.qosStepsPerSec = 1.5;
+    spec.maxTenants = 12;
+    ArrivalTrace canonical = generateTrace(spec);
+    ASSERT_GE(canonical.jobs.size(), 4u);
+    canonical.jobs[1].algorithm = TrainingAlgorithm::kSgd;
+    canonical.jobs[2].algorithm = TrainingAlgorithm::kDpSgd;
+    canonical.jobs[2].microbatch = 4;
+    canonical.jobs[3].modelScale = 2;
+    canonical.jobs[3].qosDeadlineSec = 30.25;
+    const std::string base = traceCsv(canonical);
+
+    Rng rng(2022);
+    int loaded = 0, failed = 0;
+    for (int i = 0; i < 2000; ++i) {
+        const std::string input = mutateTrace(base, rng);
+        std::istringstream in(input);
+        std::string err;
+        const ArrivalTrace t = loadTraceCsv(in, &err);
+        if (!err.empty()) {
+            ++failed;
+            EXPECT_TRUE(isLineError(err)) << err << "\ninput:\n" << input;
+            EXPECT_TRUE(t.jobs.empty());
+            continue;
+        }
+        ++loaded;
+        const std::string once = traceCsv(t);
+        std::istringstream again(once);
+        const ArrivalTrace reloaded = loadTraceCsv(again, &err);
+        ASSERT_TRUE(err.empty()) << err << "\ninput:\n" << input;
+        EXPECT_EQ(traceCsv(reloaded), once) << "input:\n" << input;
+    }
+    // Both outcomes must be exercised for the property to mean much.
+    EXPECT_GT(loaded, 100);
+    EXPECT_GT(failed, 100);
 }
 
 TEST(Trace, JsonlLoadsAndToleratesExtraKeys)
