@@ -1,17 +1,23 @@
 /**
  * @file
  * Fleet-engine throughput benchmark: replays generated diurnal traces
- * on 8- and 64-pod fleets (first-fit placement, rebalance on) and
- * reports how fast the engine chews through sessions. Besides the
- * google-benchmark microbenchmarks it writes BENCH_fleet.json (path
- * overridable with --out) -- sessions/sec, serve-core events/sec,
- * migrations/sec and the isolated-cost plan-cache hit rate per fleet
- * size -- so CI can track the fleet perf trajectory.
+ * on 8- and 64-pod fleets (rebalance on; first-fit placement unless a
+ * row says otherwise) and reports how fast the engine chews through
+ * sessions. Besides the google-benchmark microbenchmarks it writes
+ * BENCH_fleet.json (path overridable with --out) -- sessions/sec,
+ * serve-core events/sec, migrations/sec and the isolated-cost
+ * plan-cache hit rate per fleet size -- so CI can track the fleet perf
+ * trajectory.
  *
  * A thread-scaling sweep (threads 1/2/4/8 at 8 and 64 pods) emits one
  * "scale_p<pods>_t<threads>" row per point, so the regression harness
  * catches scaling regressions (a serialized pool, a contended lock)
- * and not just single-point throughput drift.  An "obs_overhead_p64"
+ * and not just single-point throughput drift.  First-fit stacks
+ * nearly every session on one pod, so those rows are a one-pod serve
+ * loop; the "balanced_p64_t1" / "balanced_p64_t4" rows replay the same
+ * trace with load-aware placement, where the epoch serve spreads over
+ * the pods and the worker count matters, and the t4/t1 ratio is
+ * printed.  An "obs_overhead_p64"
  * row times the 64-pod replay with the windowed telemetry + SLO layer
  * off and on; ci/check_bench.py gates the fractional cost at 0.08 by
  * default (the 5% telemetry budget plus headroom for runner noise).
@@ -20,7 +26,7 @@
  *   --threads N    epoch workers for the headline rows (default: the
  *                  machine's hardware concurrency)
  *   --sessions N   sessions per replay (default 200000)
- *   --no-scaling   skip the thread-scaling sweep
+ *   --no-scaling   skip the thread-scaling sweep and the balanced rows
  */
 
 #include <benchmark/benchmark.h>
@@ -73,7 +79,7 @@ diurnalTrace(int sessions)
 }
 
 FleetSpec
-fleetOf(int pods)
+fleetOf(int pods, PlacementKind placement = PlacementKind::kFirstFit)
 {
     // Half DiVa, half OS pods: the two types price every job class
     // separately but share its workload plan, so the plan cache gets
@@ -83,7 +89,7 @@ fleetOf(int pods)
     FleetSpec spec =
         buildFleet({defaultPodGroup(pods - pods / 2),
                     osPodGroup(pods / 2)});
-    spec.placement = PlacementKind::kFirstFit;
+    spec.placement = placement;
     spec.rebalance.enabled = true;
     spec.controlIntervalSec = 600.0;
     return spec;
@@ -115,10 +121,11 @@ struct ReplayFigures
 };
 
 ReplayFigures
-timeReplay(int pods, int sessions, SweepRunner &runner, int threads)
+timeReplay(int pods, int sessions, SweepRunner &runner, int threads,
+           PlacementKind placement = PlacementKind::kFirstFit)
 {
     const ArrivalTrace trace = diurnalTrace(sessions);
-    const FleetSpec spec = fleetOf(pods);
+    const FleetSpec spec = fleetOf(pods, placement);
 
     const auto t0 = std::chrono::steady_clock::now();
     const FleetResult r = simulateFleet(spec, trace, runner, threads);
@@ -264,11 +271,13 @@ printFleetThroughput(const std::string &outPath, int threads,
                      int sessions, bool scaling)
 {
     std::cout << "=== fleet replay throughput (diurnal trace, "
-                 "first-fit placement, rebalance on) ===\n";
+                 "rebalance on; first-fit placement except the "
+                 "balanced rows) ===\n";
     TextTable table({"mode", "pods", "threads", "sessions",
                      "sessions/s", "events/s", "migrations/s",
                      "plan hit rate"});
     std::vector<ReplayFigures> figures;
+    double balancedT1 = 0.0, balancedT4 = 0.0;
     for (int pods : {8, 64}) {
         // A fresh runner per fleet size keeps the hit rate a
         // self-contained property of one replay's pricing instead of
@@ -298,8 +307,26 @@ printFleetThroughput(const std::string &outPath, int threads,
                 figures.push_back(f);
                 addTableRow(table, f);
             }
+        // Load-aware placement on the same trace: the rows where
+        // threads can help (the first-fit rows above serve one hot
+        // pod).
+        for (int t : {1, 4}) {
+            SweepOptions opts;
+            opts.threads = t;
+            SweepRunner runner(opts);
+            ReplayFigures f = timeReplay(64, sessions, runner, t,
+                                         PlacementKind::kLoadAware);
+            f.mode = "balanced_p64_t" + std::to_string(t);
+            (t == 1 ? balancedT1 : balancedT4) = f.sessionsPerSec;
+            figures.push_back(f);
+            addTableRow(table, f);
+        }
     }
     table.print(std::cout);
+    if (scaling)
+        std::cout << "\nload-aware 64-pod replay, 4 vs 1 workers: "
+                  << TextTable::fmt(balancedT4 / balancedT1, 2)
+                  << "x\n";
 
     // Telemetry cost on the big fleet (warm cache, best of 3/side).
     const ReplayFigures obs = timeObsOverhead(64, sessions, threads);

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 
 namespace diva
 {
@@ -30,33 +31,37 @@ constexpr std::size_t kRadixMin = 4096;
  * untouched and returns false so the caller can comparison-sort.
  * Scatter passes whose byte is constant across the whole array --
  * most of them, for latency samples that share an exponent range --
- * are skipped.  The fleet's aggregate latency sort is O(n log n)
- * worth avoiding: n is the total step count.
+ * are skipped.  The passes ping-pong between `v` itself and one
+ * scratch array, so the sort needs n extra doubles, not 2n.  The
+ * fleet's aggregate latency sort is O(n log n) worth avoiding: n is
+ * the total step count.
  */
 bool
 radixSortPositive(std::vector<double> &v)
 {
     const std::size_t n = v.size();
-    // new[] (not vector) so the scratch stays uninitialized: every
-    // slot is written before it is read.
-    std::unique_ptr<std::uint64_t[]> lo(new std::uint64_t[n]);
-    std::unique_ptr<std::uint64_t[]> hi(new std::uint64_t[n]);
-    std::uint64_t *a = lo.get();
-    std::uint64_t *b = hi.get();
-    std::size_t count[8][256] = {};
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!(v[i] > 0.0))
-            return false;
+    auto bitsOf = [](double x) {
         std::uint64_t bits;
-        std::memcpy(&bits, &v[i], sizeof bits);
-        a[i] = bits;
+        std::memcpy(&bits, &x, sizeof bits);
+        return bits;
+    };
+    std::size_t count[8][256] = {};
+    for (const double x : v) {
+        if (!(x > 0.0))
+            return false;
+        const std::uint64_t bits = bitsOf(x);
         for (int pass = 0; pass < 8; ++pass)
             ++count[pass][(bits >> (pass * 8)) & 255];
     }
+    // Uninitialized: every slot is written before it is read.
+    const std::unique_ptr<double[]> scratch =
+        std::make_unique_for_overwrite<double[]>(n);
+    double *a = v.data();
+    double *b = scratch.get();
     for (int pass = 0; pass < 8; ++pass) {
         const int shift = pass * 8;
         std::size_t *c = count[pass];
-        if (c[(a[0] >> shift) & 255] == n)
+        if (c[(bitsOf(a[0]) >> shift) & 255] == n)
             continue; // constant byte: the pass is a no-op
         std::size_t offset = 0;
         for (std::size_t slot = 0; slot < 256; ++slot) {
@@ -65,32 +70,34 @@ radixSortPositive(std::vector<double> &v)
             offset += here;
         }
         for (std::size_t i = 0; i < n; ++i)
-            b[c[(a[i] >> shift) & 255]++] = a[i];
+            b[c[(bitsOf(a[i]) >> shift) & 255]++] = a[i];
         std::swap(a, b);
     }
-    for (std::size_t i = 0; i < n; ++i)
-        std::memcpy(&v[i], &a[i], sizeof(double));
+    if (a != v.data())
+        std::copy(a, a + n, v.data());
     return true;
 }
 
 /**
- * Distinct-value census of a strictly positive, NaN-free sample set.
- * Fleet latency samples repeat heavily -- a replay's millions of steps
- * share a few thousand distinct queueing delays -- so order statistics
- * over (value, count) pairs beat both a full sort and per-rank
- * selection.  The census keeps the same precondition as
- * radixSortPositive (every sample > 0.0): positive doubles order by
- * their raw bits and carry one bit pattern per value, so "distinct
- * bits" and "distinct value" coincide and the derived statistics are
- * bit-identical to sorting the raw array.  Gives up (returning false,
- * with `bits`/`cnt` unspecified) on the first non-positive sample or
- * when the distinct count passes kMaxDistinct, where the plain sort
- * path is the better tool anyway.
+ * Distinct-value census of a strictly positive sample set spread over
+ * one or more buffers, read in place.  Fleet latency samples repeat
+ * heavily -- a replay's millions of steps share a few thousand
+ * distinct queueing delays -- so order statistics over (value, count)
+ * pairs beat both a full sort and per-rank selection.  The census
+ * keeps the same precondition as radixSortPositive (every sample >
+ * 0.0): positive doubles order by their raw bits and carry one bit
+ * pattern per value, so "distinct bits" and "distinct value" coincide
+ * and the derived statistics are bit-identical to sorting the
+ * concatenated array.  NaN samples are skipped, exactly as the
+ * statistics drop them.  Gives up (returning false, with `bits`/`cnt`
+ * unspecified) on the first non-positive sample or when the distinct
+ * count passes kMaxDistinct, where the plain sort path is the better
+ * tool anyway.
  */
 constexpr std::size_t kMaxDistinct = std::size_t(1) << 13;
 
 bool
-censusPositive(const double *s, std::size_t n,
+censusPositive(std::span<const std::span<const double>> buffers,
                std::vector<std::uint64_t> &bits,
                std::vector<std::size_t> &cnt)
 {
@@ -103,29 +110,34 @@ censusPositive(const double *s, std::size_t n,
     };
     std::unique_ptr<Slot[]> table(new Slot[kSlots]());
     std::size_t distinct = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!(s[i] > 0.0))
-            return false;
-        std::uint64_t b;
-        std::memcpy(&b, &s[i], sizeof b);
-        std::size_t at = std::size_t((b * kMul) >> 49) & (kSlots - 1);
-        for (;;) {
-            Slot &sl = table[at];
-            if (sl.cnt == 0) {
-                if (distinct == kMaxDistinct)
-                    return false;
-                ++distinct;
-                sl.bits = b;
-                sl.cnt = 1;
-                break;
+    for (const std::span<const double> buf : buffers)
+        for (const double v : buf) {
+            if (!(v > 0.0)) {
+                if (std::isnan(v))
+                    continue;
+                return false;
             }
-            if (sl.bits == b) {
-                ++sl.cnt;
-                break;
+            std::uint64_t b;
+            std::memcpy(&b, &v, sizeof b);
+            std::size_t at =
+                std::size_t((b * kMul) >> 49) & (kSlots - 1);
+            for (;;) {
+                Slot &sl = table[at];
+                if (sl.cnt == 0) {
+                    if (distinct == kMaxDistinct)
+                        return false;
+                    ++distinct;
+                    sl.bits = b;
+                    sl.cnt = 1;
+                    break;
+                }
+                if (sl.bits == b) {
+                    ++sl.cnt;
+                    break;
+                }
+                at = (at + 1) & (kSlots - 1);
             }
-            at = (at + 1) & (kSlots - 1);
         }
-    }
     bits.clear();
     cnt.clear();
     bits.reserve(distinct);
@@ -175,6 +187,32 @@ nearestRank(double p, std::size_t n)
     if (rank > n)
         rank = n;
     return rank;
+}
+
+/**
+ * p50/p95/p99 and max of `n` samples from their census (ascending
+ * distinct values and their counts): rank lookups over the cumulative
+ * counts index the same elements a sort would.
+ */
+void
+censusRanks(const std::vector<std::uint64_t> &bits,
+            const std::vector<std::size_t> &cnt, std::size_t n,
+            LatencyStats &out)
+{
+    const std::size_t ranks[3] = {nearestRank(50.0, n),
+                                  nearestRank(95.0, n),
+                                  nearestRank(99.0, n)};
+    double vals[3] = {0.0, 0.0, 0.0};
+    std::size_t cum = 0, r = 0;
+    for (std::size_t i = 0; i < bits.size() && r < 3; ++i) {
+        cum += cnt[i];
+        while (r < 3 && ranks[r] <= cum)
+            vals[r++] = bitsToDouble(bits[i]);
+    }
+    out.p50Sec = vals[0];
+    out.p95Sec = vals[1];
+    out.p99Sec = vals[2];
+    out.maxSec = bitsToDouble(bits.back());
 }
 
 /** Drop NaNs in place; the survivors keep their relative order. */
@@ -235,21 +273,9 @@ statsOverBuffer(double *s, std::size_t n)
     if (n >= kRadixMin) {
         std::vector<std::uint64_t> bits;
         std::vector<std::size_t> cnt;
-        if (censusPositive(s, n, bits, cnt)) {
-            out.maxSec = bitsToDouble(bits.back());
-            const std::size_t ranks[3] = {nearestRank(50.0, n),
-                                          nearestRank(95.0, n),
-                                          nearestRank(99.0, n)};
-            double vals[3] = {0.0, 0.0, 0.0};
-            std::size_t cum = 0, r = 0;
-            for (std::size_t i = 0; i < bits.size() && r < 3; ++i) {
-                cum += cnt[i];
-                while (r < 3 && ranks[r] <= cum)
-                    vals[r++] = bitsToDouble(bits[i]);
-            }
-            out.p50Sec = vals[0];
-            out.p95Sec = vals[1];
-            out.p99Sec = vals[2];
+        const std::span<const double> all(s, n);
+        if (censusPositive({&all, 1}, bits, cnt)) {
+            censusRanks(bits, cnt, n, out);
             return out;
         }
     }
@@ -309,8 +335,51 @@ computeLatencyStatsScratch(double *samples, std::size_t count)
 }
 
 LatencyStats
-computeLatencyStatsSortedMean(std::vector<double> samples)
+computeLatencyStatsSortedMean(
+    const std::vector<std::span<const double>> &buffers)
 {
+    std::size_t total = 0;
+    for (const std::span<const double> buf : buffers)
+        total += buf.size();
+
+    // First choice for big sample sets: the distinct-value census, run
+    // across the buffers in place.  Summing each value `count` times
+    // in ascending value order replays the exact addition sequence of
+    // summing the sorted array, and the rank lookups index the same
+    // elements a sort would -- identical bytes, no copy, no scatter
+    // passes.  (The census is exact, so gating it on the raw sample
+    // count rather than the NaN-free one changes speed, never bytes.)
+    if (total >= kRadixMin) {
+        std::vector<std::uint64_t> bits;
+        std::vector<std::size_t> cnt;
+        if (censusPositive(buffers, bits, cnt) && !bits.empty()) {
+            std::size_t n = 0;
+            double sum = 0.0;
+            for (std::size_t i = 0; i < bits.size(); ++i) {
+                const double v = bitsToDouble(bits[i]);
+                n += cnt[i];
+                for (std::size_t k = 0; k < cnt[i]; ++k)
+                    sum += v;
+            }
+            LatencyStats out;
+            out.count = n;
+            out.meanSec = sum / double(n);
+            censusRanks(bits, cnt, n, out);
+            return out;
+        }
+    }
+
+    // The census gave up (a non-positive sample, or too many distinct
+    // values -- neither goes away with the NaNs) or the set is small:
+    // concatenate and sort.  The radix path requires strictly positive
+    // samples: with zeros of both signs in play, a comparison sort's
+    // placement among "equal" elements would be observable.  Real
+    // latencies are positive; any other input makes radixSortPositive
+    // bail and takes the comparison sort.
+    std::vector<double> samples;
+    samples.reserve(total);
+    for (const std::span<const double> buf : buffers)
+        samples.insert(samples.end(), buf.begin(), buf.end());
     dropNaNs(samples);
     LatencyStats out;
     if (samples.empty()) {
@@ -320,53 +389,12 @@ computeLatencyStatsSortedMean(std::vector<double> samples)
     }
     const std::size_t n = samples.size();
     out.count = n;
-
-    // First choice for big sample sets: the distinct-value census.
-    // Summing each value `count` times in ascending value order
-    // replays the exact addition sequence of summing the sorted array,
-    // and rank lookups over the cumulative counts index the same
-    // elements a sort would -- identical bytes, no 8-byte-per-sample
-    // scratch, no scatter passes.
-    if (n >= kRadixMin) {
-        std::vector<std::uint64_t> bits;
-        std::vector<std::size_t> cnt;
-        if (censusPositive(samples.data(), n, bits, cnt)) {
-            double sum = 0.0;
-            for (std::size_t i = 0; i < bits.size(); ++i) {
-                const double v = bitsToDouble(bits[i]);
-                for (std::size_t k = 0; k < cnt[i]; ++k)
-                    sum += v;
-            }
-            out.meanSec = sum / double(n);
-            const std::size_t ranks[3] = {nearestRank(50.0, n),
-                                          nearestRank(95.0, n),
-                                          nearestRank(99.0, n)};
-            double vals[3] = {0.0, 0.0, 0.0};
-            std::size_t cum = 0, r = 0;
-            for (std::size_t i = 0; i < bits.size() && r < 3; ++i) {
-                cum += cnt[i];
-                while (r < 3 && ranks[r] <= cum)
-                    vals[r++] = bitsToDouble(bits[i]);
-            }
-            out.p50Sec = vals[0];
-            out.p95Sec = vals[1];
-            out.p99Sec = vals[2];
-            out.maxSec = bitsToDouble(bits.back());
-            return out;
-        }
-    }
-
-    // The radix path requires strictly positive samples: with zeros of
-    // both signs in play, a comparison sort's placement among "equal"
-    // elements would be observable.  Real latencies are positive; any
-    // other input makes radixSortPositive bail and takes the
-    // comparison sort.
     if (n < kRadixMin || !radixSortPositive(samples))
         std::sort(samples.begin(), samples.end());
     double sum = 0.0;
     for (double v : samples)
         sum += v;
-    out.meanSec = sum / double(samples.size());
+    out.meanSec = sum / double(n);
     out.p50Sec = percentileSorted(samples, 50.0);
     out.p95Sec = percentileSorted(samples, 95.0);
     out.p99Sec = percentileSorted(samples, 99.0);

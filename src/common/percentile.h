@@ -16,6 +16,7 @@
 #define DIVA_COMMON_PERCENTILE_H
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace diva
@@ -60,13 +61,18 @@ LatencyStats computeLatencyStatsScratch(double *samples,
                                         std::size_t count);
 
 /**
- * Same statistics via a full sort, with the mean accumulated in
- * ascending order. The aggregate CSV/JSON rows are the only emitters
+ * Same statistics over the concatenation of `buffers` (read in place,
+ * never modified), with the mean accumulated in ascending order as if
+ * over a full sort. The aggregate CSV/JSON rows are the only emitters
  * of meanSec and have always summed the sorted samples, so they call
  * this variant to keep their bytes stable; percentiles, count and max
- * are bit-identical between the two functions.
+ * are bit-identical to computeLatencyStats. Callers pass the buffers
+ * they already hold (the serve loop its tenants', the fleet its
+ * pods'); the result is bit-equal to the call on one concatenated
+ * buffer.
  */
-LatencyStats computeLatencyStatsSortedMean(std::vector<double> samples);
+LatencyStats computeLatencyStatsSortedMean(
+    const std::vector<std::span<const double>> &buffers);
 
 } // namespace diva
 

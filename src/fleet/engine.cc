@@ -4,7 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <queue>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 
@@ -31,6 +33,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /** Float slack for wall-budget and deadline comparisons. */
 constexpr double kEps = 1e-9;
+
+/** FleetSim::decided's mark for an arrival no pod could take. */
+constexpr std::uint32_t kRejected = std::uint32_t(-1);
 
 using serve_core::TaskState;
 
@@ -234,11 +239,24 @@ struct FleetSim
     /** Per-tenant step-latency slices, packed by arrival order (slice
      *  i starts at tenants[i].latOff, one slot per budgeted step).
      *  Direct indexed stores -- pods write disjoint tenants' slices --
-     *  replace 200k per-tenant realloc chains on the hot path. */
-    std::vector<double> latArena;
+     *  replace 200k per-tenant realloc chains on the hot path.  Left
+     *  uninitialized: onStep writes slot latOff + done - 1 before
+     *  anything reads it, and readers take exactly [latOff, latOff +
+     *  done), so the pages are first touched by the parallel epochs. */
+    std::unique_ptr<double[]> latArena;
 
-    // Placement projection (sequential, arrival-ordered).
+    /**
+     * Placement projection.  A decision reads only this projection,
+     * the prices and the immutable per-tenant arrival/depart/steps/
+     * rate/class -- never served state -- so the decision sequence is
+     * a pure function of trace + prices.  That lets one lane decide
+     * the next epoch's arrivals while the pods serve the current one
+     * (see run()); exactly one lane decides at a time, in arrival
+     * order.  decided[i] is arrival i's pod, or kRejected.
+     */
     std::vector<PodLoadView> loadViews;
+    std::vector<std::uint32_t> decided;
+    std::size_t decideCursor = 0;
 
     /**
      * Projected session end, across all pods in one min-heap ordered
@@ -266,13 +284,13 @@ struct FleetSim
     std::priority_queue<ExpiryEntry, std::vector<ExpiryEntry>,
                         std::greater<ExpiryEntry>>
         expiry;
+    /** Next arrival to apply (apply runs sequentially, between
+     *  epochs; decideCursor >= placeCursor always). */
     std::size_t placeCursor = 0;
 
     // Placement scratch, hoisted out of the per-arrival hot path.
     std::vector<double> typeDemand;
     std::vector<double> typeEnergy;
-    std::vector<double> demandOnPod;
-    std::vector<double> energyOnPod;
 
     // Control-round scratch, reused across epochs (capacity persists).
     std::vector<TenantPowerView> powerViews;
@@ -281,6 +299,9 @@ struct FleetSim
 
     std::size_t unfinished = 0;
     std::uint64_t epochId = 0;
+
+    /** Control-epoch width (+inf: one uninterrupted epoch). */
+    double interval = kInf;
 
     /** Mode flags for the shared event core (fleet semantics). */
     serve_core::Config coreCfg;
@@ -426,7 +447,9 @@ struct FleetSim
     /** Price every (pod type, tenant class) pair through the runner. */
     std::string price(SweepRunner &runner);
 
-    void placeOne(std::size_t i);
+    void decideOne(std::size_t i);
+    void decideUntil(double limitSec);
+    void apply(std::size_t i);
     void runPodEpoch(std::size_t p, double t1);
 
     void suspendTenant(std::uint32_t idx);
@@ -439,6 +462,7 @@ struct FleetSim
     double globalNextEventSec();
     double totalEnergySoFar() const;
 
+    void setup();
     void run(int threads);
     void assemble(int threads);
     void publishTelemetry();
@@ -570,10 +594,10 @@ FleetSim::price(SweepRunner &runner)
 }
 
 void
-FleetSim::placeOne(std::size_t i)
+FleetSim::decideOne(std::size_t i)
 {
     const TenantJob &job = trace.jobs[i];
-    TenantRt &rt = tenants[i];
+    const TenantRt &rt = tenants[i];
     const double a = rt.arrival;
 
     // Retire projected demand whose sessions have ended by now.
@@ -595,17 +619,48 @@ FleetSim::placeOne(std::size_t i)
         typeDemand[t] = qosUtilizationDemand(job, c);
         typeEnergy[t] = c.energyJ;
     }
-    demandOnPod.resize(pods.size());
-    energyOnPod.resize(pods.size());
-    for (std::size_t p = 0; p < pods.size(); ++p) {
-        demandOnPod[p] = typeDemand[podType[p]];
-        energyOnPod[p] = typeEnergy[podType[p]];
-    }
 
     const std::size_t chosen =
-        choosePod(spec.placement, loadViews, demandOnPod, energyOnPod,
-                  spec.podDemandCap);
+        choosePod(spec.placement, loadViews, podType, typeDemand,
+                  typeEnergy, spec.podDemandCap);
     if (chosen == kNoPod) {
+        decided[i] = kRejected;
+        return;
+    }
+    decided[i] = std::uint32_t(chosen);
+
+    const std::uint32_t type = podType[chosen];
+    const double d = typeDemand[type];
+    loadViews[chosen].demand += d;
+    ++loadViews[chosen].sessions;
+    const double step_sec = costOf(type, rt.cls).seconds;
+    double end = kInf;
+    if (rt.depart > 0.0)
+        end = rt.depart;
+    else if (rt.steps > 0 && rt.rate > 0.0)
+        end = a + double(rt.steps) / rt.rate;
+    else if (rt.steps > 0)
+        end = a + double(rt.steps) * step_sec;
+    if (std::isfinite(end))
+        expiry.push({end, std::uint32_t(chosen), d});
+}
+
+void
+FleetSim::decideUntil(double limitSec)
+{
+    while (decideCursor < n &&
+           trace.jobs[decideCursor].arrivalSec < limitSec)
+        decideOne(decideCursor++);
+}
+
+void
+FleetSim::apply(std::size_t i)
+{
+    const TenantJob &job = trace.jobs[i];
+    TenantRt &rt = tenants[i];
+    const double a = rt.arrival;
+    const std::uint32_t chosen = decided[i];
+    if (chosen == kRejected) {
         rt.admitted = false;
         rt.core.state = TaskState::kDone;
         ++out.rejectedCount;
@@ -627,20 +682,6 @@ FleetSim::placeOne(std::size_t i)
                          "place " + job.name + " -> " +
                              spec.pods[chosen].name,
                          "placement");
-
-    const double d = demandOnPod[chosen];
-    loadViews[chosen].demand += d;
-    ++loadViews[chosen].sessions;
-    const double step_sec = costOf(pod.type, rt.cls).seconds;
-    double end = kInf;
-    if (rt.depart > 0.0)
-        end = rt.depart;
-    else if (rt.steps > 0 && rt.rate > 0.0)
-        end = a + double(rt.steps) / rt.rate;
-    else if (rt.steps > 0)
-        end = a + double(rt.steps) * step_sec;
-    if (std::isfinite(end))
-        expiry.push({end, std::uint32_t(chosen), d});
 }
 
 void
@@ -978,7 +1019,7 @@ FleetSim::totalEnergySoFar() const
 }
 
 void
-FleetSim::run(int threads)
+FleetSim::setup()
 {
     n = trace.jobs.size();
     wall = spec.wallLimitSec;
@@ -1000,13 +1041,14 @@ FleetSim::run(int threads)
         rt.latOff = lat_slots;
         lat_slots += job.steps; // bounded sessions: one slot per step
     }
-    latArena.resize(lat_slots);
+    latArena = std::make_unique_for_overwrite<double[]>(lat_slots);
     pods.resize(spec.pods.size());
     for (std::size_t p = 0; p < pods.size(); ++p) {
         pods[p].type = podType[p];
         pods[p].core.id = p;
     }
     loadViews.assign(pods.size(), PodLoadView{});
+    decided.resize(n);
 
     if (telemetry) {
         // Window width from the input trace alone (last arrival), so
@@ -1057,12 +1099,21 @@ FleetSim::run(int threads)
 
     const bool controls =
         spec.rebalance.enabled || spec.budget.enabled();
-    double interval = kInf;
+    interval = kInf;
     if (spec.controlIntervalSec > 0.0) {
         interval = spec.controlIntervalSec;
     } else if (controls) {
         const double span = trace.jobs.back().arrivalSec;
         interval = span > 0.0 ? span / 8.0 : 1.0;
+    }
+}
+
+void
+FleetSim::run(int threads)
+{
+    {
+        obs::ScopedPhase phase("fleet_setup");
+        setup();
     }
 
     double T = 0.0;
@@ -1083,19 +1134,34 @@ FleetSim::run(int threads)
         if (wall > 0.0)
             t1 = std::min(t1, wall);
 
+        // Apply this epoch's placements, first deciding any arrival
+        // the previous epoch's lookahead did not reach.
         const std::size_t placedBefore = placeCursor;
         {
             obs::ScopedPhase phase("placement");
+            decideUntil(t1);
             while (placeCursor < n &&
-                   (!std::isfinite(t1) ||
-                    trace.jobs[placeCursor].arrivalSec < t1))
-                placeOne(placeCursor++);
+                   trace.jobs[placeCursor].arrivalSec < t1)
+                apply(placeCursor++);
         }
 
+        // Serve the epoch; meanwhile index 0 -- the calling lane's
+        // first pick -- decides the next epoch's arrivals.  That epoch
+        // ends at t1 + interval, capped at the wall budget: the
+        // fast-forward above only moves a boundary once every arrival
+        // is applied, and then nothing is left to decide.
+        const double ahead =
+            wall > 0.0 ? std::min(t1 + interval, wall) : t1 + interval;
         {
             obs::ScopedPhase phase("epoch_serve");
-            forEachPod(pods.size(), threads,
-                       [&](std::size_t p) { runPodEpoch(p, t1); });
+            forEachPod(pods.size() + 1, threads, [&](std::size_t k) {
+                if (k == 0) {
+                    obs::ScopedPhase aheadPhase("placement_ahead");
+                    decideUntil(ahead);
+                } else {
+                    runPodEpoch(k - 1, t1);
+                }
+            });
         }
 
         std::uint64_t epochSteps = 0;
@@ -1248,7 +1314,7 @@ FleetSim::assemble(int threads)
         m.stepLatency =
             rt.steps > 0
                 ? computeLatencyStatsScratch(
-                      latArena.data() + rt.latOff, rt.core.done)
+                      latArena.get() + rt.latOff, rt.core.done)
                 : computeLatencyStats(std::move(rt.latencySec));
     });
     for (std::size_t i = 0; i < n; ++i) {
@@ -1269,21 +1335,27 @@ FleetSim::assemble(int threads)
     out.meanQosAttainmentPct =
         qos_count > 0 ? qos_sum / double(qos_count) : kNaN;
 
-    std::size_t total_lat = 0;
+    // The fleet-wide latency samples are the pods' buffers in
+    // pod-index order, read in place -- before the per-pod pass below
+    // consumes them -- by the metrics histogram and the aggregate row.
+    std::vector<std::span<const double>> all_lat;
+    all_lat.reserve(pods.size());
     for (const PodRt &pod : pods)
-        total_lat += pod.latencySec.size();
-    std::vector<double> all_lat;
-    all_lat.reserve(total_lat);
-    for (const PodRt &pod : pods)
-        all_lat.insert(all_lat.end(), pod.latencySec.begin(),
-                       pod.latencySec.end());
+        all_lat.emplace_back(pod.latencySec);
+    if (auto &metrics = obs::MetricsRegistry::instance();
+        metrics.enabled())
+        for (const std::span<const double> buf : all_lat)
+            for (const double latency : buf)
+                metrics.recordValue("fleet.step_latency_sec", latency);
+    {
+        obs::ScopedPhase agg_phase("assemble_agg");
+        out.aggStepLatency = computeLatencyStatsSortedMean(all_lat);
+    }
 
     {
     obs::ScopedPhase pods_phase("assemble_pods");
     // Same split as the tenant rows: per-pod latency selections run
-    // in parallel (the fleet-wide sample list was captured above, in
-    // pod-index order, before the moves), totals accumulate
-    // sequentially afterwards.
+    // in parallel, totals accumulate sequentially afterwards.
     out.pods.resize(pods.size());
     forEachPod(pods.size(), threads, [&](std::size_t p) {
         PodRt &pod = pods[p];
@@ -1359,13 +1431,6 @@ FleetSim::assemble(int threads)
         metrics.addCounter("serve_core.idle_jumps", c.idleJumps);
         metrics.addCounter("serve_core.context_switches", c.switches);
         metrics.addCounter("serve_core.retired", c.retired);
-        for (double latency : all_lat)
-            metrics.recordValue("fleet.step_latency_sec", latency);
-    }
-    {
-        obs::ScopedPhase agg_phase("assemble_agg");
-        out.aggStepLatency =
-            computeLatencyStatsSortedMean(std::move(all_lat));
     }
 }
 
@@ -1466,10 +1531,12 @@ simulateFleet(const FleetSpec &spec, const ArrivalTrace &trace,
     out.quantumIters = spec.quantumIters;
     out.wallLimitSec = spec.wallLimitSec;
 
-    out.error = spec.validationError();
-    if (!out.ok())
-        return out;
-    out.error = trace.validationError(spec.wallLimitSec > 0.0);
+    {
+        obs::ScopedPhase phase("fleet_validate");
+        out.error = spec.validationError();
+        if (out.ok())
+            out.error = trace.validationError(spec.wallLimitSec > 0.0);
+    }
     if (!out.ok())
         return out;
     if (trace.jobs.size() >= std::size_t(std::uint32_t(-1))) {

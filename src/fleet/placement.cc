@@ -52,15 +52,17 @@ allPlacements()
 
 std::size_t
 choosePod(PlacementKind kind, const std::vector<PodLoadView> &pods,
-          const std::vector<double> &demandOnPod,
-          const std::vector<double> &energyPerStepOnPod, double cap)
+          const std::vector<std::uint32_t> &podType,
+          const std::vector<double> &typeDemand,
+          const std::vector<double> &typeEnergy, double cap)
 {
     constexpr double kInf = std::numeric_limits<double>::infinity();
     std::size_t best = kNoPod;
     double best_primary = kInf;
     double best_secondary = kInf;
     for (std::size_t p = 0; p < pods.size(); ++p) {
-        const double demand = finiteOr(demandOnPod[p], kInf);
+        const std::uint32_t type = podType[p];
+        const double demand = finiteOr(typeDemand[type], kInf);
         if (pods[p].demand + demand > cap + kEps)
             continue; // infeasible: the pod is full for this tenant
         if (kind == PlacementKind::kFirstFit)
@@ -71,7 +73,7 @@ choosePod(PlacementKind kind, const std::vector<PodLoadView> &pods,
             primary = pods[p].demand;
             secondary = double(pods[p].sessions);
         } else { // kEnergyAware
-            primary = finiteOr(energyPerStepOnPod[p], kInf);
+            primary = finiteOr(typeEnergy[type], kInf);
             secondary = pods[p].demand;
         }
         if (best == kNoPod || primary < best_primary - kEps ||

@@ -5,8 +5,9 @@
  * All policies see the same projected view of every pod -- the QoS
  * demand already placed there and its live session count -- plus the
  * arriving tenant's demand and joules-per-step priced on each pod
- * (heterogeneous pods price the same tenant differently), and only
- * pods whose demand stays within the per-pod cap are feasible.
+ * (heterogeneous pods price the same tenant differently, so prices
+ * are given per pod type), and only pods whose demand stays within
+ * the per-pod cap are feasible.
  *
  * Determinism contract: choosePod() is a pure function of its inputs
  * with index-order tie-breaking, so a placement sequence is
@@ -17,6 +18,7 @@
 #define DIVA_FLEET_PLACEMENT_H
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -58,16 +60,18 @@ struct PodLoadView
 constexpr std::size_t kNoPod = std::size_t(-1);
 
 /**
- * Pick the pod for one arriving tenant. `demandOnPod[p]` is the
- * tenant's QoS utilization demand priced on pod p (0 = best effort)
- * and `energyPerStepOnPod[p]` its isolated joules per step there; a
- * pod is feasible while its projected demand plus the tenant's stays
- * within `cap`. Returns kNoPod when no pod is feasible.
+ * Pick the pod for one arriving tenant. Pod p has design-point type
+ * `podType[p]`; `typeDemand[t]` is the tenant's QoS utilization
+ * demand priced on type t (0 = best effort) and `typeEnergy[t]` its
+ * isolated joules per step there. A pod is feasible while its
+ * projected demand plus the tenant's stays within `cap`. Returns
+ * kNoPod when no pod is feasible.
  */
 std::size_t choosePod(PlacementKind kind,
                       const std::vector<PodLoadView> &pods,
-                      const std::vector<double> &demandOnPod,
-                      const std::vector<double> &energyPerStepOnPod,
+                      const std::vector<std::uint32_t> &podType,
+                      const std::vector<double> &typeDemand,
+                      const std::vector<double> &typeEnergy,
                       double cap);
 
 } // namespace diva

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <sstream>
 
 #include "backend/registry.h"
@@ -351,7 +352,8 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
     // Per-tenant metrics.
     double qos_sum = 0.0;
     std::size_t qos_count = 0;
-    std::vector<double> all_latencies;
+    std::vector<std::span<const double>> all_latencies;
+    all_latencies.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         TenantMetrics m;
         m.job = jobs[i];
@@ -407,9 +409,7 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
         }
 
         m.stepLatency = computeLatencyStats(run[i].latencySec);
-        all_latencies.insert(all_latencies.end(),
-                             run[i].latencySec.begin(),
-                             run[i].latencySec.end());
+        all_latencies.emplace_back(run[i].latencySec);
 
         m.energyJ = run[i].energyJ;
         m.switchesIn = run[i].switchesIn;
@@ -420,7 +420,7 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
         m.energyShare = safeRatio(m.energyJ, out.totalEnergyJ);
     out.meanQosAttainmentPct =
         qos_count > 0 ? qos_sum / double(qos_count) : kNaN;
-    out.aggStepLatency = computeLatencyStatsSortedMean(std::move(all_latencies));
+    out.aggStepLatency = computeLatencyStatsSortedMean(all_latencies);
     return out;
 }
 

@@ -12,7 +12,8 @@ namespace diva
 std::string
 TenantJob::validationError(bool wallLimited) const
 {
-    const std::vector<std::string> zoo = knownModels();
+    // Built once: a trace validates every session against the zoo.
+    static const std::vector<std::string> zoo = knownModels();
     if (std::find(zoo.begin(), zoo.end(), model) == zoo.end())
         return "unknown model '" + model + "'";
     if (batch < 0)

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests of the datacenter-scale fleet layer: placement-policy choices
- * on skewed loads (energy-aware beats first-fit on joules across a
+ * Tests of the datacenter-scale fleet layer: the typed placement scan
+ * against its per-pod reference, placement-policy choices on skewed
+ * loads (energy-aware beats first-fit on joules across a
  * heterogeneous fleet, load-aware beats first-fit on tail latency),
  * migration-cost reconciliation between fleet totals and per-pod /
  * per-tenant sums, energy-budget preemption ordering, partial-SRAM
@@ -11,6 +12,9 @@
  */
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -19,6 +23,8 @@
 #include "fleet/emit.h"
 #include "fleet/engine.h"
 #include "fleet/migration.h"
+#include "obs/slo.h"
+#include "obs/trace.h"
 #include "tenant/context_switch.h"
 
 namespace diva
@@ -109,31 +115,137 @@ TEST(FleetSpecParse, TemplatesExpandAndValidate)
 
 TEST(FleetPlacementUnit, PoliciesAndFeasibility)
 {
+    // Three pods, each its own type.
     const std::vector<PodLoadView> pods = {{0.6, 3}, {0.2, 1}, {0.4, 2}};
+    const std::vector<std::uint32_t> type = {0, 1, 2};
     const std::vector<double> demand = {0.3, 0.3, 0.3};
     const std::vector<double> joules = {5.0, 4.0, 1.0};
 
     // First-fit skips the full pod 0, load-aware takes the emptiest,
     // energy-aware the cheapest feasible.
-    EXPECT_EQ(choosePod(PlacementKind::kFirstFit, pods, demand, joules,
-                        0.8),
+    EXPECT_EQ(choosePod(PlacementKind::kFirstFit, pods, type, demand,
+                        joules, 0.8),
               1u);
-    EXPECT_EQ(choosePod(PlacementKind::kLoadAware, pods, demand, joules,
-                        1.0),
-              1u);
-    EXPECT_EQ(choosePod(PlacementKind::kEnergyAware, pods, demand,
+    EXPECT_EQ(choosePod(PlacementKind::kLoadAware, pods, type, demand,
                         joules, 1.0),
+              1u);
+    EXPECT_EQ(choosePod(PlacementKind::kEnergyAware, pods, type,
+                        demand, joules, 1.0),
               2u);
 
     // No pod can absorb the demand: rejected everywhere.
     for (PlacementKind k : allPlacements())
-        EXPECT_EQ(choosePod(k, pods, {0.5, 0.9, 0.7}, joules, 1.0),
+        EXPECT_EQ(choosePod(k, pods, type, {0.5, 0.9, 0.7}, joules, 1.0),
                   kNoPod);
+
+    // Pods sharing a type share its price: pod 2 (type 0) is now as
+    // expensive as pod 0, so energy-aware takes pod 1.
+    EXPECT_EQ(choosePod(PlacementKind::kEnergyAware, pods, {0, 1, 0},
+                        demand, joules, 1.0),
+              1u);
 
     EXPECT_EQ(placementFromName("energy"),
               std::optional(PlacementKind::kEnergyAware));
     EXPECT_EQ(placementFromName("bogus"), std::nullopt);
     EXPECT_STREQ(placementName(PlacementKind::kLoadAware), "load");
+}
+
+/**
+ * The per-pod scan choosePod ran before prices were given per pod
+ * type, kept verbatim as the reference the typed scan must match.
+ */
+std::size_t
+choosePodPerPodReference(PlacementKind kind,
+                         const std::vector<PodLoadView> &pods,
+                         const std::vector<double> &demandOnPod,
+                         const std::vector<double> &energyPerStepOnPod,
+                         double cap)
+{
+    constexpr double kEps = 1e-9;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    auto finiteOr = [](double v, double fallback) {
+        return std::isfinite(v) ? v : fallback;
+    };
+    std::size_t best = kNoPod;
+    double best_primary = kInf;
+    double best_secondary = kInf;
+    for (std::size_t p = 0; p < pods.size(); ++p) {
+        const double demand = finiteOr(demandOnPod[p], kInf);
+        if (pods[p].demand + demand > cap + kEps)
+            continue;
+        if (kind == PlacementKind::kFirstFit)
+            return p;
+        double primary = 0.0;
+        double secondary = 0.0;
+        if (kind == PlacementKind::kLoadAware) {
+            primary = pods[p].demand;
+            secondary = double(pods[p].sessions);
+        } else {
+            primary = finiteOr(energyPerStepOnPod[p], kInf);
+            secondary = pods[p].demand;
+        }
+        if (best == kNoPod || primary < best_primary - kEps ||
+            (primary <= best_primary + kEps &&
+             secondary < best_secondary - kEps)) {
+            best = p;
+            best_primary = std::min(best_primary, primary);
+            best_secondary = secondary;
+        }
+    }
+    return best;
+}
+
+TEST(FleetPlacementUnit, TypedScanMatchesPerPodReference)
+{
+    // Seeded random corpus aimed at the tie-break: values drawn from a
+    // tiny grid (exact ties) plus jitter in 0.6 kEps steps, so near-ties
+    // chain past kEps and a tie-break winner that raised the bar would
+    // change later picks; pods over the cap, and NaN/inf prices, for
+    // every policy.
+    std::mt19937_64 rng(20221001);
+    auto pick = [&rng](std::size_t n) {
+        return std::size_t(rng() % n);
+    };
+    const double kNaNv = std::numeric_limits<double>::quiet_NaN();
+    const double kInfv = std::numeric_limits<double>::infinity();
+    auto price = [&](double scale) {
+        switch (pick(10)) {
+          case 0: return kNaNv;
+          case 1: return kInfv;
+          case 2: return 0.0;
+          default:
+            return scale * double(pick(4)) + double(pick(3)) * 6e-10;
+        }
+    };
+    for (int round = 0; round < 4000; ++round) {
+        const std::size_t npods = 1 + pick(24);
+        const std::size_t ntypes = 1 + pick(4);
+        std::vector<PodLoadView> pods(npods);
+        std::vector<std::uint32_t> type(npods);
+        for (std::size_t p = 0; p < npods; ++p) {
+            pods[p].demand =
+                0.25 * double(pick(5)) + double(pick(3)) * 6e-10;
+            pods[p].sessions = pick(4);
+            type[p] = std::uint32_t(pick(ntypes));
+        }
+        std::vector<double> typeDemand(ntypes), typeEnergy(ntypes);
+        for (std::size_t t = 0; t < ntypes; ++t) {
+            typeDemand[t] = price(0.2);
+            typeEnergy[t] = price(1.0);
+        }
+        std::vector<double> demandOnPod(npods), energyOnPod(npods);
+        for (std::size_t p = 0; p < npods; ++p) {
+            demandOnPod[p] = typeDemand[type[p]];
+            energyOnPod[p] = typeEnergy[type[p]];
+        }
+        const double cap = pick(2) ? 1.0 : 0.5;
+        for (PlacementKind k : allPlacements())
+            ASSERT_EQ(choosePod(k, pods, type, typeDemand, typeEnergy,
+                                cap),
+                      choosePodPerPodReference(k, pods, demandOnPod,
+                                               energyOnPod, cap))
+                << "round " << round << " policy " << placementName(k);
+    }
 }
 
 TEST(FleetPlacement, EnergyAwareBeatsFirstFitOnJoules)
@@ -387,41 +499,85 @@ TEST(FleetWorkingSet, PartialSwitchIsStrictlyCheaper)
 
 TEST(FleetDeterminism, EmittersAreByteIdenticalAcrossThreads)
 {
+    // Placement is decided one epoch ahead on a pool lane while the
+    // pods serve; every output -- tenant/pod CSV, JSON, telemetry CSV
+    // and the sim-time trace -- must stay byte-identical for 1, 2 and
+    // 4 workers. The variants cover both scoring policies, rejections
+    // (a small per-pod demand cap), a wall budget shorter than the
+    // trace, and rebalance plus an energy budget together. The
+    // multi-worker runners persist across variants, so from the second
+    // variant on a cold serial run is compared against warm plan
+    // caches: cache accounting must never leak into the output.
     std::string err;
     const auto gen = parseTraceGenSpec(
-        "diurnal:rate=24,horizon=6,seed=11,qos=4,hold=4,cap=160", &err);
+        "diurnal:rate=40,horizon=8,seed=17,qos=6,hold=3,cap=300", &err);
     ASSERT_TRUE(gen.has_value()) << err;
     const ArrivalTrace t = generateTrace(*gen);
     ASSERT_FALSE(t.jobs.empty());
 
-    FleetSpec spec =
-        fleetOf({podsOf("df=DiVa,count=3"), podsOf("df=OS")},
-                PlacementKind::kLoadAware);
-    spec.rebalance.enabled = true;
-    spec.controlIntervalSec = 0.5;
-
-    auto emit = [&](const FleetResult &r) {
-        std::ostringstream os;
-        writeFleetTenantCsv(os, r);
-        writeFleetPodCsv(os, r);
-        writeFleetJson(os, r, true);
-        return os.str();
+    struct Variant
+    {
+        const char *name;
+        PlacementKind placement;
+        double podDemandCap;
+        double wallSec;
+        bool rebalance;
+        double powerCapW;
     };
+    const Variant variants[] = {
+        {"load", PlacementKind::kLoadAware, 1.0, 0.0, true, 0.0},
+        {"energy", PlacementKind::kEnergyAware, 1.0, 0.0, true, 0.0},
+        {"load-rejects", PlacementKind::kLoadAware, 0.02, 0.0, false,
+         0.0},
+        {"energy-wall", PlacementKind::kEnergyAware, 0.05, 2.0, true,
+         0.0},
+        {"load-rebalance-budget", PlacementKind::kLoadAware, 1.0, 0.0,
+         true, 40.0},
+    };
+    SweepOptions two, four;
+    two.threads = 2;
+    four.threads = 4;
+    SweepRunner warm[2] = {SweepRunner(two), SweepRunner(four)};
+    for (const Variant &v : variants) {
+        FleetSpec spec =
+            fleetOf({podsOf("df=DiVa,count=5"), podsOf("df=OS,count=3")},
+                    v.placement);
+        spec.podDemandCap = v.podDemandCap;
+        spec.wallLimitSec = v.wallSec;
+        spec.rebalance.enabled = v.rebalance;
+        spec.rebalance.skewThreshold = 0.05;
+        spec.budget.powerCapW = v.powerCapW;
+        spec.controlIntervalSec = 0.4;
 
-    SweepOptions one_opts;
-    SweepRunner one(one_opts);
-    SweepOptions four_opts;
-    four_opts.threads = 4;
-    SweepRunner four(four_opts);
-
-    const std::string serial = emit(simulateFleet(spec, t, one, 1));
-    const std::string threaded = emit(simulateFleet(spec, t, four, 4));
-    EXPECT_EQ(serial, threaded);
-
-    // A rerun against the now-warm plan cache emits the same bytes:
-    // cache accounting never leaks into the output.
-    const std::string warm = emit(simulateFleet(spec, t, four, 4));
-    EXPECT_EQ(serial, warm);
+        auto emit = [&](SweepRunner &runner, int threads) {
+            obs::RunTelemetry tel;
+            obs::TraceSink sink;
+            const FleetResult r =
+                simulateFleet(spec, t, runner, threads, &sink, &tel);
+            EXPECT_TRUE(r.ok()) << r.error;
+            std::ostringstream os;
+            writeFleetTenantCsv(os, r);
+            writeFleetPodCsv(os, r);
+            writeFleetJson(os, r, true);
+            tel.writeCsv(os);
+            sink.write(os);
+            return std::make_pair(r, os.str());
+        };
+        SweepRunner cold;
+        const auto [r1, serial] = emit(cold, 1);
+        if (v.podDemandCap < 1.0 && v.wallSec == 0.0)
+            EXPECT_GT(r1.rejectedCount, 0u) << v.name;
+        if (v.wallSec > 0.0)
+            EXPECT_LT(r1.placedCount + r1.rejectedCount, t.jobs.size())
+                << v.name << ": the wall budget must cut the trace";
+        if (v.powerCapW > 0.0)
+            EXPECT_GT(r1.suspensions, 0u) << v.name;
+        for (int k = 0; k < 2; ++k)
+            EXPECT_TRUE(emit(warm[k], warm[k].options().threads).second ==
+                        serial)
+                << v.name << " differs at "
+                << warm[k].options().threads << " threads";
+    }
 }
 
 } // namespace

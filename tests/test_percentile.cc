@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -130,7 +132,7 @@ TEST(Percentile, SelectionMatchesSortReferenceBitIdentically)
         // The sorted-mean variant is the old sort-based path: its
         // percentiles must agree bit-for-bit, and its mean must equal
         // an ascending-order accumulation exactly.
-        const LatencyStats agg = computeLatencyStatsSortedMean(samples);
+        const LatencyStats agg = computeLatencyStatsSortedMean({samples});
         EXPECT_EQ(agg.p50Sec, s.p50Sec);
         EXPECT_EQ(agg.p95Sec, s.p95Sec);
         EXPECT_EQ(agg.p99Sec, s.p99Sec);
@@ -175,7 +177,7 @@ TEST(Percentile, CensusPathMatchesSortReferenceBitIdentically)
         EXPECT_EQ(s.p99Sec, percentileSorted(sorted, 99.0)) << "n=" << n;
         EXPECT_EQ(s.maxSec, sorted.back()) << "n=" << n;
 
-        const LatencyStats agg = computeLatencyStatsSortedMean(samples);
+        const LatencyStats agg = computeLatencyStatsSortedMean({samples});
         EXPECT_EQ(agg.p50Sec, s.p50Sec);
         EXPECT_EQ(agg.p95Sec, s.p95Sec);
         EXPECT_EQ(agg.p99Sec, s.p99Sec);
@@ -199,12 +201,120 @@ TEST(Percentile, CensusPathMatchesSortReferenceBitIdentically)
     EXPECT_EQ(m.p50Sec, percentileSorted(sortedMixed, 50.0));
     EXPECT_EQ(m.p99Sec, percentileSorted(sortedMixed, 99.0));
     EXPECT_EQ(m.maxSec, sortedMixed.back());
-    const LatencyStats ma = computeLatencyStatsSortedMean(mixed);
+    const LatencyStats ma = computeLatencyStatsSortedMean({mixed});
     EXPECT_EQ(ma.p50Sec, m.p50Sec);
     double msum = 0.0;
     for (double v : sortedMixed)
         msum += v;
     EXPECT_EQ(ma.meanSec, msum / double(mixed.size()));
+}
+
+/** Every field of two stats, compared bit for bit (NaN == NaN). */
+void
+expectBitEqual(const LatencyStats &a, const LatencyStats &b)
+{
+    auto bits = [](double v) {
+        std::uint64_t u;
+        std::memcpy(&u, &v, sizeof u);
+        return u;
+    };
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_EQ(bits(a.meanSec), bits(b.meanSec));
+    EXPECT_EQ(bits(a.p50Sec), bits(b.p50Sec));
+    EXPECT_EQ(bits(a.p95Sec), bits(b.p95Sec));
+    EXPECT_EQ(bits(a.p99Sec), bits(b.p99Sec));
+    EXPECT_EQ(bits(a.maxSec), bits(b.maxSec));
+}
+
+TEST(Percentile, MultiBufferMatchesConcatenationBitForBit)
+{
+    // The fleet aggregates its pods' latency buffers in place; the
+    // result must be bit-equal to one call on their concatenation and
+    // to a plain sort, on the census path and on every fallback (a
+    // non-positive sample, too many distinct values -- the radix
+    // sort -- or a small set), NaNs included.
+    std::uint64_t lcg = 0x2545f4914f6cdd1dULL;
+    auto next = [&lcg]() {
+        lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+        return lcg >> 33;
+    };
+    auto check = [](const std::vector<std::vector<double>> &parts) {
+        std::vector<double> concat;
+        std::vector<std::span<const double>> spans;
+        for (const std::vector<double> &p : parts) {
+            concat.insert(concat.end(), p.begin(), p.end());
+            spans.emplace_back(p);
+        }
+        const std::vector<double> before = concat;
+        const LatencyStats multi = computeLatencyStatsSortedMean(spans);
+        expectBitEqual(multi, computeLatencyStatsSortedMean({concat}));
+
+        // And both equal the definition: NaNs dropped, a full sort,
+        // nearest-rank picks, the mean summed in ascending order.
+        std::vector<double> sorted;
+        for (const double v : concat)
+            if (!std::isnan(v))
+                sorted.push_back(v);
+        std::sort(sorted.begin(), sorted.end());
+        LatencyStats ref;
+        ref.count = sorted.size();
+        ref.meanSec = ref.p50Sec = ref.p95Sec = ref.p99Sec = ref.maxSec =
+            kNaN;
+        if (!sorted.empty()) {
+            double sum = 0.0;
+            for (const double v : sorted)
+                sum += v;
+            ref.meanSec = sum / double(sorted.size());
+            ref.p50Sec = percentileSorted(sorted, 50.0);
+            ref.p95Sec = percentileSorted(sorted, 95.0);
+            ref.p99Sec = percentileSorted(sorted, 99.0);
+            ref.maxSec = sorted.back();
+        }
+        expectBitEqual(multi, ref);
+        std::size_t at = 0;
+        for (const std::vector<double> &p : parts) {
+            if (!p.empty())
+                EXPECT_EQ(std::memcmp(p.data(), before.data() + at,
+                                      p.size() * sizeof(double)),
+                          0)
+                    << "buffers must be read, not reordered";
+            at += p.size();
+        }
+    };
+
+    // Pools: few distinct values (the census path), many spread over
+    // several binades (the radix sort runs all eight scatter passes)
+    // and many within one binade (three passes, so the sorted run ends
+    // in the scratch array and is copied back).
+    for (int kind = 0; kind < 3; ++kind) {
+        std::vector<double> pool;
+        for (std::size_t i = 0; i < (kind == 0 ? 64u : 20000u); ++i)
+            pool.push_back(kind == 2
+                               ? 1.0 + double(next() % 100000) * 0x1p-20
+                               : 0.001 + double(next() % 100000000) / 1e6);
+        std::vector<std::vector<double>> parts(7);
+        for (std::size_t b = 0; b < parts.size(); ++b) {
+            // Uneven sizes, one empty buffer.
+            const std::size_t len = b == 3 ? 0 : 600 + 900 * b;
+            for (std::size_t i = 0; i < len; ++i)
+                parts[b].push_back(pool[next() % pool.size()]);
+        }
+        check(parts);
+
+        parts[5][17] = kNaN;
+        parts[0][0] = kNaN;
+        check(parts); // NaNs are skipped, not a give-up
+
+        std::vector<std::vector<double>> withZero = parts;
+        withZero[2][5] = 0.0;
+        withZero[6][9] = -0.0;
+        check(withZero); // non-positive: the sort fallback
+
+        check({parts[1], {}, parts[2]}); // small set: below the census
+    }
+    check({});
+    check({{kNaN, kNaN}, {}});
+    check({std::vector<double>(5000, kNaN)});
 }
 
 TEST(Percentile, StatsAreOrderedAndSorted)
