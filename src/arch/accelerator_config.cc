@@ -143,4 +143,21 @@ divaDefault(bool with_ppu)
     return cfg;
 }
 
+AcceleratorConfig
+presetConfig(Dataflow df, bool ppu)
+{
+    switch (df) {
+      case Dataflow::kWeightStationary: {
+        AcceleratorConfig cfg = tpuV3Ws();
+        cfg.hasPpu = ppu;
+        return cfg;
+      }
+      case Dataflow::kOutputStationary:
+        return systolicOs(ppu);
+      case Dataflow::kOuterProduct:
+        return divaDefault(ppu);
+    }
+    return {};
+}
+
 } // namespace diva

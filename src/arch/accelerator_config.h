@@ -153,6 +153,13 @@ AcceleratorConfig systolicOs(bool with_ppu);
 /** DiVa: outer-product GEMM engine, PPU optional (default present). */
 AcceleratorConfig divaDefault(bool with_ppu = true);
 
+/**
+ * The factory preset of a dataflow, with the PPU as asked. WS has no
+ * PPU datapath, so (WS, ppu) comes back invalid: each caller decides
+ * whether that is a skip, a warning or an error.
+ */
+AcceleratorConfig presetConfig(Dataflow df, bool ppu);
+
 } // namespace diva
 
 #endif // DIVA_ARCH_ACCELERATOR_CONFIG_H

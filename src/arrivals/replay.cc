@@ -42,14 +42,7 @@ serveWithAdmission(const ServeSpec &serve,
                    const AdmissionOptions &admission,
                    SweepRunner &runner)
 {
-    ServeResult out;
-    out.workloadName = serve.workload.name;
-    out.configName = serve.config.name;
-    out.policy = serve.policy;
-    out.chips = serve.chips;
-    out.quantumIters = serve.opts.quantumIters;
-    out.wallLimitSec = serve.opts.wallLimitSec;
-
+    ServeResult out = emptyServeResult(serve);
     std::string err;
     const std::vector<IterationCost> costs =
         isolatedCosts(serve, runner, &err);
@@ -149,13 +142,7 @@ replayTrace(const ReplaySpec &spec, SweepRunner &runner)
     const std::string trace_err =
         spec.trace.validationError(serve.opts.wallLimitSec > 0.0);
     if (!trace_err.empty()) {
-        ServeResult out;
-        out.workloadName = serve.workload.name;
-        out.configName = spec.config.name;
-        out.policy = spec.policy;
-        out.chips = spec.chips;
-        out.quantumIters = serve.opts.quantumIters;
-        out.wallLimitSec = serve.opts.wallLimitSec;
+        ServeResult out = emptyServeResult(serve);
         out.error = trace_err;
         return out;
     }

@@ -11,7 +11,6 @@
 #include <unordered_map>
 
 #include "arrivals/admission.h"
-#include "backend/registry.h"
 #include "common/task_pool.h"
 #include "fleet/energy_budget.h"
 #include "fleet/migration.h"
@@ -31,12 +30,10 @@ namespace
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/** Float slack for wall-budget and deadline comparisons. */
-constexpr double kEps = 1e-9;
-
 /** FleetSim::decided's mark for an arrival no pod could take. */
 constexpr std::uint32_t kRejected = std::uint32_t(-1);
 
+using serve_core::kEps;
 using serve_core::TaskState;
 
 /** FNV-1a over the fields that identify a job class.  Buckets only --
@@ -65,20 +62,6 @@ sameJobClass(const TenantJob &a, const TenantJob &b)
     return a.modelScale == b.modelScale && a.batch == b.batch &&
            a.microbatch == b.microbatch &&
            a.algorithm == b.algorithm && a.model == b.model;
-}
-
-serve_core::Policy
-corePolicy(SchedPolicy p)
-{
-    switch (p) {
-      case SchedPolicy::kFifo: return serve_core::Policy::kFifo;
-      case SchedPolicy::kRoundRobin:
-        return serve_core::Policy::kRoundRobin;
-      case SchedPolicy::kPriority:
-        return serve_core::Policy::kPriority;
-      case SchedPolicy::kEdf: return serve_core::Policy::kEdf;
-    }
-    return serve_core::Policy::kRoundRobin;
 }
 
 /** Mutable per-tenant state tracked by the fleet engine. */
@@ -514,20 +497,14 @@ FleetSim::price(SweepRunner &runner)
     }
     numCls = clsRep.size();
 
-    // Validate the allowed-backend list the way the serve layer does:
-    // every name must resolve, and every substrate the fleet's pods
-    // actually need must be permitted.
-    for (const std::string &name : spec.backends)
-        if (!BackendRegistry::instance().find(name))
-            return "unknown backend '" + name + "'";
-    if (!spec.backends.empty()) {
-        for (const PodSpec &ps : spec.pods) {
-            const std::string needed = ps.backendName();
-            if (std::find(spec.backends.begin(), spec.backends.end(),
-                          needed) == spec.backends.end())
-                return "backend '" + needed +
-                       "' is not in the allowed --backends list";
-        }
+    // Every allowed name must resolve, and every substrate the pods
+    // need must be permitted. Types are in first-pod order, so the
+    // first failing type reports the first failing pod's need.
+    for (const PodSpec &type : types) {
+        const std::string err =
+            backendListError(spec.backends, type.backendName());
+        if (!err.empty())
+            return err;
     }
 
     // One scenario per (type, class), all through one run() so the
@@ -535,21 +512,9 @@ FleetSim::price(SweepRunner &runner)
     std::vector<Scenario> scenarios;
     scenarios.reserve(types.size() * numCls);
     for (const PodSpec &type : types)
-        for (const TenantJob *job : clsRep) {
-            Scenario s;
-            s.config = type.config;
-            s.model = job->model;
-            s.modelScale = job->modelScale;
-            s.batch = job->batch;
-            s.microbatch = job->microbatch;
-            s.algorithm = job->algorithm;
-            if (type.chips > 1) {
-                s.backend = SweepBackend::kMultiChip;
-                s.pod = type.pod;
-                s.pod.numChips = type.chips;
-            }
-            scenarios.push_back(std::move(s));
-        }
+        for (const TenantJob *job : clsRep)
+            scenarios.push_back(
+                tenantScenario(type.config, type.chips, type.pod, *job));
     const SweepReport report = runner.run(scenarios);
     out.planHits = report.planHits;
     out.planMisses = report.planMisses;
@@ -569,14 +534,8 @@ FleetSim::price(SweepRunner &runner)
             !(r.energyJ >= 0.0) || !std::isfinite(r.energyJ))
             return where.str() +
                    ": iteration cost must be positive and finite";
-        IterationCost c;
-        c.seconds = r.seconds;
-        c.energyJ = r.energyJ;
-        c.dramBytes = r.dramBytes;
-        c.cycles = r.cycles;
-        c.resolvedBatch = r.resolvedBatch;
-        costs[k] = c;
-        isoRate[k] = 1.0 / c.seconds;
+        costs[k] = iterationCost(r);
+        isoRate[k] = 1.0 / r.seconds;
     }
 
     switchCosts.reserve(types.size());
@@ -1093,7 +1052,7 @@ FleetSim::setup()
     // Fleet semantics on the shared core: enqueue-order round robin,
     // rate gating always on, raw arrival preemption, epoch-form
     // boundary comparisons (every tenant-mode flag stays off).
-    coreCfg.policy = corePolicy(spec.policy);
+    coreCfg.policy = spec.policy;
     coreCfg.quantumIters = spec.quantumIters;
     coreCfg.wallLimitSec = wall;
 
@@ -1275,42 +1234,8 @@ FleetSim::assemble(int threads)
         m.resolvedBatch =
             cost.resolvedBatch > 0 ? cost.resolvedBatch : job.batch;
 
-        // Departed: the session ended with steps outstanding and its
-        // departure (not the wall budget) is what ended it.
-        m.departed = !rt.core.completed && job.departSec > 0.0 &&
-                     (wall <= 0.0 || job.departSec < wall + kEps);
-        m.endSec = rt.core.completed
-                       ? rt.core.completionSec
-                       : (m.departed ? std::min(job.departSec,
-                                                out.makespanSec)
-                                     : out.makespanSec);
-        const double window =
-            std::max(0.0, m.endSec - job.arrivalSec);
-        m.achievedStepsPerSec =
-            window > 0.0 ? double(rt.core.done) / window
-                         : (rt.core.done > 0 ? kInf : 0.0);
-        m.isolatedStepsPerSec = safeRatio(1.0, cost.seconds);
-
-        // QoS attainment: of the steps the target demanded by endSec,
-        // the share that met their deadline (see tenant/serve.cc).
-        double demanded = kNaN;
-        if (job.qosStepsPerSec > 0.0) {
-            demanded = rt.core.completed
-                           ? double(job.steps)
-                           : std::floor(window * job.qosStepsPerSec);
-            if (job.steps > 0)
-                demanded = std::min(demanded, double(job.steps));
-        } else if (job.qosDeadlineSec > 0.0) {
-            if (rt.core.completed || job.qosDeadlineSec <= m.endSec)
-                demanded = double(job.steps);
-        }
-        if (std::isfinite(demanded) && demanded > 0.0)
-            m.qosAttainmentPct =
-                100.0 * std::min(1.0, double(rt.core.metDeadlines) /
-                                          demanded);
-        else
-            m.qosAttainmentPct = kNaN;
-
+        scoreSession(m, job, rt.core, cost.seconds, wall,
+                     out.makespanSec);
         m.stepLatency =
             rt.steps > 0
                 ? computeLatencyStatsScratch(
@@ -1422,15 +1347,7 @@ FleetSim::assemble(int threads)
             "fleet.plan_cache.hit_rate",
             safeRatio(double(out.planHits),
                       double(out.planHits + out.planMisses)));
-        const serve_core::Counters &c = out.coreCounters;
-        metrics.addCounter("serve_core.steps", c.steps);
-        metrics.addCounter("serve_core.dispatches", c.dispatches);
-        metrics.addCounter("serve_core.coalesced_quanta",
-                           c.coalescedQuanta);
-        metrics.addCounter("serve_core.promotions", c.promotions);
-        metrics.addCounter("serve_core.idle_jumps", c.idleJumps);
-        metrics.addCounter("serve_core.context_switches", c.switches);
-        metrics.addCounter("serve_core.retired", c.retired);
+        publishCoreCounters(out.coreCounters);
     }
 }
 

@@ -2,14 +2,15 @@
  * @file
  * The datacenter-scale fleet engine: replays an arrival trace across N
  * heterogeneous pods, each an independent time-shared serve instance
- * running the src/tenant/ scheduling policies, under a cluster-level
- * placement policy, an optional migration/rebalance loop and an
- * optional fleet energy budget.
+ * on the shared event-driven serve core (src/serve_core/core.h, the
+ * same core the single-pod tenant serve loop runs on), under a
+ * cluster-level placement policy, an optional migration/rebalance
+ * loop and an optional fleet energy budget.
  *
- * Unlike the single-pod serve loop (which rescans every tenant per
- * quantum), each pod here keeps its runnable tenants in policy-ordered
- * queues with O(log n) updates, so million-session fleets replay in
- * seconds. Time advances in *control epochs*: within an epoch pods
+ * Each pod keeps its runnable tenants in the core's policy-keyed
+ * ready set, so million-session fleets replay in seconds; pricing and
+ * per-session scoring are the tenant serve layer's (tenant/serve.h).
+ * Time advances in *control epochs*: within an epoch pods
  * simulate independently (and in parallel across worker threads --
  * their state is disjoint, so the simulation is byte-deterministic
  * whatever the thread count); at epoch boundaries the cluster level

@@ -145,24 +145,15 @@ parsePodTemplate(const std::string &text, std::string *error)
         }
     }
 
-    PodSpec proto;
-    switch (dataflow) {
-      case Dataflow::kWeightStationary:
-        // WS has no PPU datapath; an explicit ppu=on is a spec error
-        // rather than a silent downgrade.
-        if (ppu_set && ppu) {
-            *error = "df=WS has no PPU datapath (use ppu=off)";
-            return std::nullopt;
-        }
-        proto.config = tpuV3Ws();
-        break;
-      case Dataflow::kOutputStationary:
-        proto.config = systolicOs(ppu);
-        break;
-      case Dataflow::kOuterProduct:
-        proto.config = divaDefault(ppu);
-        break;
+    // WS has no PPU datapath; an explicit ppu=on is a spec error
+    // rather than a silent downgrade.
+    const bool ws = dataflow == Dataflow::kWeightStationary;
+    if (ws && ppu_set && ppu) {
+        *error = "df=WS has no PPU datapath (use ppu=off)";
+        return std::nullopt;
     }
+    PodSpec proto;
+    proto.config = presetConfig(dataflow, ppu && !ws);
     proto.chips = chips;
     proto.pod.numChips = chips;
     if (ici_gbs > 0.0)

@@ -93,7 +93,7 @@ struct FleetSpec
 
     std::vector<PodSpec> pods;
 
-    /** Per-pod time-sharing policy (see src/tenant/scheduler.h). */
+    /** Per-pod time-sharing policy (see src/serve_core/core.h). */
     SchedPolicy policy = SchedPolicy::kRoundRobin;
 
     /** Cluster-level tenant-to-pod placement policy. */

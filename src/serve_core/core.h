@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "common/small_vector.h"
+#include "tenant/scheduler.h"
 
 namespace diva
 {
@@ -68,14 +69,6 @@ namespace serve_core
 constexpr double kEps = 1e-9;
 constexpr double kInfSec = std::numeric_limits<double>::infinity();
 constexpr std::size_t kNoTask = std::size_t(-1);
-
-enum class Policy : std::uint8_t
-{
-    kFifo,
-    kRoundRobin,
-    kPriority,
-    kEdf,
-};
 
 enum class EventType : std::uint8_t
 {
@@ -325,7 +318,7 @@ enum class Mode : std::uint8_t
 
 struct Config
 {
-    Policy policy = Policy::kRoundRobin;
+    SchedPolicy policy = SchedPolicy::kRoundRobin;
     std::uint64_t quantumIters = 1;
     /** Wall-clock budget in simulated seconds; 0 = unbounded. */
     double wallLimitSec = 0.0;
@@ -364,18 +357,18 @@ makeKey(const Client &c, Executor &ex, const Config &cfg,
     ReadyKey key;
     key.idx = idx;
     switch (cfg.policy) {
-      case Policy::kFifo:
+      case SchedPolicy::kFifo:
         key.k1 = c.arrivalSec(idx);
         break;
-      case Policy::kPriority:
+      case SchedPolicy::kPriority:
         key.k1 = -double(c.priority(idx));
         key.k2 = c.arrivalSec(idx);
         break;
-      case Policy::kEdf:
+      case SchedPolicy::kEdf:
         key.k1 = stepDeadlineSec(c, idx, c.core(idx).done + 1);
         key.k2 = c.arrivalSec(idx);
         break;
-      case Policy::kRoundRobin:
+      case SchedPolicy::kRoundRobin:
         if (cfg.mode != Mode::kTenant)
             key.seq = ++ex.rrSeq;
         break;
@@ -649,7 +642,8 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
     const bool idle_skips = tenant;
     const bool end_on_unfit = tenant;
     const bool strict_preempt = tenant;
-    const bool rr_rotation = tenant && cfg.policy == Policy::kRoundRobin;
+    const bool rr_rotation =
+        tenant && cfg.policy == SchedPolicy::kRoundRobin;
     const bool coalesce = kSteady || cfg.coalesce;
     const bool rate_gates = kSteady || cfg.rateGates;
     const std::uint64_t quantum = kSteady ? 1 : cfg.quantumIters;
@@ -990,8 +984,9 @@ template <class Client>
 inline void
 runUntil(Client &c, Executor &ex, const Config &cfg, double t1)
 {
-    if (cfg.policy == Policy::kRoundRobin && cfg.mode == Mode::kFleet &&
-        cfg.rateGates && cfg.coalesce && cfg.quantumIters == 1)
+    if (cfg.policy == SchedPolicy::kRoundRobin &&
+        cfg.mode == Mode::kFleet && cfg.rateGates && cfg.coalesce &&
+        cfg.quantumIters == 1)
         runUntilT<true>(c, ex, cfg, t1);
     else
         runUntilT<false>(c, ex, cfg, t1);

@@ -40,11 +40,21 @@ simulateDataParallel(const AcceleratorConfig &chip, const Network &net,
                                   double(pod.numChips) * grad_bytes;
         const double bytes_per_cycle =
             pod.interconnectGBs * 1e9 / (chip.freqGhz * 1e9);
-        result.allReduceCycles =
-            Cycles(std::ceil(wire_bytes / bytes_per_cycle)) +
-            Cycles(2 * (pod.numChips - 1)) * pod.linkLatencyCycles;
+        // A link slow enough to overrun 64-bit cycle counts fails the
+        // scenario rather than wrapping to a near-free all-reduce.
+        const double wire_cycles = std::ceil(wire_bytes / bytes_per_cycle);
+        Cycles hops = 0;
+        if (!(wire_cycles < 0x1p64) ||
+            __builtin_mul_overflow(Cycles(2 * (pod.numChips - 1)),
+                                   pod.linkLatencyCycles, &hops) ||
+            __builtin_add_overflow(Cycles(wire_cycles), hops,
+                                   &result.allReduceCycles))
+            DIVA_FATAL("all-reduce at ", pod.interconnectGBs,
+                       " GB/s overflows 64-bit cycles");
     }
-    result.totalCycles = result.computeCycles + result.allReduceCycles;
+    if (__builtin_add_overflow(result.computeCycles, result.allReduceCycles,
+                               &result.totalCycles))
+        DIVA_FATAL("compute + all-reduce overflows 64-bit cycles");
 
     // Pod-level utilization, traffic, and energy. Every chip runs the
     // same shard simulation, so pod totals are numChips times the

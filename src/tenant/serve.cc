@@ -21,9 +21,6 @@ namespace
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/** Float slack for wall-budget and deadline comparisons. */
-constexpr double kEps = 1e-9;
-
 /** Per-tenant billing state the serve loop tracks beside the core's
  *  scheduling state (serve_core::TaskCore). */
 struct TenantRun
@@ -39,20 +36,6 @@ struct TenantRun
     /** Windowed latency decomposition (telemetry runs only). */
     obs::ComponentWindows windows;
 };
-
-serve_core::Policy
-corePolicy(SchedPolicy p)
-{
-    switch (p) {
-      case SchedPolicy::kFifo: return serve_core::Policy::kFifo;
-      case SchedPolicy::kRoundRobin:
-        return serve_core::Policy::kRoundRobin;
-      case SchedPolicy::kPriority:
-        return serve_core::Policy::kPriority;
-      case SchedPolicy::kEdf: return serve_core::Policy::kEdf;
-    }
-    return serve_core::Policy::kRoundRobin;
-}
 
 /** serve_core client for the single-executor tenant serve loop: task
  *  scalars come straight from the jobs, billing lands on TenantRun
@@ -220,27 +203,21 @@ safeRatio(double num, double den)
     return num / den;
 }
 
-Scenario
-tenantScenario(const ServeSpec &spec, const TenantJob &job)
+void
+publishCoreCounters(const serve_core::Counters &c)
 {
-    Scenario s;
-    s.config = spec.config;
-    s.model = job.model;
-    s.modelScale = job.modelScale;
-    s.batch = job.batch;
-    s.microbatch = job.microbatch;
-    s.algorithm = job.algorithm;
-    if (spec.chips > 1) {
-        s.backend = SweepBackend::kMultiChip;
-        s.pod = spec.pod;
-        s.pod.numChips = spec.chips;
-    }
-    return s;
+    auto &metrics = obs::MetricsRegistry::instance();
+    metrics.addCounter("serve_core.steps", c.steps);
+    metrics.addCounter("serve_core.dispatches", c.dispatches);
+    metrics.addCounter("serve_core.coalesced_quanta", c.coalescedQuanta);
+    metrics.addCounter("serve_core.promotions", c.promotions);
+    metrics.addCounter("serve_core.idle_jumps", c.idleJumps);
+    metrics.addCounter("serve_core.context_switches", c.switches);
+    metrics.addCounter("serve_core.retired", c.retired);
 }
 
 ServeResult
-runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
-             const SwitchCost &switchCost)
+emptyServeResult(const ServeSpec &spec)
 {
     ServeResult out;
     out.workloadName = spec.workload.name;
@@ -249,6 +226,58 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
     out.chips = spec.chips;
     out.quantumIters = spec.opts.quantumIters;
     out.wallLimitSec = spec.opts.wallLimitSec;
+    return out;
+}
+
+Scenario
+tenantScenario(const AcceleratorConfig &config, int chips,
+               const MultiChipConfig &pod, const TenantJob &job)
+{
+    Scenario s;
+    s.config = config;
+    s.model = job.model;
+    s.modelScale = job.modelScale;
+    s.batch = job.batch;
+    s.microbatch = job.microbatch;
+    s.algorithm = job.algorithm;
+    if (chips > 1) {
+        s.backend = SweepBackend::kMultiChip;
+        s.pod = pod;
+        s.pod.numChips = chips;
+    }
+    return s;
+}
+
+IterationCost
+iterationCost(const ScenarioResult &r)
+{
+    IterationCost c;
+    c.seconds = r.seconds;
+    c.energyJ = r.energyJ;
+    c.dramBytes = r.dramBytes;
+    c.cycles = r.cycles;
+    c.resolvedBatch = r.resolvedBatch;
+    return c;
+}
+
+std::string
+backendListError(const std::vector<std::string> &allowed,
+                 const std::string &needed)
+{
+    for (const std::string &name : allowed)
+        if (!BackendRegistry::instance().find(name))
+            return "unknown backend '" + name + "'";
+    if (allowed.empty() ||
+        std::find(allowed.begin(), allowed.end(), needed) != allowed.end())
+        return "";
+    return "backend '" + needed + "' is not in the allowed --backends list";
+}
+
+ServeResult
+runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
+             const SwitchCost &switchCost)
+{
+    ServeResult out = emptyServeResult(spec);
     out.error = validateInputs(spec, costs, switchCost);
     if (!out.ok())
         return out;
@@ -284,7 +313,7 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
     }
 
     serve_core::Config cfg;
-    cfg.policy = corePolicy(spec.policy);
+    cfg.policy = spec.policy;
     cfg.quantumIters = spec.opts.quantumIters;
     cfg.wallLimitSec = wall;
     // The tenant loop's historical semantics (see serve_core::Mode),
@@ -334,15 +363,7 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
     // these totals are a pure function of the simulated work.
     if (auto &metrics = obs::MetricsRegistry::instance();
         metrics.enabled()) {
-        const serve_core::Counters &c = out.coreCounters;
-        metrics.addCounter("serve_core.steps", c.steps);
-        metrics.addCounter("serve_core.dispatches", c.dispatches);
-        metrics.addCounter("serve_core.coalesced_quanta",
-                           c.coalescedQuanta);
-        metrics.addCounter("serve_core.promotions", c.promotions);
-        metrics.addCounter("serve_core.idle_jumps", c.idleJumps);
-        metrics.addCounter("serve_core.context_switches", c.switches);
-        metrics.addCounter("serve_core.retired", c.retired);
+        publishCoreCounters(out.coreCounters);
         for (const TenantRun &r : run)
             for (double latency : r.latencySec)
                 metrics.recordValue("serve.step_latency_sec", latency);
@@ -362,50 +383,16 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
                               : jobs[i].batch;
         m.stepsDone = cores[i].done;
         m.completed = cores[i].completed;
-        // Departed: the tenant's session ended with steps outstanding
-        // and its departure (not the wall budget) is what ended it.
-        m.departed = !cores[i].completed && jobs[i].departSec > 0.0 &&
-                     (wall <= 0.0 || jobs[i].departSec < wall + kEps);
-        m.endSec = cores[i].completed
-                       ? cores[i].completionSec
-                       : (m.departed ? std::min(jobs[i].departSec,
-                                                out.makespanSec)
-                                     : out.makespanSec);
+        scoreSession(m, jobs[i], cores[i], costs[i].seconds, wall,
+                     out.makespanSec);
         m.waitSec = run[i].started
                         ? run[i].firstStartSec - jobs[i].arrivalSec
                         : kNaN;
-        const double window =
-            std::max(0.0, m.endSec - jobs[i].arrivalSec);
-        m.achievedStepsPerSec =
-            window > 0.0 ? double(cores[i].done) / window
-                         : (cores[i].done > 0 ? kInf : 0.0);
-        m.isolatedStepsPerSec = safeRatio(1.0, costs[i].seconds);
         m.slowdown =
             safeRatio(m.isolatedStepsPerSec, m.achievedStepsPerSec);
-
-        // QoS attainment: of the steps the target demanded by endSec,
-        // the share that met their deadline.
-        double demanded = kNaN;
-        if (jobs[i].qosStepsPerSec > 0.0) {
-            demanded = cores[i].completed
-                           ? double(jobs[i].steps)
-                           : std::floor(window * jobs[i].qosStepsPerSec);
-            if (jobs[i].steps > 0)
-                demanded = std::min(demanded, double(jobs[i].steps));
-        } else if (jobs[i].qosDeadlineSec > 0.0) {
-            // Deadline targets are validated to have bounded steps;
-            // nothing is demanded until the deadline has passed.
-            if (cores[i].completed || jobs[i].qosDeadlineSec <= m.endSec)
-                demanded = double(jobs[i].steps);
-        }
-        if (std::isfinite(demanded) && demanded > 0.0) {
-            m.qosAttainmentPct =
-                100.0 *
-                std::min(1.0, double(cores[i].metDeadlines) / demanded);
+        if (std::isfinite(m.qosAttainmentPct)) {
             qos_sum += m.qosAttainmentPct;
             ++qos_count;
-        } else {
-            m.qosAttainmentPct = kNaN;
         }
 
         m.stepLatency = computeLatencyStats(run[i].latencySec);
@@ -440,27 +427,18 @@ isolatedCosts(const ServeSpec &spec, SweepRunner &runner,
         return {};
     }
 
-    // Resolve the allowed-backend list through the registry and check
-    // that the substrate this spec needs is permitted.
-    const char *needed = spec.chips > 1 ? "pod" : "chip";
-    bool needed_allowed = spec.backends.empty();
-    for (const std::string &name : spec.backends) {
-        if (!BackendRegistry::instance().find(name)) {
-            *error = "unknown backend '" + name + "'";
-            return {};
-        }
-        needed_allowed = needed_allowed || name == needed;
-    }
-    if (!needed_allowed) {
-        *error = "backend '" + std::string(needed) +
-                 "' is not in the allowed --backends list";
+    // Every allowed name must resolve, and the substrate this spec
+    // needs must be permitted.
+    *error = backendListError(spec.backends,
+                              spec.chips > 1 ? "pod" : "chip");
+    if (!error->empty())
         return {};
-    }
 
     std::vector<Scenario> scenarios;
     scenarios.reserve(spec.workload.jobs.size());
     for (const TenantJob &job : spec.workload.jobs)
-        scenarios.push_back(tenantScenario(spec, job));
+        scenarios.push_back(
+            tenantScenario(spec.config, spec.chips, spec.pod, job));
     const SweepReport report = runner.run(scenarios);
 
     std::vector<IterationCost> costs;
@@ -472,13 +450,7 @@ isolatedCosts(const ServeSpec &spec, SweepRunner &runner,
                      r.error;
             return {};
         }
-        IterationCost c;
-        c.seconds = r.seconds;
-        c.energyJ = r.energyJ;
-        c.dramBytes = r.dramBytes;
-        c.cycles = r.cycles;
-        c.resolvedBatch = r.resolvedBatch;
-        costs.push_back(c);
+        costs.push_back(iterationCost(r));
     }
     return costs;
 }
@@ -486,14 +458,7 @@ isolatedCosts(const ServeSpec &spec, SweepRunner &runner,
 ServeResult
 simulateServe(const ServeSpec &spec, SweepRunner &runner)
 {
-    ServeResult out;
-    out.workloadName = spec.workload.name;
-    out.configName = spec.config.name;
-    out.policy = spec.policy;
-    out.chips = spec.chips;
-    out.quantumIters = spec.opts.quantumIters;
-    out.wallLimitSec = spec.opts.wallLimitSec;
-
+    ServeResult out = emptyServeResult(spec);
     std::string err;
     const std::vector<IterationCost> costs =
         isolatedCosts(spec, runner, &err);

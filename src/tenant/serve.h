@@ -18,7 +18,10 @@
 #ifndef DIVA_TENANT_SERVE_H
 #define DIVA_TENANT_SERVE_H
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -262,6 +265,66 @@ struct ServeResult
 double safeRatio(double num, double den);
 
 /**
+ * Score one served session into `m` (a TenantMetrics or a
+ * FleetTenantMetrics) from its final serve-core state: whether it
+ * departed, the end of its service window, its achieved and isolated
+ * steps/sec and its QoS attainment. `stepSec` is the session's
+ * isolated iteration time, `wallSec` the wall budget (0 = none) and
+ * `makespanSec` the end of the run. One definition for the tenant
+ * serve loop and the fleet engine, inline because the fleet calls it
+ * once per session.
+ */
+template <class Metrics>
+inline void
+scoreSession(Metrics &m, const TenantJob &job,
+             const serve_core::TaskCore &core, double stepSec,
+             double wallSec, double makespanSec)
+{
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    // Departed: the session ended with steps outstanding and its
+    // departure (not the wall budget) is what ended it.
+    m.departed = !core.completed && job.departSec > 0.0 &&
+                 (wallSec <= 0.0 ||
+                  job.departSec < wallSec + serve_core::kEps);
+    m.endSec = core.completed
+                   ? core.completionSec
+                   : (m.departed ? std::min(job.departSec, makespanSec)
+                                 : makespanSec);
+    const double window = std::max(0.0, m.endSec - job.arrivalSec);
+    m.achievedStepsPerSec =
+        window > 0.0 ? double(core.done) / window
+                     : (core.done > 0 ? serve_core::kInfSec : 0.0);
+    m.isolatedStepsPerSec = safeRatio(1.0, stepSec);
+
+    // QoS attainment: of the steps the target demanded by endSec, the
+    // share that met their deadline.
+    double demanded = kNaN;
+    if (job.qosStepsPerSec > 0.0) {
+        demanded = core.completed
+                       ? double(job.steps)
+                       : std::floor(window * job.qosStepsPerSec);
+        if (job.steps > 0)
+            demanded = std::min(demanded, double(job.steps));
+    } else if (job.qosDeadlineSec > 0.0) {
+        // Deadline targets are validated to have bounded steps;
+        // nothing is demanded until the deadline has passed.
+        if (core.completed || job.qosDeadlineSec <= m.endSec)
+            demanded = double(job.steps);
+    }
+    m.qosAttainmentPct =
+        std::isfinite(demanded) && demanded > 0.0
+            ? 100.0 * std::min(1.0, double(core.metDeadlines) / demanded)
+            : kNaN;
+}
+
+/** Add the serve core's event counters to the metrics registry under
+ *  `serve_core.*` (the caller checks that the registry is enabled). */
+void publishCoreCounters(const serve_core::Counters &c);
+
+/** A result echoing the spec's inputs, with no tenants yet. */
+ServeResult emptyServeResult(const ServeSpec &spec);
+
+/**
  * The scheduling loop alone, over explicit per-tenant iteration costs
  * (costs[i] belongs to workload.jobs[i]) and an explicit switch bill.
  * Exposed for tests and custom cost models; validates the spec and
@@ -295,8 +358,24 @@ ServeResult simulateServe(const ServeSpec &spec, SweepRunner &runner);
 /** Convenience overload with a private single-threaded runner. */
 ServeResult simulateServe(const ServeSpec &spec);
 
-/** The sweep scenario whose result prices one tenant's iteration. */
-Scenario tenantScenario(const ServeSpec &spec, const TenantJob &job);
+/**
+ * The sweep scenario whose result prices one iteration of `job` on
+ * `chips` chips of `config` (a data-parallel pod over `pod` when
+ * chips > 1). The tenant serve and the fleet engine both price here.
+ */
+Scenario tenantScenario(const AcceleratorConfig &config, int chips,
+                        const MultiChipConfig &pod, const TenantJob &job);
+
+/** The iteration cost a successful scenario result reports. */
+IterationCost iterationCost(const ScenarioResult &r);
+
+/**
+ * "" when every name in `allowed` resolves through the
+ * BackendRegistry and the backend a run needs (`needed`) is in the
+ * list -- an empty list allows any backend; otherwise the error.
+ */
+std::string backendListError(const std::vector<std::string> &allowed,
+                             const std::string &needed);
 
 } // namespace diva
 

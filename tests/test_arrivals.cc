@@ -4,8 +4,9 @@
  * trips, column order independence, malformed input), seeded
  * generator determinism (same seed => byte-identical trace, different
  * seed => different trace) across all three arrival kinds, generator
- * spec parsing, and the QoS admission controller's greedy feasible
- * subset.
+ * spec parsing, the QoS admission controller's greedy feasible
+ * subset, and seeded grammar fuzzing of the trace CSV, the generator
+ * spec (--arrivals) and the fleet's pod template (--pod).
  */
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "arrivals/generate.h"
 #include "arrivals/trace.h"
 #include "common/rng.h"
+#include "fleet/fleet.h"
 
 namespace diva
 {
@@ -317,6 +319,120 @@ TEST(Trace, CsvGrammarFuzz)
     // Both outcomes must be exercised for the property to mean much.
     EXPECT_GT(loaded, 100);
     EXPECT_GT(failed, 100);
+}
+
+/** Seeded mutation of a `key=value,...` spec: delete, duplicate or
+ *  insert bytes, swap two items, replace a value with an edge token,
+ *  or truncate. */
+std::string
+mutateSpec(std::string s, Rng &rng)
+{
+    static const char kBytes[] = ",=:.-+e0123456789xnaif";
+    static const char *const kTokens[] = {
+        "", "0", "-1", "2.7", "1e309", "1e-320", "nan", "inf", "0x1p3",
+        "65537", "9223372036854775808", "WS", "on", "off"};
+    const int edits = 1 + int(rng.uniformInt(3));
+    for (int e = 0; e < edits && !s.empty(); ++e) {
+        const std::size_t at = rng.uniformInt(s.size());
+        switch (rng.uniformInt(6)) {
+          case 0:
+            s.erase(at, 1 + rng.uniformInt(3));
+            break;
+          case 1:
+            s.insert(at, s.substr(at, 1 + rng.uniformInt(3)));
+            break;
+          case 2:
+            s.insert(s.begin() + std::ptrdiff_t(at),
+                     kBytes[rng.uniformInt(sizeof(kBytes) - 1)]);
+            break;
+          case 3: {
+            // Swap two comma-separated items.
+            std::vector<std::string> items;
+            std::string item;
+            std::istringstream in(s);
+            while (std::getline(in, item, ','))
+                items.push_back(item);
+            if (items.size() < 2)
+                break;
+            std::swap(items[rng.uniformInt(items.size())],
+                      items[rng.uniformInt(items.size())]);
+            s.clear();
+            for (std::size_t i = 0; i < items.size(); ++i)
+                s += (i ? "," : "") + items[i];
+            break;
+          }
+          case 4: {
+            // Replace the value after the `=` at or before `at`.
+            const std::size_t eq = s.rfind('=', at);
+            if (eq == std::string::npos)
+                break;
+            const std::size_t end = std::min(s.find(',', eq), s.size());
+            s.replace(eq + 1, end - eq - 1,
+                      kTokens[rng.uniformInt(std::size(kTokens))]);
+            break;
+          }
+          default:
+            s.resize(at);
+        }
+    }
+    return s;
+}
+
+// Every mutation of a valid generator spec either parses to a spec
+// that passes validation or returns nullopt with a non-empty error.
+TEST(TraceGenSpec, GrammarFuzz)
+{
+    const std::string bases[] = {
+        "diurnal:rate=12,horizon=600,seed=7,qos=2,hold=4,cap=50,"
+        "prios=3,peak=3,batch=16,steps=10",
+        "onoff:rate=4,on=2,off=1,horizon=30,steps=0,hold=2",
+        "poisson:rate=6,seed=9,hold=1,qos=2"};
+    Rng rng(1522);
+    int parsed = 0, failed = 0;
+    for (int i = 0; i < 3000; ++i) {
+        const std::string input = mutateSpec(bases[i % 3], rng);
+        std::string err = "stale";
+        const std::optional<TraceGenSpec> spec =
+            parseTraceGenSpec(input, &err);
+        if (!spec) {
+            ++failed;
+            EXPECT_FALSE(err.empty()) << "input: " << input;
+            continue;
+        }
+        ++parsed;
+        EXPECT_TRUE(err.empty()) << err << "\ninput: " << input;
+        EXPECT_EQ(spec->validationError(), "") << "input: " << input;
+    }
+    EXPECT_GT(parsed, 300);
+    EXPECT_GT(failed, 300);
+}
+
+// The same property for the fleet's pod template: a parse yields pods
+// a fleet accepts, or nullopt with an error.
+TEST(PodTemplate, GrammarFuzz)
+{
+    const std::string bases[] = {
+        "df=OS,ppu=off,chips=4,count=3,ici-gbs=70,link-lat=500",
+        "df=WS,ppu=off,count=2", "dataflow=DiVa,ppu=on,chips=2"};
+    Rng rng(2215);
+    int parsed = 0, failed = 0;
+    for (int i = 0; i < 3000; ++i) {
+        const std::string input = mutateSpec(bases[i % 3], rng);
+        std::string err = "stale";
+        const auto pods = parsePodTemplate(input, &err);
+        if (!pods) {
+            ++failed;
+            EXPECT_FALSE(err.empty()) << "input: " << input;
+            continue;
+        }
+        ++parsed;
+        EXPECT_TRUE(err.empty()) << err << "\ninput: " << input;
+        ASSERT_FALSE(pods->empty()) << "input: " << input;
+        EXPECT_EQ(buildFleet({*pods}).validationError(), "")
+            << "input: " << input;
+    }
+    EXPECT_GT(parsed, 300);
+    EXPECT_GT(failed, 300);
 }
 
 TEST(Trace, JsonlLoadsAndToleratesExtraKeys)

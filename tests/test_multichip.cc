@@ -157,5 +157,31 @@ TEST(MultiChip, RejectsUnshardableBatch)
                  std::runtime_error);
 }
 
+TEST(MultiChip, RejectsAllReduceThatOverflowsCycles)
+{
+    // ~1.5e20 cycles at 1e-12 GB/s, and an infinite count at 1e-300:
+    // neither fits in 64 bits, so the scenario must fail instead of
+    // pricing the pod as if communication were (nearly) free.
+    for (double gbs : {1e-12, 1e-300}) {
+        MultiChipConfig pod;
+        pod.numChips = 4;
+        pod.interconnectGBs = gbs;
+        EXPECT_THROW(simulateDataParallel(divaDefault(true), resnet50(),
+                                          TrainingAlgorithm::kDpSgdR, 64,
+                                          pod),
+                     std::runtime_error)
+            << gbs << " GB/s";
+    }
+    // A slow link whose all-reduce still fits keeps pricing.
+    MultiChipConfig slow;
+    slow.numChips = 4;
+    slow.interconnectGBs = 1e-6;
+    const ScalingResult r = simulateDataParallel(
+        divaDefault(true), resnet50(), TrainingAlgorithm::kDpSgdR, 64,
+        slow);
+    EXPECT_GT(r.allReduceCycles, r.computeCycles);
+    EXPECT_EQ(r.totalCycles, r.computeCycles + r.allReduceCycles);
+}
+
 } // namespace
 } // namespace diva

@@ -10,7 +10,9 @@
  * bytes with 1 and 4 engine threads (run in-process so the TSan job
  * also proves the epoch parallelism race-free); (4) tenant-mode
  * behaviours -- one crafted schedule per serve_core::Mode::kTenant
- * difference, each failing if that difference is dropped.
+ * difference, each failing if that difference is dropped; (5) policy
+ * picks -- one crafted schedule per SchedPolicy, each failing if a
+ * component of that policy's ReadyKey is dropped.
  *
  * The golden tests run the tool binaries out of the build directory
  * (ctest's working directory) against fixtures under
@@ -195,6 +197,7 @@ struct MiniClient
         double rate = 0.0;
         std::uint64_t steps = 0;
         int priority = 0;
+        double deadline = 0.0;
         double costSec = 0.0;
     };
 
@@ -218,7 +221,10 @@ struct MiniClient
     double arrivalSec(std::uint32_t i) const { return tasks[i].arrival; }
     double departSec(std::uint32_t i) const { return tasks[i].depart; }
     double rateSps(std::uint32_t i) const { return tasks[i].rate; }
-    double qosDeadlineSec(std::uint32_t) const { return 0.0; }
+    double qosDeadlineSec(std::uint32_t i) const
+    {
+        return tasks[i].deadline;
+    }
     std::uint64_t stepLimit(std::uint32_t i) const
     {
         return tasks[i].steps;
@@ -347,7 +353,7 @@ expectCoalescingEquivalence(serve_core::Config cfg)
 TEST(ServeCoreCoalescing, FleetModeMultiQuantumAdvanceEqualsSingleSteps)
 {
     serve_core::Config cfg; // fleet-mode defaults
-    cfg.policy = serve_core::Policy::kFifo;
+    cfg.policy = SchedPolicy::kFifo;
     cfg.quantumIters = 4;
     expectCoalescingEquivalence(cfg);
 }
@@ -355,7 +361,7 @@ TEST(ServeCoreCoalescing, FleetModeMultiQuantumAdvanceEqualsSingleSteps)
 TEST(ServeCoreCoalescing, TenantModeMultiQuantumAdvanceEqualsSingleSteps)
 {
     serve_core::Config cfg;
-    cfg.policy = serve_core::Policy::kRoundRobin;
+    cfg.policy = SchedPolicy::kRoundRobin;
     cfg.quantumIters = 3;
     cfg.mode = serve_core::Mode::kTenant;
     cfg.rateGates = true; // keep the rate-gated task gated
@@ -365,7 +371,7 @@ TEST(ServeCoreCoalescing, TenantModeMultiQuantumAdvanceEqualsSingleSteps)
 TEST(ServeCoreCoalescing, EdfModeMultiQuantumAdvanceEqualsSingleSteps)
 {
     serve_core::Config cfg;
-    cfg.policy = serve_core::Policy::kEdf;
+    cfg.policy = SchedPolicy::kEdf;
     cfg.quantumIters = 2;
     expectCoalescingEquivalence(cfg);
 }
@@ -475,6 +481,72 @@ TEST(ServeCoreTenantMode, NoWallFitEndsTheRun)
     const serve_core::Executor ex = runTenant(c, 1, 0.010);
     EXPECT_NEAR(ex.nowSec, 0.0085, 1e-12);
     EXPECT_EQ(c.cores[2].done, 0u);
+}
+
+// ------------------------------------------------------- policy picks
+
+/**
+ * One case per policy, in fleet mode (quantum 1).  Task 0 holds the
+ * engine for one 10 ms step while the others arrive; when it finishes
+ * they are all ready, so the order they then run in is the policy's
+ * ReadyKey order.
+ */
+std::vector<std::uint32_t>
+fleetPickOrder(std::vector<MiniClient::Task> tasks, SchedPolicy policy)
+{
+    tasks.insert(tasks.begin(), task(0.0, 1, 0.010));
+    MiniClient c(std::move(tasks));
+    serve_core::Config cfg;
+    cfg.policy = policy;
+    serve_core::Executor ex = freshExecutor(c);
+    serve_core::runUntil(c, ex, cfg, serve_core::kInfSec);
+    return pickOrder(c);
+}
+
+TEST(ServeCorePolicy, FifoRunsEarliestArrivalAndTiesGoToLowerIndex)
+{
+    // Arrivals 3, 1 and 1 ms: FIFO runs each to completion in arrival
+    // order, and the tie between tasks 2 and 3 goes to task 2.
+    EXPECT_EQ(fleetPickOrder({task(0.003, 2), task(0.001, 2),
+                              task(0.001, 2)},
+                             SchedPolicy::kFifo),
+              (std::vector<std::uint32_t>{0, 2, 3, 1}));
+}
+
+TEST(ServeCorePolicy, PriorityRunsLargerValueAndTiesGoToEarlierArrival)
+{
+    MiniClient::Task low = task(0.001, 2);
+    low.priority = 1;
+    MiniClient::Task late = task(0.003, 2);
+    late.priority = 5;
+    MiniClient::Task early = task(0.002, 2);
+    early.priority = 5;
+    // Priority 5 beats the earlier-arriving priority 1; between the
+    // two priority-5 tasks the earlier arrival (task 3) goes first.
+    EXPECT_EQ(fleetPickOrder({low, late, early}, SchedPolicy::kPriority),
+              (std::vector<std::uint32_t>{0, 3, 2, 1}));
+}
+
+TEST(ServeCorePolicy, EdfRunsEarliestDeadlineAndUntargetedTasksLast)
+{
+    MiniClient::Task later = task(0.003, 2);
+    later.deadline = 0.5;
+    MiniClient::Task sooner = task(0.002, 2);
+    sooner.deadline = 0.2;
+    // Task 1 arrives first but has no target, so it runs last.
+    EXPECT_EQ(fleetPickOrder({task(0.001, 2), later, sooner},
+                             SchedPolicy::kEdf),
+              (std::vector<std::uint32_t>{0, 3, 2, 1}));
+}
+
+TEST(ServeCorePolicy, FleetRoundRobinFollowsEnqueueOrder)
+{
+    // Enqueued in arrival order (2, 3, 1); each step re-enqueues its
+    // task at the back, so the rotation repeats that order.
+    EXPECT_EQ(fleetPickOrder({task(0.003, 2), task(0.001, 2),
+                              task(0.002, 2)},
+                             SchedPolicy::kRoundRobin),
+              (std::vector<std::uint32_t>{0, 2, 3, 1, 2, 3, 1}));
 }
 
 // ------------------------------------------- thread-count determinism

@@ -205,19 +205,10 @@ flagSpec(Args &args)
 AcceleratorConfig
 platformConfig(const Args &args)
 {
-    switch (args.dataflow) {
-      case Dataflow::kWeightStationary: {
-        AcceleratorConfig cfg = tpuV3Ws();
-        if (args.ppu)
-            DIVA_WARN("WS has no PPU datapath; running with --ppu off");
-        return cfg;
-      }
-      case Dataflow::kOutputStationary:
-        return systolicOs(args.ppu);
-      case Dataflow::kOuterProduct:
-        return divaDefault(args.ppu);
-    }
-    return {};
+    const bool ws = args.dataflow == Dataflow::kWeightStationary;
+    if (ws && args.ppu)
+        DIVA_WARN("WS has no PPU datapath; running with --ppu off");
+    return presetConfig(args.dataflow, args.ppu && !ws);
 }
 
 TenantWorkload

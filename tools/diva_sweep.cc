@@ -85,25 +85,6 @@ parseGpu(const std::string &name)
     return std::nullopt;
 }
 
-/** The preset for one (dataflow, ppu) combo; invalid combos included
- *  verbatim so expand() counts them as skipped. */
-AcceleratorConfig
-configFor(Dataflow df, bool ppu)
-{
-    switch (df) {
-      case Dataflow::kWeightStationary: {
-        AcceleratorConfig cfg = tpuV3Ws();
-        cfg.hasPpu = ppu; // ppu=true is invalid and will be skipped
-        return cfg;
-      }
-      case Dataflow::kOutputStationary:
-        return systolicOs(ppu);
-      case Dataflow::kOuterProduct:
-        return divaDefault(ppu);
-    }
-    return {};
-}
-
 enum class CliMode
 {
     kSweep,
@@ -357,7 +338,7 @@ buildSpec(const Args &args)
     SweepSpec spec;
     for (Dataflow df : args.dataflows)
         for (bool ppu : args.ppus)
-            spec.configs.push_back(configFor(df, ppu));
+            spec.configs.push_back(presetConfig(df, ppu));
     spec.models = args.models;
     spec.modelScales = args.scales;
     spec.algorithms = args.algos;
@@ -579,7 +560,7 @@ platformAxis(const Args &args)
     std::vector<Platform> platforms;
     for (Dataflow df : args.dataflows)
         for (bool ppu : args.ppus) {
-            const AcceleratorConfig cfg = configFor(df, ppu);
+            const AcceleratorConfig cfg = presetConfig(df, ppu);
             if (!cfg.validationError().empty())
                 continue; // e.g. WS+PPU, same skip rule as the sweep
             platforms.push_back({cfg, 1, {}});
