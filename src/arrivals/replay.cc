@@ -52,17 +52,11 @@ serveWithAdmission(const ServeSpec &serve,
     }
 
     // The controller must see the targets the loop will actually
-    // enforce: assign auto fair-share rates before pricing demand,
-    // exactly as runServeLoop would (it skips tenants that already
-    // carry a target, so the loop and the controller agree).
+    // enforce, so the fair-share fill runs before pricing demand (the
+    // loop's own fill keeps the targets set here).
     ServeSpec priced = serve;
-    if (priced.opts.autoQosFairShare) {
-        const double n = double(priced.workload.jobs.size());
-        for (std::size_t i = 0; i < priced.workload.jobs.size(); ++i)
-            if (!priced.workload.jobs[i].hasQos())
-                priced.workload.jobs[i].qosStepsPerSec =
-                    safeRatio(1.0, costs[i].seconds) / n;
-    }
+    if (priced.opts.autoQosFairShare)
+        fillFairShareQos(priced.workload.jobs, costs);
 
     const AdmissionDecision decision =
         decideAdmission(priced.workload.jobs, costs, admission);
@@ -89,7 +83,7 @@ serveWithAdmission(const ServeSpec &serve,
             out.tenants.push_back(
                 rejectedMetrics(priced.workload.jobs[i], costs[i]));
         out.meanQosAttainmentPct = kNaN;
-        out.aggStepLatency = computeLatencyStatsSortedMean({});
+        out.aggStepLatency = LatencyCensus().stats();
         return out;
     }
 

@@ -74,13 +74,8 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalImpl(const std::string &msg)
 {
-    {
-        std::lock_guard<std::mutex> lock(sinkMutex());
-        std::cerr << "fatal: " << msg << " @ " << file << ":" << line
-                  << std::endl;
-    }
     throw std::runtime_error("fatal: " + msg);
 }
 

@@ -17,13 +17,18 @@
 namespace diva
 {
 
-/** Terminate with an internal-error message (simulator bug). */
+/** Print an internal-error message (simulator bug) to stderr, then
+ *  throw it as std::logic_error. */
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 
-/** Terminate with a user-error message (bad configuration). */
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
+/**
+ * Throw std::runtime_error("fatal: " + msg) for a user error (bad
+ * configuration) without printing anything: whoever catches it owns
+ * the report -- a sweep scenario records it in its `error` column,
+ * and the CLIs' top-level handler prints what escapes to stderr.
+ */
+[[noreturn]] void fatalImpl(const std::string &msg);
 
 /** Print a warning to stderr without stopping. */
 void warnImpl(const std::string &msg);
@@ -36,9 +41,9 @@ void verboseImpl(const std::string &msg);
 
 /**
  * Stderr chattiness. Levels are cumulative: kQuiet drops warn and
- * inform too (panic/fatal always print), kNormal (the default) prints
- * warn/inform, kVerbose additionally prints DIVA_VERBOSE progress
- * notes such as the disk-cache preload summary.
+ * inform too (panic always prints; fatal never does), kNormal (the
+ * default) prints warn/inform, kVerbose additionally prints
+ * DIVA_VERBOSE progress notes such as the disk-cache preload summary.
  */
 enum class LogVerbosity
 {
@@ -73,7 +78,7 @@ concat(Args &&...args)
     ::diva::panicImpl(__FILE__, __LINE__, ::diva::detail::concat(__VA_ARGS__))
 
 #define DIVA_FATAL(...) \
-    ::diva::fatalImpl(__FILE__, __LINE__, ::diva::detail::concat(__VA_ARGS__))
+    ::diva::fatalImpl(::diva::detail::concat(__VA_ARGS__))
 
 #define DIVA_WARN(...) \
     ::diva::warnImpl(::diva::detail::concat(__VA_ARGS__))

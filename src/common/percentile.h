@@ -4,19 +4,24 @@
  * tail-latency reporting (p50/p95/p99) uses the nearest-rank
  * definition -- no interpolation, no streaming sketches -- so two
  * runs over the same samples produce the same bytes and a percentile
- * is always a value that actually occurred. The workhorse
- * computeLatencyStats selects each rank with std::nth_element (O(n)
- * per rank instead of one O(n log n) sort; the selected values are
- * bit-identical to indexing a full sort). NaN samples (e.g. steps
- * that never ran) are excluded up front rather than poisoning the
- * selection.
+ * is always a value that actually occurred.
+ *
+ * There are two exact paths, chosen by sample count: a set of at most
+ * 32 samples (the per-tenant case) is sorted and indexed; a larger
+ * one goes through a LatencyCensus, the (value -> count) table
+ * whose rank lookups over cumulative counts index the same elements a
+ * sort would. NaN samples (e.g. steps that never ran) are excluded up
+ * front rather than poisoning the ranks. The approximate counterpart
+ * for bounded-memory telemetry is obs::QuantileSketch.
  */
 
 #ifndef DIVA_COMMON_PERCENTILE_H
 #define DIVA_COMMON_PERCENTILE_H
 
+#include <bit>
 #include <cstddef>
-#include <span>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace diva
@@ -43,36 +48,105 @@ struct LatencyStats
 };
 
 /**
- * Exact stats over `samples` (taken by value; reordered in place by
- * the per-rank selections). NaN samples are dropped first; an empty
- * (or all-NaN) set yields count 0 with every statistic NaN. The mean
- * accumulates in the samples' input order.
+ * Exact census of a sample set: every distinct value and how often it
+ * occurred, in an open-addressing table that grows without a cap.
+ * Values are keyed by an order-preserving transform of their bits, so
+ * ascending key order is ascending value order for every non-NaN
+ * double (-0.0 sorts just before +0.0, which is one of the orders a
+ * sort may produce). Summing in ascending value order and looking up
+ * ranks over the cumulative counts therefore reproduces the bytes of
+ * the sorted-array statistics. merge() adds counts, so any merge order
+ * yields the same census. NaN samples are skipped.
+ */
+class LatencyCensus
+{
+  public:
+    void
+    add(double v)
+    {
+        if (v == v) // NaN samples are excluded
+            bump(orderKey(v), 1);
+    }
+
+    /** Fold `other` in: per-value count sums, order-independent. */
+    void merge(const LatencyCensus &other);
+
+    /** Samples counted. */
+    std::uint64_t
+    count() const
+    {
+        return count_;
+    }
+
+    /** (value, count) for every distinct value, ascending by value. */
+    std::vector<std::pair<double, std::uint64_t>> ascending() const;
+
+    /** Stats with the mean summed in ascending value order, as over a
+     *  full sort (the serve and fleet aggregate rows have always
+     *  summed that way). An empty census yields count 0, NaN stats. */
+    LatencyStats stats() const;
+
+    /** Stats whose mean is `sum / count()`, for callers that summed
+     *  the samples in their own order (e.g. chronologically). */
+    LatencyStats stats(double sum) const;
+
+  private:
+    struct Slot
+    {
+        std::uint64_t key;
+        std::uint64_t count; // 0 marks an empty slot
+    };
+
+    /** Monotone map from non-NaN doubles to unsigned keys. */
+    static std::uint64_t
+    orderKey(double v)
+    {
+        const auto b = std::bit_cast<std::uint64_t>(v);
+        return b >> 63 ? ~b : b | (std::uint64_t(1) << 63);
+    }
+
+    /** Home slot of `key` (the table must be non-empty). */
+    std::size_t
+    home(std::uint64_t key) const
+    {
+        return std::size_t((key * kMul) >> shift_);
+    }
+
+    /** Add `n` to `key`'s count, inserting it if absent. */
+    void bump(std::uint64_t key, std::uint64_t n);
+
+    /** Rehash into `size` (a power of two) slots. */
+    void resize(std::size_t size);
+
+    /** Store a new key in its first free slot (no growth check). */
+    void place(std::uint64_t key, std::uint64_t n);
+
+    static constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;
+
+    std::vector<Slot> slots_; // power-of-two size, load <= 1/2
+    std::size_t mask_ = 0;
+    int shift_ = 64;
+    std::size_t distinct_ = 0;
+    std::uint64_t count_ = 0;
+};
+
+/**
+ * Exact stats over `samples` (taken by value; may be reordered). NaN
+ * samples are dropped first; an empty (or all-NaN) set yields count 0
+ * with every statistic NaN. The mean accumulates in the samples' input
+ * order.
  */
 LatencyStats computeLatencyStats(std::vector<double> samples);
 
 /**
  * computeLatencyStats over a caller-owned scratch buffer: identical
- * statistics (bit for bit), but the samples are reordered in place
+ * statistics (bit for bit), but the samples may be reordered in place
  * instead of being copied into a fresh vector. For callers that slice
  * many small sample runs out of one arena -- the fleet's per-tenant
  * stats -- this removes an allocation per call.
  */
 LatencyStats computeLatencyStatsScratch(double *samples,
                                         std::size_t count);
-
-/**
- * Same statistics over the concatenation of `buffers` (read in place,
- * never modified), with the mean accumulated in ascending order as if
- * over a full sort. The aggregate CSV/JSON rows are the only emitters
- * of meanSec and have always summed the sorted samples, so they call
- * this variant to keep their bytes stable; percentiles, count and max
- * are bit-identical to computeLatencyStats. Callers pass the buffers
- * they already hold (the serve loop its tenants', the fleet its
- * pods'); the result is bit-equal to the call on one concatenated
- * buffer.
- */
-LatencyStats computeLatencyStatsSortedMean(
-    const std::vector<std::span<const double>> &buffers);
 
 } // namespace diva
 

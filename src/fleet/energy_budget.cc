@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "serve_core/core.h"
+
 namespace diva
 {
 
-namespace
-{
-
-constexpr double kEps = 1e-9;
-
-} // namespace
+using serve_core::kEps;
 
 double
 effectivePowerCapW(double powerCapW, double totalJ, double spentJ,

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <queue>
-#include <span>
 #include <sstream>
 #include <unordered_map>
 
@@ -156,7 +155,11 @@ struct PodRt
     std::uint64_t epochSteps = 0;
     std::size_t finishedThisEpoch = 0;
 
-    std::vector<double> latencySec;
+    /** Step latencies served here, written only by the lane serving
+     *  this pod: their census, and their sum in onStep order (the
+     *  chronological mean computeLatencyStats would take). */
+    LatencyCensus latency;
+    double latencySumSec = 0.0;
 
     // Windowed telemetry (telemetry runs only). All pod-owned:
     // written by whichever worker runs this pod's epoch -- the pod
@@ -695,7 +698,8 @@ FleetSim::onStep(serve_core::Executor &ex, std::uint32_t i,
         latArena[rt.latOff + rt.core.done - 1] = latencySec;
     else
         rt.latencySec.push_back(latencySec);
-    pod.latencySec.push_back(latencySec);
+    pod.latency.add(latencySec);
+    pod.latencySumSec += latencySec;
     pod.lastActiveSec = ex.nowSec;
     if (telemetry) {
         // Stall overlaps: the switch billed immediately ahead of this
@@ -1195,7 +1199,7 @@ FleetSim::assemble(int threads)
     {
     obs::ScopedPhase tenants_phase("assemble_tenants");
     // Each row is a pure function of its own tenant's runtime state
-    // (the latency selections sort disjoint arena ranges in place),
+    // (the latency stats may sort disjoint arena ranges in place),
     // so rows build in parallel; the floating-point QoS accumulators
     // run in a sequential index-order pass below so their addition
     // order -- and therefore every mean byte -- is independent of the
@@ -1260,26 +1264,24 @@ FleetSim::assemble(int threads)
     out.meanQosAttainmentPct =
         qos_count > 0 ? qos_sum / double(qos_count) : kNaN;
 
-    // The fleet-wide latency samples are the pods' buffers in
-    // pod-index order, read in place -- before the per-pod pass below
-    // consumes them -- by the metrics histogram and the aggregate row.
-    std::vector<std::span<const double>> all_lat;
-    all_lat.reserve(pods.size());
-    for (const PodRt &pod : pods)
-        all_lat.emplace_back(pod.latencySec);
-    if (auto &metrics = obs::MetricsRegistry::instance();
-        metrics.enabled())
-        for (const std::span<const double> buf : all_lat)
-            for (const double latency : buf)
-                metrics.recordValue("fleet.step_latency_sec", latency);
+    // The fleet-wide latency census: the pods' censuses merged (any
+    // order gives the same census), read by the aggregate row and the
+    // metrics histogram.
+    LatencyCensus all_lat;
     {
         obs::ScopedPhase agg_phase("assemble_agg");
-        out.aggStepLatency = computeLatencyStatsSortedMean(all_lat);
+        for (const PodRt &pod : pods)
+            all_lat.merge(pod.latency);
+        out.aggStepLatency = all_lat.stats();
     }
+    if (auto &metrics = obs::MetricsRegistry::instance();
+        metrics.enabled())
+        for (const auto &[latency, count] : all_lat.ascending())
+            metrics.recordValue("fleet.step_latency_sec", latency, count);
 
     {
     obs::ScopedPhase pods_phase("assemble_pods");
-    // Same split as the tenant rows: per-pod latency selections run
+    // Same split as the tenant rows: per-pod latency stats run
     // in parallel, totals accumulate sequentially afterwards.
     out.pods.resize(pods.size());
     forEachPod(pods.size(), threads, [&](std::size_t p) {
@@ -1308,7 +1310,7 @@ FleetSim::assemble(int threads)
             pod_qos_count[p] > 0
                 ? pod_qos_sum[p] / double(pod_qos_count[p])
                 : kNaN;
-        r.stepLatency = computeLatencyStats(std::move(pod.latencySec));
+        r.stepLatency = pod.latency.stats(pod.latencySumSec);
     });
     for (const PodRt &pod : pods) {
         out.totalEnergyJ += pod.energyJ;

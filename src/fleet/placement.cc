@@ -3,13 +3,15 @@
 #include <cmath>
 #include <limits>
 
+#include "serve_core/core.h"
+
 namespace diva
 {
 
 namespace
 {
 
-constexpr double kEps = 1e-9;
+using serve_core::kEps;
 
 /** NaN-safe demand/energy: non-finite prices sort last. */
 double

@@ -9,9 +9,10 @@
  *
  * Determinism contract: a snapshot must be byte-identical for the
  * same simulated work regardless of worker-thread count or shard
- * merge order. Counters are commutative integer sums. Histograms
- * store only integer bucket counts plus exact min/max (both
- * order-independent) -- deliberately no floating-point sum or mean,
+ * merge order. Counters are commutative integer sums. Histograms are
+ * obs::QuantileSketch instances (16 sub-buckets per octave, <= 6.25%
+ * relative error): integer bucket counts plus exact min/max, all
+ * order-independent -- deliberately no floating-point sum or mean,
  * which would depend on merge order. Gauges are plain last-write
  * values and must only be set from sequential code (CLI setup,
  * epoch barriers); concurrent setGauge calls would race the "last"
@@ -33,46 +34,22 @@
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <vector>
+
+#include "obs/sketch.h"
 
 namespace diva
 {
 namespace obs
 {
 
-/** One merged histogram in a snapshot. */
-struct HistogramSnapshot
-{
-    /** Power-of-two bucket (4 sub-buckets per octave) and its count. */
-    struct Bucket
-    {
-        /** Inclusive upper bound of the bucket's value range. */
-        double le = 0.0;
-        std::uint64_t count = 0;
-    };
-
-    std::uint64_t count = 0;
-    double min = 0.0;
-    double max = 0.0;
-    std::vector<Bucket> buckets; ///< ascending by upper bound
-
-    /**
-     * Nearest-rank percentile from the bucket counts: the upper bound
-     * of the smallest bucket holding at least p percent of the
-     * samples, clamped to [min, max]. Within 25% of the exact
-     * nearest-rank value (the relative bucket width).
-     */
-    double percentile(double p) const;
-};
-
 /** Deterministic, name-sorted view of the registry at one instant. */
 struct MetricsSnapshot
 {
     std::map<std::string, std::uint64_t> counters;
     std::map<std::string, double> gauges;
-    std::map<std::string, HistogramSnapshot> histograms;
+    std::map<std::string, QuantileSketch> histograms;
 
-    /** Pretty-printed JSON ("diva-metrics-v1"), byte-stable. */
+    /** Pretty-printed JSON ("diva-metrics-v2"), byte-stable. */
     void writeJson(std::ostream &os) const;
 };
 
@@ -97,24 +74,16 @@ class MetricsRegistry
     /** Set the named gauge. Sequential code only -- see file header. */
     void setGauge(const std::string &name, double value);
 
-    /** Record one sample into the named histogram (thread-safe). */
-    void recordValue(const std::string &name, double value);
+    /** Record `count` samples of `value` into the named histogram
+     *  (thread-safe; NaN is skipped). */
+    void recordValue(const std::string &name, double value,
+                     std::uint64_t count = 1);
 
     /** Merge every shard into one name-sorted snapshot. */
     MetricsSnapshot snapshot() const;
 
     /** Drop all recorded data (shards and gauges); stays enabled. */
     void reset();
-
-    /**
-     * Map a sample to its bucket index: 4 sub-buckets per power-of-
-     * two octave (<= 25% relative width); values <= 0 share one
-     * underflow bucket. Exposed for the histogram unit tests.
-     */
-    static int bucketIndex(double v);
-
-    /** Inclusive upper bound of the bucket `bucketIndex` mapped to. */
-    static double bucketUpperBound(int index);
 
   private:
     MetricsRegistry() = default;

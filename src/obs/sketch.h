@@ -1,7 +1,10 @@
 /**
  * @file
- * Deterministic, mergeable, bounded-memory quantile sketch for the
- * windowed telemetry layer (obs/timeseries.h).
+ * Deterministic, mergeable, bounded-memory quantile sketch: the one
+ * approximate quantile structure, behind the windowed telemetry layer
+ * (obs/timeseries.h) and the metrics registry's histograms
+ * (obs/metrics.h). Its exact counterpart is LatencyCensus
+ * (common/percentile.h).
  *
  * Layout: fixed log-linear buckets derived straight from the IEEE-754
  * bit pattern -- for a positive double the top 16 bits (sign, 11
@@ -86,12 +89,14 @@ class QuantileSketch
         return std::bit_cast<double>(std::uint64_t(index + 1) << 48);
     }
 
+    /** Record `n` samples of value `v` (the same state as n calls
+     *  of add(v); n == 0 records nothing). */
     void
-    add(double v)
+    add(double v, std::uint64_t n = 1)
     {
-        if (v != v)
+        if (v != v || n == 0)
             return; // NaN samples are excluded (see percentile.cc)
-        ++count_;
+        count_ += n;
         if (v < min_)
             min_ = v;
         if (v > max_)
@@ -99,10 +104,10 @@ class QuantileSketch
         const int idx = bucketIndex(v);
         const std::size_t slot = std::size_t(idx - base_);
         if (slot < counts_.size()) {
-            ++counts_[slot]; // the per-step fast path
+            counts_[slot] += n; // the per-step fast path
             return;
         }
-        ++slotFor(idx);
+        slotFor(idx) += n;
     }
 
     /** Fold `other` in; integer bucket adds, so order-independent. */

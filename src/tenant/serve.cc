@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <span>
 #include <sstream>
 
 #include "backend/registry.h"
@@ -273,6 +272,16 @@ backendListError(const std::vector<std::string> &allowed,
     return "backend '" + needed + "' is not in the allowed --backends list";
 }
 
+void
+fillFairShareQos(std::vector<TenantJob> &jobs,
+                 const std::vector<IterationCost> &costs)
+{
+    const double n = double(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        if (!jobs[i].hasQos())
+            jobs[i].qosStepsPerSec = safeRatio(1.0, costs[i].seconds) / n;
+}
+
 ServeResult
 runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
              const SwitchCost &switchCost)
@@ -287,10 +296,7 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
     std::vector<TenantJob> jobs = spec.workload.jobs;
     const std::size_t n = jobs.size();
     if (spec.opts.autoQosFairShare)
-        for (std::size_t i = 0; i < n; ++i)
-            if (!jobs[i].hasQos())
-                jobs[i].qosStepsPerSec =
-                    safeRatio(1.0, costs[i].seconds) / double(n);
+        fillFairShareQos(jobs, costs);
 
     const double wall = spec.opts.wallLimitSec;
     std::vector<TenantRun> run(n);
@@ -373,8 +379,7 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
     // Per-tenant metrics.
     double qos_sum = 0.0;
     std::size_t qos_count = 0;
-    std::vector<std::span<const double>> all_latencies;
-    all_latencies.reserve(n);
+    LatencyCensus all_latencies;
     for (std::size_t i = 0; i < n; ++i) {
         TenantMetrics m;
         m.job = jobs[i];
@@ -395,8 +400,9 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
             ++qos_count;
         }
 
-        m.stepLatency = computeLatencyStats(run[i].latencySec);
-        all_latencies.emplace_back(run[i].latencySec);
+        for (const double latency : run[i].latencySec)
+            all_latencies.add(latency);
+        m.stepLatency = computeLatencyStats(std::move(run[i].latencySec));
 
         m.energyJ = run[i].energyJ;
         m.switchesIn = run[i].switchesIn;
@@ -407,7 +413,7 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
         m.energyShare = safeRatio(m.energyJ, out.totalEnergyJ);
     out.meanQosAttainmentPct =
         qos_count > 0 ? qos_sum / double(qos_count) : kNaN;
-    out.aggStepLatency = computeLatencyStatsSortedMean(all_latencies);
+    out.aggStepLatency = all_latencies.stats();
     return out;
 }
 

@@ -325,6 +325,14 @@ void publishCoreCounters(const serve_core::Counters &c);
 ServeResult emptyServeResult(const ServeSpec &spec);
 
 /**
+ * The autoQosFairShare fill: every job without a QoS target gets its
+ * isolated rate (from costs[i]) divided by the number of jobs. Jobs
+ * that already carry a target keep it.
+ */
+void fillFairShareQos(std::vector<TenantJob> &jobs,
+                      const std::vector<IterationCost> &costs);
+
+/**
  * The scheduling loop alone, over explicit per-tenant iteration costs
  * (costs[i] belongs to workload.jobs[i]) and an explicit switch bill.
  * Exposed for tests and custom cost models; validates the spec and

@@ -1,25 +1,28 @@
 /**
  * @file
- * Tests of the observability layer: histogram bucketing and
- * percentile bounds against the exact nearest-rank implementation,
- * metrics-snapshot byte-identity across engine thread counts (the
- * registry's shard-merge determinism contract), trace span nesting
+ * Tests of the observability layer: registry histograms as
+ * QuantileSketches (shard merge, weighted records), metrics-snapshot
+ * byte-identity across engine thread counts (the registry's
+ * shard-merge determinism contract), trace span nesting
  * and per-track event caps, Chrome-trace JSON well-formedness, the
  * no-op guarantee (enabling collection does not perturb simulation
  * output), and stderr verbosity gating.
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "arrivals/generate.h"
 #include "common/logging.h"
-#include "common/percentile.h"
 #include "fleet/emit.h"
 #include "fleet/engine.h"
 #include "obs/metrics.h"
@@ -80,65 +83,67 @@ smallTrace()
     return generateTrace(*gen);
 }
 
-TEST(ObsHistogram, BucketBoundsCoverPositiveValues)
+/** Count, min, max and every bucket of two sketches, bit for bit. */
+void
+expectSameSketch(const obs::QuantileSketch &a, const obs::QuantileSketch &b)
 {
-    // Every positive sample must land in a bucket whose upper bound
-    // is >= the sample and within 25% of it (4 sub-buckets per
-    // power-of-two octave).
-    for (double v : {1e-9, 0.001, 0.5, 0.75, 1.0, 1.5, 3.0, 7.99,
-                     1024.0, 3.7e8}) {
-        const int idx = obs::MetricsRegistry::bucketIndex(v);
-        const double le = obs::MetricsRegistry::bucketUpperBound(idx);
-        EXPECT_GE(le, v) << "v=" << v;
-        EXPECT_LE(le, v * 1.25 + 1e-12) << "v=" << v;
-        // The next-lower bucket's bound is below v (equal when v sits
-        // exactly on a sub-bucket boundary, which maps upward).
-        EXPECT_LE(obs::MetricsRegistry::bucketUpperBound(idx - 1), v)
-            << "v=" << v;
-    }
+    EXPECT_EQ(a.count(), b.count());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.minValue()),
+              std::bit_cast<std::uint64_t>(b.minValue()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.maxValue()),
+              std::bit_cast<std::uint64_t>(b.maxValue()));
+    EXPECT_EQ(a.buckets(), b.buckets());
+    for (double p : {10.0, 50.0, 95.0, 99.0, 100.0})
+        EXPECT_EQ(a.percentile(p), b.percentile(p)) << "p" << p;
 }
 
-TEST(ObsHistogram, NonPositiveValuesShareTheUnderflowBucket)
+TEST(ObsHistogram, RegistryHistogramIsAQuantileSketch)
 {
-    const int zero = obs::MetricsRegistry::bucketIndex(0.0);
-    EXPECT_EQ(zero, obs::MetricsRegistry::bucketIndex(-1.0));
-    EXPECT_EQ(zero, obs::MetricsRegistry::bucketIndex(-1e300));
-    EXPECT_NE(zero, obs::MetricsRegistry::bucketIndex(1e-300));
-}
-
-TEST(ObsHistogram, PercentilesTrackExactNearestRank)
-{
+    // The registry's histograms are QuantileSketches (bucket layout and
+    // error bound: QuantileSketchTest in test_timeseries.cc). Samples
+    // spread over short-lived threads' shards must snapshot to the
+    // sketch fed the same samples directly, NaN skipped and weighted
+    // records included.
     ScopedMetrics scoped;
     auto &reg = obs::MetricsRegistry::instance();
-
-    // A skewed latency-like sample set: many fast, few slow.
     std::vector<double> samples;
     for (int i = 1; i <= 200; ++i)
         samples.push_back(0.001 * double(i % 17 + 1));
     for (int i = 0; i < 10; ++i)
         samples.push_back(0.5 + 0.1 * double(i));
-    for (double v : samples)
-        reg.recordValue("test.latency", v);
-    std::sort(samples.begin(), samples.end());
+    samples.push_back(0.0);
+    samples.push_back(std::numeric_limits<double>::quiet_NaN());
+
+    obs::QuantileSketch direct;
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < 3; ++t)
+        workers.emplace_back([&reg, &samples, t] {
+            for (std::size_t i = t; i < samples.size(); i += 3)
+                reg.recordValue("test.latency", samples[i]);
+        });
+    for (std::thread &w : workers)
+        w.join();
+    for (const double v : samples)
+        direct.add(v);
+    reg.recordValue("test.latency", 2.5, 7);
+    direct.add(2.5, 7);
 
     const auto snap = reg.snapshot();
     const auto it = snap.histograms.find("test.latency");
     ASSERT_NE(it, snap.histograms.end());
-    const obs::HistogramSnapshot &h = it->second;
-    EXPECT_EQ(h.count, samples.size());
-    EXPECT_DOUBLE_EQ(h.min, samples.front());
-    EXPECT_DOUBLE_EQ(h.max, samples.back());
+    EXPECT_EQ(it->second.count(), samples.size() - 1 + 7);
+    expectSameSketch(it->second, direct);
 
-    // The bucketed estimate is the upper bound of the bucket holding
-    // the nearest-rank sample, so it is >= the exact value and within
-    // the 25% relative bucket width (clamping to max can only bring
-    // it closer).
-    for (double p : {10.0, 50.0, 90.0, 95.0, 99.0, 100.0}) {
-        const double exact = percentileSorted(samples, p);
-        const double est = h.percentile(p);
-        EXPECT_GE(est, exact) << "p" << p;
-        EXPECT_LE(est, exact * 1.25 + 1e-12) << "p" << p;
+    // A weighted add is n plain adds, on an existing bucket or a new
+    // one below/above the occupied span; n == 0 records nothing.
+    obs::QuantileSketch weighted, repeated;
+    for (const auto &[v, n] : std::vector<std::pair<double, int>>{
+             {1.0, 3}, {1.0, 2}, {1e-6, 4}, {1e6, 1}, {-2.0, 2}, {7.0, 0}}) {
+        weighted.add(v, std::uint64_t(n));
+        for (int k = 0; k < n; ++k)
+            repeated.add(v);
     }
+    expectSameSketch(weighted, repeated);
 }
 
 TEST(ObsMetrics, CountersMergeAcrossShortLivedThreads)

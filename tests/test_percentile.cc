@@ -1,9 +1,11 @@
 /**
  * @file
- * Edge-case tests of the exact-sort percentile helpers backing the
- * tail-latency reports: empty and single-sample sets, all-identical
- * samples, NaN exclusion, and the nearest-rank definition on sets
- * where interpolation would invent values that never occurred.
+ * Tests of the exact percentile helpers backing the tail-latency
+ * reports: empty and single-sample sets, all-identical samples, NaN
+ * exclusion, the nearest-rank definition on sets where interpolation
+ * would invent values that never occurred, and the LatencyCensus path
+ * bit for bit against a plain sort (many distinct values, +0.0, NaNs,
+ * the small-set cutoff, merges in any order).
  */
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 #include <cstring>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +27,65 @@ namespace
 {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/** Every field of two stats, compared bit for bit (NaN == NaN). */
+void
+expectBitEqual(const LatencyStats &a, const LatencyStats &b)
+{
+    auto bits = [](double v) {
+        std::uint64_t u;
+        std::memcpy(&u, &v, sizeof u);
+        return u;
+    };
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_EQ(bits(a.meanSec), bits(b.meanSec));
+    EXPECT_EQ(bits(a.p50Sec), bits(b.p50Sec));
+    EXPECT_EQ(bits(a.p95Sec), bits(b.p95Sec));
+    EXPECT_EQ(bits(a.p99Sec), bits(b.p99Sec));
+    EXPECT_EQ(bits(a.maxSec), bits(b.maxSec));
+}
+
+/**
+ * The definition: NaNs dropped, a full sort, nearest-rank picks, and
+ * the mean summed in input order -- or, with `sortedMean`, in
+ * ascending order (the aggregate rows' sum).
+ */
+LatencyStats
+sortReference(const std::vector<double> &samples, bool sortedMean)
+{
+    std::vector<double> kept;
+    for (const double v : samples)
+        if (!std::isnan(v))
+            kept.push_back(v);
+    std::vector<double> sorted = kept;
+    std::sort(sorted.begin(), sorted.end());
+    LatencyStats ref;
+    ref.count = sorted.size();
+    ref.meanSec = ref.p50Sec = ref.p95Sec = ref.p99Sec = ref.maxSec = kNaN;
+    if (sorted.empty())
+        return ref;
+    double sum = 0.0;
+    for (const double v : sortedMean ? sorted : kept)
+        sum += v;
+    ref.meanSec = sum / double(sorted.size());
+    ref.p50Sec = percentileSorted(sorted, 50.0);
+    ref.p95Sec = percentileSorted(sorted, 95.0);
+    ref.p99Sec = percentileSorted(sorted, 99.0);
+    ref.maxSec = sorted.back();
+    return ref;
+}
+
+/** Census stats over every buffer's samples, as the aggregate rows
+ *  take them (mean summed in ascending order). */
+LatencyStats
+censusStats(const std::vector<std::span<const double>> &buffers)
+{
+    LatencyCensus census;
+    for (const std::span<const double> buf : buffers)
+        for (const double v : buf)
+            census.add(v);
+    return census.stats();
+}
 
 TEST(Percentile, EmptySetYieldsNaNStatsAndZeroCount)
 {
@@ -97,20 +159,22 @@ TEST(Percentile, NearestRankNeverInterpolates)
     EXPECT_DOUBLE_EQ(percentileSorted({1.0, 9.0}, 250.0), 9.0);
 }
 
-TEST(Percentile, SelectionMatchesSortReferenceBitIdentically)
+TEST(Percentile, StatsMatchSortReferenceBitIdentically)
 {
-    // The nth_element-based computeLatencyStats must select exactly
-    // the elements a full sort would index: cross-check count, every
-    // percentile and the max against a sort-based reference over
-    // deterministic pseudo-random sample sets of awkward sizes
-    // (including rank collisions at n < 20 and duplicate-heavy sets).
+    // computeLatencyStats (a small sort up to 32 samples, the census
+    // above) must pick exactly the elements a full sort would index:
+    // cross-check count, every percentile and the max against a
+    // sort-based reference over deterministic pseudo-random sample
+    // sets of awkward sizes (including rank collisions at n < 20, both
+    // sides of the small-set cutoff and duplicate-heavy sets).
     std::uint64_t lcg = 0x2545f4914f6cdd1dULL;
     auto next = [&lcg]() {
         lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
         return double(lcg >> 16) / double(1ULL << 48);
     };
     for (std::size_t n :
-         {1u, 2u, 3u, 7u, 19u, 20u, 21u, 99u, 100u, 101u, 1000u}) {
+         {1u, 2u, 3u, 7u, 19u, 20u, 21u, 32u, 33u, 99u, 100u, 101u, 1000u,
+          4096u}) {
         std::vector<double> samples;
         samples.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {
@@ -129,10 +193,10 @@ TEST(Percentile, SelectionMatchesSortReferenceBitIdentically)
         EXPECT_EQ(s.p99Sec, percentileSorted(sorted, 99.0)) << "n=" << n;
         EXPECT_EQ(s.maxSec, sorted.back()) << "n=" << n;
 
-        // The sorted-mean variant is the old sort-based path: its
-        // percentiles must agree bit-for-bit, and its mean must equal
-        // an ascending-order accumulation exactly.
-        const LatencyStats agg = computeLatencyStatsSortedMean({samples});
+        // The census's sorted-order stats must agree bit for
+        // bit, and its mean must equal an ascending-order
+        // accumulation exactly.
+        const LatencyStats agg = censusStats({samples});
         EXPECT_EQ(agg.p50Sec, s.p50Sec);
         EXPECT_EQ(agg.p95Sec, s.p95Sec);
         EXPECT_EQ(agg.p99Sec, s.p99Sec);
@@ -146,12 +210,11 @@ TEST(Percentile, SelectionMatchesSortReferenceBitIdentically)
 
 TEST(Percentile, CensusPathMatchesSortReferenceBitIdentically)
 {
-    // Large strictly-positive duplicate-heavy sets take the
-    // distinct-value census path (rank lookups over per-value counts
-    // instead of selection / radix sort).  Its stats must match the
-    // sort reference bit-for-bit, and the sorted-mean variant's mean
-    // must equal an ascending-order accumulation exactly -- the census
-    // replays that exact addition sequence per distinct value.
+    // Sets above the small-set cutoff take the census: rank lookups
+    // over per-value counts. Its stats must match the sort reference
+    // bit for bit, and its sorted-order mean must equal an
+    // ascending-order accumulation exactly -- the census replays that
+    // exact addition sequence per distinct value.
     std::uint64_t lcg = 0x9e3779b97f4a7c15ULL;
     auto next = [&lcg]() {
         lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -177,7 +240,7 @@ TEST(Percentile, CensusPathMatchesSortReferenceBitIdentically)
         EXPECT_EQ(s.p99Sec, percentileSorted(sorted, 99.0)) << "n=" << n;
         EXPECT_EQ(s.maxSec, sorted.back()) << "n=" << n;
 
-        const LatencyStats agg = computeLatencyStatsSortedMean({samples});
+        const LatencyStats agg = censusStats({samples});
         EXPECT_EQ(agg.p50Sec, s.p50Sec);
         EXPECT_EQ(agg.p95Sec, s.p95Sec);
         EXPECT_EQ(agg.p99Sec, s.p99Sec);
@@ -188,51 +251,47 @@ TEST(Percentile, CensusPathMatchesSortReferenceBitIdentically)
         EXPECT_EQ(agg.meanSec, sum / double(n)) << "n=" << n;
     }
 
-    // A single non-positive sample disqualifies the census (positive
-    // doubles order by raw bits; zero and negatives do not), so the
-    // fallback must kick in and still match the sort reference.
-    std::vector<double> mixed(4096, 2.5);
-    for (std::size_t i = 0; i < mixed.size(); ++i)
-        mixed[i] = 0.5 + double(i % 97) / 97.0;
-    mixed[1234] = 0.0;
-    std::vector<double> sortedMixed = mixed;
-    std::sort(sortedMixed.begin(), sortedMixed.end());
-    const LatencyStats m = computeLatencyStats(mixed);
-    EXPECT_EQ(m.p50Sec, percentileSorted(sortedMixed, 50.0));
-    EXPECT_EQ(m.p99Sec, percentileSorted(sortedMixed, 99.0));
-    EXPECT_EQ(m.maxSec, sortedMixed.back());
-    const LatencyStats ma = computeLatencyStatsSortedMean({mixed});
-    EXPECT_EQ(ma.p50Sec, m.p50Sec);
-    double msum = 0.0;
-    for (double v : sortedMixed)
-        msum += v;
-    EXPECT_EQ(ma.meanSec, msum / double(mixed.size()));
-}
-
-/** Every field of two stats, compared bit for bit (NaN == NaN). */
-void
-expectBitEqual(const LatencyStats &a, const LatencyStats &b)
-{
-    auto bits = [](double v) {
-        std::uint64_t u;
-        std::memcpy(&u, &v, sizeof u);
-        return u;
+    // Seeded sets the census must take without any fallback, each
+    // checked bit for bit (count, both means, p50/p95/p99, max) against
+    // the sort reference: more than 8192 distinct values, +0.0
+    // samples, NaNs, and sizes on both sides of the small-set cutoff.
+    auto checkBoth = [](const std::vector<double> &samples) {
+        expectBitEqual(computeLatencyStats(samples),
+                       sortReference(samples, false));
+        expectBitEqual(censusStats({samples}),
+                       sortReference(samples, true));
     };
-    EXPECT_EQ(a.count, b.count);
-    EXPECT_EQ(bits(a.meanSec), bits(b.meanSec));
-    EXPECT_EQ(bits(a.p50Sec), bits(b.p50Sec));
-    EXPECT_EQ(bits(a.p95Sec), bits(b.p95Sec));
-    EXPECT_EQ(bits(a.p99Sec), bits(b.p99Sec));
-    EXPECT_EQ(bits(a.maxSec), bits(b.maxSec));
+    for (std::size_t n : {1u, 32u, 33u, 4096u, 50000u}) {
+        std::vector<double> wide(n); // ~n distinct values
+        for (double &v : wide)
+            v = 1e-4 + double(next() % 100000000) / 1e7;
+        checkBoth(wide);
+
+        std::vector<double> zeros = wide;
+        for (std::size_t i = 0; i < n; i += 7)
+            zeros[i] = 0.0;
+        checkBoth(zeros);
+
+        std::vector<double> nans = zeros;
+        for (std::size_t i = 3; i < n; i += 11)
+            nans[i] = kNaN;
+        checkBoth(nans);
+
+        // Not latencies, but the census orders every non-NaN double.
+        std::vector<double> signs = nans;
+        for (std::size_t i = 0; i < n; i += 5)
+            signs[i] = -signs[i];
+        checkBoth(signs);
+    }
+    std::vector<double> allZero(40, 0.0);
+    checkBoth(allZero);
 }
 
 TEST(Percentile, MultiBufferMatchesConcatenationBitForBit)
 {
-    // The fleet aggregates its pods' latency buffers in place; the
-    // result must be bit-equal to one call on their concatenation and
-    // to a plain sort, on the census path and on every fallback (a
-    // non-positive sample, too many distinct values -- the radix
-    // sort -- or a small set), NaNs included.
+    // Buffers are read in place; the result must be bit-equal to one
+    // call on their concatenation and to a plain sort, for few or many
+    // distinct values, signed zeros, NaNs and small sets.
     std::uint64_t lcg = 0x2545f4914f6cdd1dULL;
     auto next = [&lcg]() {
         lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -246,31 +305,10 @@ TEST(Percentile, MultiBufferMatchesConcatenationBitForBit)
             spans.emplace_back(p);
         }
         const std::vector<double> before = concat;
-        const LatencyStats multi = computeLatencyStatsSortedMean(spans);
-        expectBitEqual(multi, computeLatencyStatsSortedMean({concat}));
+        const LatencyStats multi = censusStats(spans);
+        expectBitEqual(multi, censusStats({concat}));
 
-        // And both equal the definition: NaNs dropped, a full sort,
-        // nearest-rank picks, the mean summed in ascending order.
-        std::vector<double> sorted;
-        for (const double v : concat)
-            if (!std::isnan(v))
-                sorted.push_back(v);
-        std::sort(sorted.begin(), sorted.end());
-        LatencyStats ref;
-        ref.count = sorted.size();
-        ref.meanSec = ref.p50Sec = ref.p95Sec = ref.p99Sec = ref.maxSec =
-            kNaN;
-        if (!sorted.empty()) {
-            double sum = 0.0;
-            for (const double v : sorted)
-                sum += v;
-            ref.meanSec = sum / double(sorted.size());
-            ref.p50Sec = percentileSorted(sorted, 50.0);
-            ref.p95Sec = percentileSorted(sorted, 95.0);
-            ref.p99Sec = percentileSorted(sorted, 99.0);
-            ref.maxSec = sorted.back();
-        }
-        expectBitEqual(multi, ref);
+        expectBitEqual(multi, sortReference(concat, true));
         std::size_t at = 0;
         for (const std::vector<double> &p : parts) {
             if (!p.empty())
@@ -282,10 +320,8 @@ TEST(Percentile, MultiBufferMatchesConcatenationBitForBit)
         }
     };
 
-    // Pools: few distinct values (the census path), many spread over
-    // several binades (the radix sort runs all eight scatter passes)
-    // and many within one binade (three passes, so the sorted run ends
-    // in the scratch array and is copied back).
+    // Pools: few distinct values, many spread over several binades
+    // and many within one binade.
     for (int kind = 0; kind < 3; ++kind) {
         std::vector<double> pool;
         for (std::size_t i = 0; i < (kind == 0 ? 64u : 20000u); ++i)
@@ -308,13 +344,80 @@ TEST(Percentile, MultiBufferMatchesConcatenationBitForBit)
         std::vector<std::vector<double>> withZero = parts;
         withZero[2][5] = 0.0;
         withZero[6][9] = -0.0;
-        check(withZero); // non-positive: the sort fallback
+        check(withZero); // -0.0 keys sort just below +0.0
 
-        check({parts[1], {}, parts[2]}); // small set: below the census
+        check({parts[1], {}, parts[2]});
+        check({{parts[1].begin(), parts[1].begin() + 20},
+               {parts[2].begin(), parts[2].begin() + 13}});
     }
     check({});
     check({{kNaN, kNaN}, {}});
     check({std::vector<double>(5000, kNaN)});
+}
+
+TEST(Percentile, CensusMergeIsOrderIndependentAndMatchesChronologicalStats)
+{
+    // The fleet keeps one census plus a running sum per pod, merges
+    // the pods' censuses for the fleet-wide row and reads each pod's
+    // own for its row. Shards: empty, one sample, a small set, a
+    // census-sized set with > 8192 distinct values, +0.0 and NaN.
+    std::uint64_t lcg = 0x51f15eedULL;
+    auto next = [&lcg]() {
+        lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+        return lcg >> 33;
+    };
+    std::vector<std::vector<double>> shards(6);
+    const std::size_t sizes[6] = {0, 1, 20, 33, 30000, 4096};
+    for (std::size_t k = 0; k < shards.size(); ++k)
+        for (std::size_t i = 0; i < sizes[k]; ++i)
+            shards[k].push_back(0.002 + double(next() % 50000000) / 1e7);
+    shards[3][4] = 0.0;
+    shards[4][100] = 0.0;
+    shards[5][7] = kNaN;
+
+    std::vector<LatencyCensus> censuses(shards.size());
+    std::vector<double> all;
+    for (std::size_t k = 0; k < shards.size(); ++k) {
+        double sum = 0.0; // the pod's running sum, in sample order
+        for (const double v : shards[k]) {
+            censuses[k].add(v);
+            if (!std::isnan(v))
+                sum += v;
+        }
+        expectBitEqual(censuses[k].stats(sum),
+                       computeLatencyStats(shards[k]));
+        all.insert(all.end(), shards[k].begin(), shards[k].end());
+    }
+
+    const LatencyStats want = sortReference(all, true);
+    std::vector<std::size_t> order = {0, 1, 2, 3, 4, 5};
+    for (int perm = 0; perm < 24; ++perm) {
+        LatencyCensus merged;
+        for (const std::size_t k : order)
+            merged.merge(censuses[k]);
+        expectBitEqual(merged.stats(), want);
+        std::next_permutation(order.begin(), order.end());
+    }
+    // Merging census into census, pairwise, lands on the same table.
+    LatencyCensus left = censuses[4], right = censuses[5];
+    left.merge(censuses[3]);
+    right.merge(censuses[1]);
+    right.merge(left);
+    right.merge(censuses[2]);
+    expectBitEqual(right.stats(), want);
+    LatencyCensus forward;
+    for (const LatencyCensus &c : censuses)
+        forward.merge(c);
+    EXPECT_EQ(right.ascending(), forward.ascending());
+    EXPECT_EQ(right.count(), all.size() - 1); // the NaN is skipped
+
+    // ascending() lists each distinct value once, with its count.
+    LatencyCensus repeats;
+    for (int i = 0; i < 100; ++i)
+        repeats.add(i % 3 == 0 ? 1.5 : 2.5);
+    EXPECT_EQ(repeats.ascending(),
+              (std::vector<std::pair<double, std::uint64_t>>{{1.5, 34},
+                                                             {2.5, 66}}));
 }
 
 TEST(Percentile, StatsAreOrderedAndSorted)

@@ -243,4 +243,22 @@ TEST_F(ServeCli, BadSweepFlagsFail)
     EXPECT_NE(runQuiet("./diva_sweep --models NoSuchNet"), 0);
 }
 
+TEST_F(ServeCli, CaughtScenarioFailuresStayOffStderrUnderQuiet)
+{
+    // At 1e-12 GB/s the 4-chip all-reduce overflows 64-bit cycles, so
+    // every scenario fails. The failures belong to the CSV/JSON
+    // `error` column and the exit code, not to stderr.
+    const std::string err = "serve_cli_quiet_failures.err";
+    const int status = std::system(
+        ("./diva_sweep --quiet --models ResNet-50 --dataflows DiVa "
+         "--chips 4 --ici-gbs 1e-12 >/dev/null 2>" + err)
+            .c_str());
+    ASSERT_NE(status, -1);
+#ifdef WEXITSTATUS
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+#endif
+    EXPECT_EQ(fileSize(err), 0) << "stderr must stay empty";
+    std::remove(err.c_str());
+}
+
 } // namespace

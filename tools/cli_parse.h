@@ -12,7 +12,8 @@
  * exits 1. The groups the tools share (trace input, serving knobs,
  * execution, output, observability) are defined once below, together
  * with the two helpers every tool needs after parsing: resolving the
- * replayed trace and writing an output file (or stdout).
+ * replayed trace and writing an output file (or stdout); guardedMain
+ * is every tool's last-resort exception handler.
  */
 
 #ifndef DIVA_TOOLS_CLI_PARSE_H
@@ -21,6 +22,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -44,6 +46,23 @@
 
 namespace diva::cli
 {
+
+/**
+ * A tool's main behind one last-resort handler: an exception nothing
+ * below caught -- e.g. a DIVA_FATAL outside a scenario, which prints
+ * nothing itself -- goes to stderr and the tool exits 1 instead of
+ * aborting.
+ */
+inline int
+guardedMain(int (*body)(int, char **), int argc, char **argv)
+{
+    try {
+        return body(argc, argv);
+    } catch (const std::exception &e) {
+        std::cerr << e.what() << "\n";
+        return 1;
+    }
+}
 
 /** Split a comma-separated list, dropping empty items. */
 inline std::vector<std::string>

@@ -224,10 +224,8 @@ printSummary(std::ostream &os, const FleetResult &f)
     table.print(os);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Args args;
     if (!flagSpec(args).parse(argc, argv) || !args.obs.activate())
@@ -290,4 +288,12 @@ main(int argc, char **argv)
     if (!args.obs.finish())
         return 1;
     return fleet.ok() ? 0 : 2;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return cli::guardedMain(run, argc, argv);
 }

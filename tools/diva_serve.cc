@@ -292,10 +292,8 @@ printSummary(std::ostream &os, const std::vector<ServeResult> &serves)
     }
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Args args;
     if (!flagSpec(args).parse(argc, argv) || !args.obs.activate())
@@ -414,4 +412,12 @@ main(int argc, char **argv)
     if (!args.obs.finish())
         return 1;
     return any_error ? 2 : 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return cli::guardedMain(run, argc, argv);
 }

@@ -832,10 +832,8 @@ runTraceMode(const Args &args, SweepRunner &runner)
     return failures == 0 ? 0 : 2;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     Args args;
     if (!flagSpec(args).parse(argc, argv) || !args.obs.activate())
@@ -976,4 +974,12 @@ main(int argc, char **argv)
     if (!args.obs.finish())
         return report.failures == 0 ? 1 : 2;
     return report.failures == 0 ? 0 : 2;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return cli::guardedMain(run, argc, argv);
 }
