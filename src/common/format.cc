@@ -1,7 +1,9 @@
 #include "common/format.h"
 
+#include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 namespace diva
@@ -73,24 +75,61 @@ appendDouble(std::string &out, double v)
         out += v < 0.0 ? "-inf" : "inf";
         return;
     }
-    // %.17g round-trips but is noisy; use the shortest precision that
-    // parses back exactly, floored at 6 (the historical %g default).
-    // The shortest-scientific form's mantissa length *is* that
-    // precision -- correctly-rounded printf round-trips at any
-    // precision >= it and at none below. to_chars with an explicit
-    // precision is specified as printf's %.*g, minus the locale and
-    // the format-string parse that made snprintf the cost of
-    // million-row CSV emission.
-    char buf[64];
-    const auto sci = std::to_chars(buf, buf + sizeof(buf), v,
-                                   std::chars_format::scientific);
-    int digits = 0;
-    for (const char *c = buf; c != sci.ptr && *c != 'e'; ++c)
-        digits += *c >= '0' && *c <= '9';
-    const auto res =
-        std::to_chars(buf, buf + sizeof(buf), v,
-                      std::chars_format::general, digits < 6 ? 6 : digits);
-    out.append(buf, res.ptr);
+    // %.17g round-trips but is noisy; the text is printf's %.{P}g with
+    // P = max(6, d), d the digit count of the shortest round-trip form
+    // (6 is the historical %g default). One to_chars call gives those
+    // d digits and their exponent X, and they are the %.{P}g digits
+    // too (zero-padded), so %g's layout is done here without a second
+    // conversion: exponent form iff X < -4 or X >= P -- which is the
+    // shortest-scientific text itself, as it carries no trailing zeros
+    // and a two-digit-minimum exponent -- else fixed notation.
+    char buf[32];
+    char *end = std::to_chars(buf, buf + sizeof(buf), v,
+                              std::chars_format::scientific)
+                    .ptr;
+    const bool neg = buf[0] == '-';
+    char digits[20];
+    int d = 0;
+    const char *c = buf + neg;
+    for (; *c != 'e'; ++c)
+        if (*c != '.')
+            digits[d++] = *c;
+    int x = 0;
+    std::from_chars(c + 1 + (c[1] == '+'), end, x);
+    const int prec = d < 6 ? 6 : d;
+    // Two kinds of double have a rounding interval wider than the
+    // %.{P}g digit grid, so printf's correctly rounded digits differ
+    // from the shortest ones: a subnormal padded to 6 digits
+    // (DBL_TRUE_MIN is 4.94066e-324, not 5e-324) and an exact power
+    // of two at 16-17 digits (2^-1017 is ...044e-307, not ...045).
+    // They keep the second, printf-exact call.
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+    const bool zeroExp = (bits & 0x7ff0000000000000ULL) == 0;
+    const bool zeroMant = (bits & 0x000fffffffffffffULL) == 0;
+    if ((d < 6 && zeroExp && !zeroMant) || (d > 15 && zeroMant)) {
+        const auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                                       std::chars_format::general, prec);
+        out.append(buf, res.ptr);
+        return;
+    }
+    if (x < -4 || x >= prec) {
+        out.append(buf, end);
+        return;
+    }
+    if (neg)
+        out += '-';
+    if (x < 0) {
+        out += "0.";
+        out.append(std::size_t(-x - 1), '0');
+        out.append(digits, std::size_t(d));
+    } else if (d <= x + 1) {
+        out.append(digits, std::size_t(d));
+        out.append(std::size_t(x + 1 - d), '0');
+    } else {
+        out.append(digits, std::size_t(x + 1));
+        out += '.';
+        out.append(digits + x + 1, std::size_t(d - x - 1));
+    }
 }
 
 std::string

@@ -1,7 +1,7 @@
 /**
  * @file
  * Deterministic text formatting shared by every CSV/JSON emitter
- * (sweep, serve, arrival traces): shortest round-trippable doubles
+ * (sweep, serve, fleet, arrival traces): shortest-precision %g doubles
  * with pinned nan/inf spellings, JSON number tokens that map
  * non-finite values to null, RFC-4180 CSV cell quoting, and JSON
  * string escaping. One definition here keeps the guards identical
@@ -18,8 +18,15 @@ namespace diva
 {
 
 /**
- * Shortest round-trippable decimal form of a double ("0.25", "1e-06").
- * Non-finite values format as "nan" / "inf" / "-inf".
+ * Decimal form of a double ("0.25", "1e-06"): printf's %.{P}g with P
+ * the digit count of the shortest round-trip form, floored at 6. It
+ * takes one std::to_chars call and lays out %g's text from those
+ * digits; a subnormal shorter than 6 digits and an exact power of two
+ * at 16-17 digits take a second, printf-exact call, because their %g
+ * digits differ from the shortest ones. The text parses back to v
+ * except for +-2^k at 46 exponents k, whose 16-digit %g rounding
+ * misses (2^-24 prints as 5.960464477539062e-08). Non-finite values
+ * format as "nan" / "inf" / "-inf".
  */
 std::string formatDouble(double v);
 

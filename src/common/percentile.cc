@@ -38,13 +38,11 @@ emptyStats()
 }
 
 /**
- * Stats of n samples from their ascending (value, count) pairs and
- * their sum: rank lookups over the cumulative counts index the same
- * elements a sort would.
+ * rankStats with the sum given: n samples described by an ascending
+ * run, their sum taken in whatever order the caller summed them.
  */
 LatencyStats
-rankStats(const std::vector<std::pair<double, std::uint64_t>> &values,
-          std::uint64_t n, double sum)
+rankStatsWithSum(const LatencyRun &values, std::uint64_t n, double sum)
 {
     if (n == 0)
         return emptyStats();
@@ -66,6 +64,31 @@ rankStats(const std::vector<std::pair<double, std::uint64_t>> &values,
     out.p95Sec = picks[1];
     out.p99Sec = picks[2];
     out.maxSec = values.back().first;
+    return out;
+}
+
+/** One ascending run from two: a merge by key, equal keys summed. */
+LatencyRun
+mergeTwo(const LatencyRun &a, const LatencyRun &b)
+{
+    LatencyRun out;
+    out.reserve(a.size() + b.size());
+    std::size_t i = 0, j = 0;
+    while (i < a.size() && j < b.size()) {
+        const std::uint64_t ka = orderKey(a[i].first);
+        const std::uint64_t kb = orderKey(b[j].first);
+        if (ka < kb) {
+            out.push_back(a[i++]);
+        } else if (kb < ka) {
+            out.push_back(b[j++]);
+        } else {
+            out.emplace_back(a[i].first, a[i].second + b[j].second);
+            ++i;
+            ++j;
+        }
+    }
+    out.insert(out.end(), a.begin() + std::ptrdiff_t(i), a.end());
+    out.insert(out.end(), b.begin() + std::ptrdiff_t(j), b.end());
     return out;
 }
 
@@ -123,38 +146,25 @@ LatencyCensus::place(std::uint64_t key, std::uint64_t n)
 }
 
 void
-LatencyCensus::bump(std::uint64_t key, std::uint64_t n)
+LatencyCensus::bump(std::uint64_t key)
 {
-    count_ += n;
+    ++count_;
     if (!slots_.empty())
         for (std::size_t at = home(key); slots_[at].count != 0;
              at = (at + 1) & mask_)
             if (slots_[at].key == key) {
-                slots_[at].count += n;
+                ++slots_[at].count;
                 return;
             }
     // A new value: keep the load at most 1/2 by doubling (or
     // allocating) the table first.
     if (2 * (distinct_ + 1) > slots_.size())
         resize(std::max<std::size_t>(16, 2 * slots_.size()));
-    place(key, n);
+    place(key, 1);
     ++distinct_;
 }
 
-void
-LatencyCensus::merge(const LatencyCensus &other)
-{
-    // Walking `other` in slot order visits keys in home-slot order;
-    // into a smaller table that order piles them into one long probe
-    // run, so first grow to at least other's size.
-    if (slots_.size() < other.slots_.size())
-        resize(other.slots_.size());
-    for (const Slot &sl : other.slots_)
-        if (sl.count != 0)
-            bump(sl.key, sl.count);
-}
-
-std::vector<std::pair<double, std::uint64_t>>
+LatencyRun
 LatencyCensus::ascending() const
 {
     std::vector<Slot> occupied;
@@ -164,7 +174,7 @@ LatencyCensus::ascending() const
             occupied.push_back(sl);
     std::sort(occupied.begin(), occupied.end(),
               [](const Slot &a, const Slot &b) { return a.key < b.key; });
-    std::vector<std::pair<double, std::uint64_t>> out;
+    LatencyRun out;
     out.reserve(occupied.size());
     for (const Slot &sl : occupied) {
         // Invert orderKey: keys with the top bit set were non-negative.
@@ -178,20 +188,52 @@ LatencyCensus::ascending() const
 LatencyStats
 LatencyCensus::stats() const
 {
-    // Adding each value `count` times in ascending value order replays
-    // the exact addition sequence of summing the sorted array.
-    const auto values = ascending();
-    double sum = 0.0;
-    for (const auto &[v, c] : values)
-        for (std::uint64_t k = 0; k < c; ++k)
-            sum += v;
-    return rankStats(values, count_, sum);
+    return rankStats(ascending());
 }
 
 LatencyStats
 LatencyCensus::stats(double sum) const
 {
-    return rankStats(ascending(), count_, sum);
+    return rankStatsWithSum(ascending(), count_, sum);
+}
+
+LatencyStats
+rankStats(const LatencyRun &ascending)
+{
+    // Adding each value `count` times in ascending value order replays
+    // the exact addition sequence of summing the sorted array.
+    std::uint64_t n = 0;
+    double sum = 0.0;
+    for (const auto &[v, c] : ascending) {
+        n += c;
+        for (std::uint64_t k = 0; k < c; ++k)
+            sum += v;
+    }
+    return rankStatsWithSum(ascending, n, sum);
+}
+
+LatencyRun
+mergeAscendingRuns(std::vector<LatencyRun> runs)
+{
+    if (runs.empty())
+        return {};
+    // Merge the two shortest runs until one is left, so a long run
+    // (a hot pod's) is copied once at the end instead of once per
+    // run merged into it. Merging is associative and commutative, so
+    // the heap's tie order cannot change the result.
+    const auto longer = [](const LatencyRun &a, const LatencyRun &b) {
+        return a.size() > b.size();
+    };
+    std::make_heap(runs.begin(), runs.end(), longer);
+    while (runs.size() > 1) {
+        std::pop_heap(runs.begin(), runs.end(), longer);
+        LatencyRun a = std::move(runs.back());
+        runs.pop_back();
+        std::pop_heap(runs.begin(), runs.end(), longer);
+        runs.back() = mergeTwo(a, runs.back());
+        std::push_heap(runs.begin(), runs.end(), longer);
+    }
+    return std::move(runs.front());
 }
 
 double

@@ -8,11 +8,15 @@
  *
  * There are two exact paths, chosen by sample count: a set of at most
  * 32 samples (the per-tenant case) is sorted and indexed; a larger
- * one goes through a LatencyCensus, the (value -> count) table
- * whose rank lookups over cumulative counts index the same elements a
- * sort would. NaN samples (e.g. steps that never ran) are excluded up
- * front rather than poisoning the ranks. The approximate counterpart
- * for bounded-memory telemetry is obs::QuantileSketch.
+ * one goes through a LatencyCensus, the (value -> count) table whose
+ * ascending run -- each distinct value once, with its count -- feeds
+ * rankStats, whose rank lookups over cumulative counts index the same
+ * elements a sort would. Runs from disjoint sample sets (the fleet's
+ * pods) combine with mergeAscendingRuns, a merge of sorted runs rather
+ * than of tables, so the fleet-wide row costs no second sort. NaN
+ * samples (e.g. steps that never ran) are excluded up front rather
+ * than poisoning the ranks. The approximate counterpart for
+ * bounded-memory telemetry is obs::QuantileSketch.
  */
 
 #ifndef DIVA_COMMON_PERCENTILE_H
@@ -48,15 +52,43 @@ struct LatencyStats
 };
 
 /**
+ * (value, count) pairs ascending by value, each distinct value once
+ * with a count >= 1: a sample set as rankStats reads it. "Ascending"
+ * is orderKey order, which sorts -0.0 just before +0.0 (one of the
+ * orders a sort may produce) and keeps the two distinct.
+ */
+using LatencyRun = std::vector<std::pair<double, std::uint64_t>>;
+
+/** Monotone map from non-NaN doubles to unsigned keys. */
+inline std::uint64_t
+orderKey(double v)
+{
+    const auto b = std::bit_cast<std::uint64_t>(v);
+    return b >> 63 ? ~b : b | (std::uint64_t(1) << 63);
+}
+
+/**
+ * Stats of the samples an ascending run describes: the mean sums
+ * them in ascending order, each value added `count` times (the exact
+ * addition sequence of summing the sorted array), and the rank
+ * lookups over the cumulative counts pick the elements a sort would.
+ * An empty run yields count 0, NaN stats.
+ */
+LatencyStats rankStats(const LatencyRun &ascending);
+
+/**
+ * One ascending run holding every sample of `runs`: a merge of the
+ * sorted runs by orderKey, summing the counts of equal keys. The
+ * result is the same for any order of `runs`.
+ */
+LatencyRun mergeAscendingRuns(std::vector<LatencyRun> runs);
+
+/**
  * Exact census of a sample set: every distinct value and how often it
  * occurred, in an open-addressing table that grows without a cap.
- * Values are keyed by an order-preserving transform of their bits, so
- * ascending key order is ascending value order for every non-NaN
- * double (-0.0 sorts just before +0.0, which is one of the orders a
- * sort may produce). Summing in ascending value order and looking up
- * ranks over the cumulative counts therefore reproduces the bytes of
- * the sorted-array statistics. merge() adds counts, so any merge order
- * yields the same census. NaN samples are skipped.
+ * Values are keyed by orderKey, so ascending key order is ascending
+ * value order for every non-NaN double and ascending() is a
+ * LatencyRun. NaN samples are skipped.
  */
 class LatencyCensus
 {
@@ -65,11 +97,8 @@ class LatencyCensus
     add(double v)
     {
         if (v == v) // NaN samples are excluded
-            bump(orderKey(v), 1);
+            bump(orderKey(v));
     }
-
-    /** Fold `other` in: per-value count sums, order-independent. */
-    void merge(const LatencyCensus &other);
 
     /** Samples counted. */
     std::uint64_t
@@ -78,12 +107,12 @@ class LatencyCensus
         return count_;
     }
 
-    /** (value, count) for every distinct value, ascending by value. */
-    std::vector<std::pair<double, std::uint64_t>> ascending() const;
+    /** Every distinct value with its count, ascending by value. */
+    LatencyRun ascending() const;
 
-    /** Stats with the mean summed in ascending value order, as over a
-     *  full sort (the serve and fleet aggregate rows have always
-     *  summed that way). An empty census yields count 0, NaN stats. */
+    /** rankStats(ascending()): the mean summed in ascending value
+     *  order, as over a full sort (the serve and fleet aggregate rows
+     *  have always summed that way). */
     LatencyStats stats() const;
 
     /** Stats whose mean is `sum / count()`, for callers that summed
@@ -97,14 +126,6 @@ class LatencyCensus
         std::uint64_t count; // 0 marks an empty slot
     };
 
-    /** Monotone map from non-NaN doubles to unsigned keys. */
-    static std::uint64_t
-    orderKey(double v)
-    {
-        const auto b = std::bit_cast<std::uint64_t>(v);
-        return b >> 63 ? ~b : b | (std::uint64_t(1) << 63);
-    }
-
     /** Home slot of `key` (the table must be non-empty). */
     std::size_t
     home(std::uint64_t key) const
@@ -112,8 +133,8 @@ class LatencyCensus
         return std::size_t((key * kMul) >> shift_);
     }
 
-    /** Add `n` to `key`'s count, inserting it if absent. */
-    void bump(std::uint64_t key, std::uint64_t n);
+    /** Count one more `key`, inserting it if absent. */
+    void bump(std::uint64_t key);
 
     /** Rehash into `size` (a power of two) slots. */
     void resize(std::size_t size);

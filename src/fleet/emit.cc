@@ -1,6 +1,7 @@
 #include "fleet/emit.h"
 
-#include <sstream>
+#include <concepts>
+#include <string_view>
 
 #include "common/format.h"
 
@@ -10,15 +11,48 @@ namespace diva
 namespace
 {
 
+/** Append ",cell": a double via appendDouble. */
+void
+appendCell(std::string &out, double v)
+{
+    out += ',';
+    appendDouble(out, v);
+}
+
+/** Append ",cell": an integer (or bool, as 0/1) in decimal. */
+template <std::integral T>
+void
+appendCell(std::string &out, T v)
+{
+    out += ',';
+    out += std::to_string(v);
+}
+
+/** Append ",cell": text, CSV-quoted when it needs it. */
+void
+appendCell(std::string &out, std::string_view s)
+{
+    out += ',';
+    appendCsvCell(out, s);
+}
+
+/** Append one ",cell" per argument, in order. */
+template <typename... Cells>
+void
+appendCells(std::string &out, const Cells &...cells)
+{
+    (appendCell(out, cells), ...);
+}
+
 /** The run-level cells shared by every row of one fleet result. */
 std::string
 fleetPrefix(const FleetResult &f)
 {
-    std::ostringstream oss;
-    oss << csvCell(std::string(policyName(f.policy))) << ','
-        << csvCell(std::string(placementName(f.placement))) << ','
-        << csvCell(f.fleetName) << ',' << csvCell(f.traceName);
-    return oss.str();
+    std::string out;
+    appendCsvCell(out, policyName(f.policy));
+    appendCells(out, placementName(f.placement), f.fleetName,
+                f.traceName);
+    return out;
 }
 
 void
@@ -26,127 +60,60 @@ appendTenantRow(std::string &out, const std::string &prefix,
                 const FleetResult &f, const FleetTenantMetrics &t)
 {
     out += prefix;
-    out += ',';
-    appendCsvCell(out, t.job.name);
-    out += ',';
-    appendCsvCell(out, t.job.model);
-    out += ',';
-    out += std::to_string(t.resolvedBatch);
-    out += ',';
-    out += std::to_string(t.job.priority);
-    out += ',';
-    appendDouble(out, t.job.arrivalSec);
-    out += ',';
-    appendDouble(out, t.job.departSec);
-    out += ',';
-    appendDouble(out, t.job.qosStepsPerSec);
-    out += ',';
-    appendDouble(out, t.job.qosDeadlineSec);
-    out += ',';
-    out += std::to_string(t.job.steps);
-    out += ',';
-    out += std::to_string(t.stepsDone);
-    out += ',';
-    out += t.finalPod == kNoPod ? std::string("-")
-                                : f.pods[t.finalPod].name;
-    out += ',';
-    out += t.admitted ? '1' : '0';
-    out += ',';
-    out += t.completed ? '1' : '0';
-    out += ',';
-    out += t.departed ? '1' : '0';
-    out += ',';
-    appendDouble(out, t.endSec);
-    out += ',';
-    appendDouble(out, t.achievedStepsPerSec);
-    out += ',';
-    appendDouble(out, t.isolatedStepsPerSec);
-    out += ',';
-    appendDouble(out, t.stepLatency.p50Sec);
-    out += ',';
-    appendDouble(out, t.stepLatency.p95Sec);
-    out += ',';
-    appendDouble(out, t.stepLatency.p99Sec);
-    out += ',';
-    appendDouble(out, t.qosAttainmentPct);
-    out += ',';
-    appendDouble(out, t.energyJ);
-    out += ',';
-    out += std::to_string(t.switchesIn);
-    out += ',';
-    out += std::to_string(t.migrations);
-    out += ',';
-    appendDouble(out, t.migrationSec);
-    out += ',';
-    appendDouble(out, t.migrationEnergyJ);
-    out += ',';
-    out += std::to_string(t.suspensions);
-    out += ',';
-    out += '\n';
+    appendCells(out, t.job.name, t.job.model, t.resolvedBatch,
+                t.job.priority, t.job.arrivalSec, t.job.departSec,
+                t.job.qosStepsPerSec, t.job.qosDeadlineSec, t.job.steps,
+                t.stepsDone);
+    out += ','; // the pod name goes in unquoted
+    out += t.finalPod == kNoPod ? std::string_view("-")
+                                : std::string_view(f.pods[t.finalPod].name);
+    appendCells(out, t.admitted, t.completed, t.departed, t.endSec,
+                t.achievedStepsPerSec, t.isolatedStepsPerSec,
+                t.stepLatency.p50Sec, t.stepLatency.p95Sec,
+                t.stepLatency.p99Sec, t.qosAttainmentPct, t.energyJ,
+                t.switchesIn, t.migrations, t.migrationSec,
+                t.migrationEnergyJ, t.suspensions);
+    out += ",\n"; // empty error cell
 }
+
+void
+appendPodRow(std::string &out, const std::string &prefix,
+             const FleetPodReport &p)
+{
+    out += prefix;
+    appendCells(out, p.name, p.configName, p.chips, p.backend, p.placed,
+                p.migratedIn, p.migratedOut, p.ended, p.stepsDone,
+                p.busySec, p.utilization, p.energyJ, p.energyShare,
+                p.contextSwitches, p.switchSec, p.switchEnergyJ,
+                p.migrationSec, p.migrationEnergyJ, p.migrationBytes,
+                p.stepLatency.count, p.stepLatency.p50Sec,
+                p.stepLatency.p95Sec, p.stepLatency.p99Sec,
+                p.meanQosAttainmentPct);
+    out += ",\n"; // empty error cell
+}
+
+constexpr const char *kTenantCsvHeader =
+    "policy,placement,fleet,trace,tenant,model,batch,priority,"
+    "arrival_s,depart_s,qos_sps,qos_deadline_s,steps,"
+    "steps_done,pod,admitted,completed,departed,end_s,"
+    "achieved_sps,isolated_sps,lat_p50_s,lat_p95_s,lat_p99_s,"
+    "qos_attainment_pct,energy_j,switches_in,migrations,"
+    "migration_s,migration_energy_j,suspensions,error\n";
+
+constexpr const char *kPodCsvHeader =
+    "policy,placement,fleet,trace,pod,config,chips,backend,"
+    "placed,migrated_in,migrated_out,ended,steps_done,busy_s,"
+    "utilization,energy_j,energy_share,switches,switch_s,"
+    "switch_energy_j,migration_s,migration_energy_j,"
+    "migration_bytes,lat_count,lat_p50_s,lat_p95_s,lat_p99_s,"
+    "mean_qos_attainment_pct,error\n";
 
 } // namespace
-
-std::string
-fleetTenantCsvHeader()
-{
-    return "policy,placement,fleet,trace,tenant,model,batch,priority,"
-           "arrival_s,depart_s,qos_sps,qos_deadline_s,steps,"
-           "steps_done,pod,admitted,completed,departed,end_s,"
-           "achieved_sps,isolated_sps,lat_p50_s,lat_p95_s,lat_p99_s,"
-           "qos_attainment_pct,energy_j,switches_in,migrations,"
-           "migration_s,migration_energy_j,suspensions,error";
-}
-
-std::string
-fleetTenantCsvRow(const FleetResult &fleet,
-                  const FleetTenantMetrics &tenant)
-{
-    std::string out;
-    appendTenantRow(out, fleetPrefix(fleet), fleet, tenant);
-    out.pop_back(); // the trailing newline is writeFleetTenantCsv's
-    return out;
-}
-
-std::string
-fleetPodCsvHeader()
-{
-    return "policy,placement,fleet,trace,pod,config,chips,backend,"
-           "placed,migrated_in,migrated_out,ended,steps_done,busy_s,"
-           "utilization,energy_j,energy_share,switches,switch_s,"
-           "switch_energy_j,migration_s,migration_energy_j,"
-           "migration_bytes,lat_count,lat_p50_s,lat_p95_s,lat_p99_s,"
-           "mean_qos_attainment_pct,error";
-}
-
-std::string
-fleetPodCsvRow(const FleetResult &fleet, const FleetPodReport &p)
-{
-    std::ostringstream oss;
-    oss << fleetPrefix(fleet) << ',' << csvCell(p.name) << ','
-        << csvCell(p.configName) << ',' << p.chips << ','
-        << csvCell(p.backend) << ',' << p.placed << ',' << p.migratedIn
-        << ',' << p.migratedOut << ',' << p.ended << ',' << p.stepsDone
-        << ',' << formatDouble(p.busySec) << ','
-        << formatDouble(p.utilization) << ','
-        << formatDouble(p.energyJ) << ','
-        << formatDouble(p.energyShare) << ',' << p.contextSwitches
-        << ',' << formatDouble(p.switchSec) << ','
-        << formatDouble(p.switchEnergyJ) << ','
-        << formatDouble(p.migrationSec) << ','
-        << formatDouble(p.migrationEnergyJ) << ',' << p.migrationBytes
-        << ',' << p.stepLatency.count << ','
-        << formatDouble(p.stepLatency.p50Sec) << ','
-        << formatDouble(p.stepLatency.p95Sec) << ','
-        << formatDouble(p.stepLatency.p99Sec) << ','
-        << formatDouble(p.meanQosAttainmentPct) << ',';
-    return oss.str();
-}
 
 void
 writeFleetTenantCsv(std::ostream &os, const FleetResult &fleet)
 {
-    os << fleetTenantCsvHeader() << '\n';
+    os << kTenantCsvHeader;
     if (!fleet.ok()) {
         // One placeholder cell per tenant column, error last.
         os << fleetPrefix(fleet)
@@ -171,7 +138,7 @@ writeFleetTenantCsv(std::ostream &os, const FleetResult &fleet)
 void
 writeFleetPodCsv(std::ostream &os, const FleetResult &fleet)
 {
-    os << fleetPodCsvHeader() << '\n';
+    os << kPodCsvHeader;
     if (!fleet.ok()) {
         os << fleetPrefix(fleet)
            << ",-,-,0,-,0,0,0,0,0,0,nan,0,nan,0,0,0,0,0,0,0,nan,nan,"
@@ -179,8 +146,11 @@ writeFleetPodCsv(std::ostream &os, const FleetResult &fleet)
            << csvCell(fleet.error) << '\n';
         return;
     }
+    const std::string prefix = fleetPrefix(fleet);
+    std::string buf;
     for (const FleetPodReport &p : fleet.pods)
-        os << fleetPodCsvRow(fleet, p) << '\n';
+        appendPodRow(buf, prefix, p);
+    os.write(buf.data(), std::streamsize(buf.size()));
 }
 
 void

@@ -155,11 +155,9 @@ struct PodRt
     std::uint64_t epochSteps = 0;
     std::size_t finishedThisEpoch = 0;
 
-    /** Step latencies served here, written only by the lane serving
-     *  this pod: their census, and their sum in onStep order (the
-     *  chronological mean computeLatencyStats would take). */
+    /** Census of the step latencies served here, written only by the
+     *  lane serving this pod. */
     LatencyCensus latency;
-    double latencySumSec = 0.0;
 
     // Windowed telemetry (telemetry runs only). All pod-owned:
     // written by whichever worker runs this pod's epoch -- the pod
@@ -699,7 +697,6 @@ FleetSim::onStep(serve_core::Executor &ex, std::uint32_t i,
     else
         rt.latencySec.push_back(latencySec);
     pod.latency.add(latencySec);
-    pod.latencySumSec += latencySec;
     pod.lastActiveSec = ex.nowSec;
     if (telemetry) {
         // Stall overlaps: the switch billed immediately ahead of this
@@ -1264,21 +1261,8 @@ FleetSim::assemble(int threads)
     out.meanQosAttainmentPct =
         qos_count > 0 ? qos_sum / double(qos_count) : kNaN;
 
-    // The fleet-wide latency census: the pods' censuses merged (any
-    // order gives the same census), read by the aggregate row and the
-    // metrics histogram.
-    LatencyCensus all_lat;
-    {
-        obs::ScopedPhase agg_phase("assemble_agg");
-        for (const PodRt &pod : pods)
-            all_lat.merge(pod.latency);
-        out.aggStepLatency = all_lat.stats();
-    }
-    if (auto &metrics = obs::MetricsRegistry::instance();
-        metrics.enabled())
-        for (const auto &[latency, count] : all_lat.ascending())
-            metrics.recordValue("fleet.step_latency_sec", latency, count);
-
+    // Each pod's ascending latency run, kept for the fleet-wide row.
+    std::vector<LatencyRun> pod_runs(pods.size());
     {
     obs::ScopedPhase pods_phase("assemble_pods");
     // Same split as the tenant rows: per-pod latency stats run
@@ -1310,7 +1294,8 @@ FleetSim::assemble(int threads)
             pod_qos_count[p] > 0
                 ? pod_qos_sum[p] / double(pod_qos_count[p])
                 : kNaN;
-        r.stepLatency = pod.latency.stats(pod.latencySumSec);
+        pod_runs[p] = pod.latency.ascending();
+        r.stepLatency = rankStats(pod_runs[p]);
     });
     for (const PodRt &pod : pods) {
         out.totalEnergyJ += pod.energyJ;
@@ -1320,6 +1305,20 @@ FleetSim::assemble(int threads)
     }
     for (FleetPodReport &r : out.pods)
         r.energyShare = safeRatio(r.energyJ, out.totalEnergyJ);
+
+    // The fleet-wide latency run: the pods' runs merged (any order
+    // gives the same run), read by the aggregate row and the metrics
+    // histogram.
+    LatencyRun all_lat;
+    {
+        obs::ScopedPhase agg_phase("assemble_agg");
+        all_lat = mergeAscendingRuns(std::move(pod_runs));
+        out.aggStepLatency = rankStats(all_lat);
+    }
+    if (auto &metrics = obs::MetricsRegistry::instance();
+        metrics.enabled())
+        for (const auto &[latency, count] : all_lat)
+            metrics.recordValue("fleet.step_latency_sec", latency, count);
 
     if (telemetry) {
         obs::ScopedPhase obs_phase("assemble_telemetry");

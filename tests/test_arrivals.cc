@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdlib>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -317,6 +318,87 @@ TEST(Trace, CsvGrammarFuzz)
         EXPECT_EQ(traceCsv(reloaded), once) << "input:\n" << input;
     }
     // Both outcomes must be exercised for the property to mean much.
+    EXPECT_GT(loaded, 100);
+    EXPECT_GT(failed, 100);
+}
+
+/** The canonical JSONL form of a trace CSV: a {"trace": ...} record,
+ *  a comment and a blank line, then one object per row keyed by the
+ *  header, numeric cells bare and the rest quoted. */
+std::string
+traceJsonl(const ArrivalTrace &trace)
+{
+    std::istringstream csv(traceCsv(trace));
+    std::string line;
+    std::getline(csv, line); // "# trace: NAME"
+    std::getline(csv, line);
+    std::vector<std::string> header;
+    std::string cell;
+    std::istringstream head(line);
+    while (std::getline(head, cell, ','))
+        header.push_back(cell);
+    std::string out = "{\"trace\": \"" + trace.name + "\"}\n# recorded\n\n";
+    while (std::getline(csv, line)) {
+        std::istringstream row(line);
+        out += '{';
+        for (std::size_t c = 0; std::getline(row, cell, ','); ++c) {
+            char *end = nullptr;
+            const bool number = !cell.empty() &&
+                                (std::strtod(cell.c_str(), &end),
+                                 *end == '\0');
+            out += (c ? ", \"" : "\"") + header.at(c) + "\": ";
+            out += number ? cell : '"' + cell + '"';
+        }
+        out += "}\n";
+    }
+    return out;
+}
+
+// The JSONL loader under the same mutations as the CSV one (byte
+// deletes and duplicates, item swaps, truncation): every input either
+// loads sessions that each name a model, or fails with a "line N: ..."
+// message and no jobs. Nothing may crash (the sanitizer CI job runs
+// this too).
+TEST(Trace, JsonlGrammarFuzz)
+{
+    TraceGenSpec spec;
+    spec.ratePerSec = 4.0;
+    spec.horizonSec = 6.0;
+    spec.holdSec = 2.5;
+    spec.qosStepsPerSec = 1.5;
+    spec.maxTenants = 12;
+    ArrivalTrace canonical = generateTrace(spec);
+    ASSERT_GE(canonical.jobs.size(), 4u);
+    canonical.jobs[1].algorithm = TrainingAlgorithm::kSgd;
+    canonical.jobs[2].microbatch = 4;
+    canonical.jobs[3].qosDeadlineSec = 30.25;
+    const std::string base = traceJsonl(canonical);
+    {
+        std::istringstream in(base);
+        std::string err;
+        const ArrivalTrace t = loadTraceJsonl(in, &err);
+        ASSERT_TRUE(err.empty()) << err << "\ninput:\n" << base;
+        ASSERT_EQ(traceCsv(t), traceCsv(canonical));
+    }
+
+    Rng rng(2022);
+    int loaded = 0, failed = 0;
+    for (int i = 0; i < 2000; ++i) {
+        const std::string input = mutateTrace(base, rng);
+        std::istringstream in(input);
+        std::string err;
+        const ArrivalTrace t = loadTraceJsonl(in, &err);
+        if (!err.empty()) {
+            ++failed;
+            EXPECT_TRUE(isLineError(err)) << err << "\ninput:\n" << input;
+            EXPECT_TRUE(t.jobs.empty());
+            continue;
+        }
+        ++loaded;
+        EXPECT_FALSE(t.jobs.empty()) << "input:\n" << input;
+        for (const TenantJob &job : t.jobs)
+            EXPECT_FALSE(job.model.empty()) << "input:\n" << input;
+    }
     EXPECT_GT(loaded, 100);
     EXPECT_GT(failed, 100);
 }

@@ -8,6 +8,7 @@
  * bit-exact value, sign of zero included).
  */
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cfloat>
@@ -81,7 +82,22 @@ doubleCorpus(std::size_t n)
         1e-4,       9.9999e-5,    1e-5,        123456.0,
         999999.5,   1e6,          1e15,        1e16,
         1e17,       0.3333333333333333, 2.5,   86400.0,
+        // Subnormals whose shortest form has fewer than 6 digits:
+        // %.6g pads them with digits the shortest form drops.
+        1e-320,     2.5e-315,     1e-310,      4e-323,
+        1.5e-322,   1.2345e-310,
     };
+    // 5, 6 and 7 shortest digits (P = 6, 6, 7) at decimal exponents
+    // -5, -4, P-1 and P: both sides of each %g layout switch.
+    for (const char *digits : {"1.2345", "1.23456", "1.234567"}) {
+        const int p = std::max(6, int(std::strlen(digits)) - 1);
+        for (const int x : {-5, -4, p - 1, p}) {
+            const std::string text =
+                std::string(digits) + "e" + std::to_string(x);
+            out.push_back(std::strtod(text.c_str(), nullptr));
+            out.push_back(-out.back());
+        }
+    }
     Rng rng(20221001);
     while (out.size() < n) {
         const std::uint64_t bits = rng.next();
@@ -115,7 +131,13 @@ doubleCorpus(std::size_t n)
 
 TEST(FormatDouble, MatchesSnprintfOnAMillionSeededValues)
 {
-    const std::vector<double> values = doubleCorpus(1'000'000);
+    std::vector<double> values = doubleCorpus(1'000'000);
+    // Every power of two, both signs: at 16-17 digits some of them
+    // print other digits than their shortest form.
+    for (int k = -1074; k <= 1023; ++k) {
+        values.push_back(std::ldexp(1.0, k));
+        values.push_back(-values.back());
+    }
     std::size_t diffs = 0;
     std::string appended;
     for (const double v : values) {

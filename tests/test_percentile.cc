@@ -5,10 +5,11 @@
  * exclusion, the nearest-rank definition on sets where interpolation
  * would invent values that never occurred, and the LatencyCensus path
  * bit for bit against a plain sort (many distinct values, +0.0, NaNs,
- * the small-set cutoff, merges in any order).
+ * the small-set cutoff), and merged ascending runs in any order.
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -355,69 +356,108 @@ TEST(Percentile, MultiBufferMatchesConcatenationBitForBit)
     check({std::vector<double>(5000, kNaN)});
 }
 
-TEST(Percentile, CensusMergeIsOrderIndependentAndMatchesChronologicalStats)
+/** The run of `samples` as a census lists it. */
+LatencyRun
+runOf(const std::vector<double> &samples)
 {
-    // The fleet keeps one census plus a running sum per pod, merges
-    // the pods' censuses for the fleet-wide row and reads each pod's
-    // own for its row. Shards: empty, one sample, a small set, a
-    // census-sized set with > 8192 distinct values, +0.0 and NaN.
+    LatencyCensus census;
+    for (const double v : samples)
+        census.add(v);
+    return census.ascending();
+}
+
+/** rankStats over the merge of every shard's run, in `order`. */
+LatencyRun
+mergedRun(const std::vector<LatencyRun> &runs,
+          const std::vector<std::size_t> &order)
+{
+    std::vector<LatencyRun> ordered;
+    for (const std::size_t k : order)
+        ordered.push_back(runs[k]);
+    return mergeAscendingRuns(std::move(ordered));
+}
+
+TEST(Percentile, RunMergeIsOrderIndependentAndMatchesSortReference)
+{
+    // The fleet reads each pod's census as an ascending run for its
+    // row and merges the pods' runs for the fleet-wide row. Shards
+    // (pods): a hot one with > 100k distinct values, 63 small ones,
+    // empty ones, +0.0 and -0.0 in different shards, and NaNs.
     std::uint64_t lcg = 0x51f15eedULL;
     auto next = [&lcg]() {
         lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
         return lcg >> 33;
     };
-    std::vector<std::vector<double>> shards(6);
-    const std::size_t sizes[6] = {0, 1, 20, 33, 30000, 4096};
-    for (std::size_t k = 0; k < shards.size(); ++k)
-        for (std::size_t i = 0; i < sizes[k]; ++i)
+    std::vector<std::vector<double>> shards(64);
+    for (std::size_t i = 0; i < 400000; ++i)
+        shards[0].push_back(0.002 + double(next() % 50000000) / 1e7);
+    for (std::size_t k = 1; k < shards.size(); ++k) {
+        const std::size_t len = k % 9 == 0 ? 0 : next() % 40;
+        for (std::size_t i = 0; i < len; ++i)
             shards[k].push_back(0.002 + double(next() % 50000000) / 1e7);
-    shards[3][4] = 0.0;
-    shards[4][100] = 0.0;
-    shards[5][7] = kNaN;
-
-    std::vector<LatencyCensus> censuses(shards.size());
-    std::vector<double> all;
-    for (std::size_t k = 0; k < shards.size(); ++k) {
-        double sum = 0.0; // the pod's running sum, in sample order
-        for (const double v : shards[k]) {
-            censuses[k].add(v);
-            if (!std::isnan(v))
-                sum += v;
-        }
-        expectBitEqual(censuses[k].stats(sum),
-                       computeLatencyStats(shards[k]));
-        all.insert(all.end(), shards[k].begin(), shards[k].end());
     }
+    shards[0][100] = 0.0;
+    shards[5].push_back(-0.0);
+    shards[7].push_back(0.0);
+    shards[11].push_back(kNaN);
+
+    std::vector<LatencyRun> runs;
+    std::vector<double> all;
+    for (const std::vector<double> &shard : shards) {
+        runs.push_back(runOf(shard));
+        // A pod's row: rankStats of its own run, ascending-order mean.
+        expectBitEqual(rankStats(runs.back()), sortReference(shard, true));
+        all.insert(all.end(), shard.begin(), shard.end());
+    }
+    ASSERT_GT(runs[0].size(), 100000u);
 
     const LatencyStats want = sortReference(all, true);
-    std::vector<std::size_t> order = {0, 1, 2, 3, 4, 5};
-    for (int perm = 0; perm < 24; ++perm) {
-        LatencyCensus merged;
-        for (const std::size_t k : order)
-            merged.merge(censuses[k]);
-        expectBitEqual(merged.stats(), want);
-        std::next_permutation(order.begin(), order.end());
+    const LatencyRun wantRun = runOf(all);
+    std::vector<std::size_t> order(runs.size());
+    for (std::size_t k = 0; k < order.size(); ++k)
+        order[k] = k;
+    for (int round = 0; round < 6; ++round) {
+        const LatencyRun merged = mergedRun(runs, order);
+        EXPECT_EQ(merged, wantRun) << "round " << round;
+        expectBitEqual(rankStats(merged), want);
+        // Forward, reversed, then seeded shuffles.
+        if (round == 0) {
+            std::reverse(order.begin(), order.end());
+        } else {
+            for (std::size_t k = order.size() - 1; k > 0; --k)
+                std::swap(order[k], order[next() % (k + 1)]);
+        }
     }
-    // Merging census into census, pairwise, lands on the same table.
-    LatencyCensus left = censuses[4], right = censuses[5];
-    left.merge(censuses[3]);
-    right.merge(censuses[1]);
-    right.merge(left);
-    right.merge(censuses[2]);
-    expectBitEqual(right.stats(), want);
-    LatencyCensus forward;
-    for (const LatencyCensus &c : censuses)
-        forward.merge(c);
-    EXPECT_EQ(right.ascending(), forward.ascending());
-    EXPECT_EQ(right.count(), all.size() - 1); // the NaN is skipped
+    // -0.0 and +0.0 stay two keys, -0.0 first, with summed counts.
+    const LatencyRun merged = mergedRun(runs, order);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(merged[0].first),
+              std::bit_cast<std::uint64_t>(-0.0));
+    EXPECT_EQ(merged[0].second, 1u);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(merged[1].first),
+              std::bit_cast<std::uint64_t>(0.0));
+    EXPECT_EQ(merged[1].second, 2u);
+
+    // Every order of a few small runs, with empties among them.
+    const std::vector<std::size_t> few = {1, 5, 7, 9, 18};
+    std::vector<double> fewAll;
+    for (const std::size_t k : few)
+        fewAll.insert(fewAll.end(), shards[k].begin(), shards[k].end());
+    const LatencyRun fewRun = runOf(fewAll);
+    std::vector<std::size_t> perm = few;
+    do {
+        EXPECT_EQ(mergedRun(runs, perm), fewRun);
+    } while (std::next_permutation(perm.begin(), perm.end()));
+
+    // No runs, and only empty runs, merge to the empty run.
+    EXPECT_TRUE(mergeAscendingRuns({}).empty());
+    EXPECT_TRUE(mergeAscendingRuns({{}, {}}).empty());
+    expectBitEqual(rankStats({}), sortReference({}, true));
 
     // ascending() lists each distinct value once, with its count.
     LatencyCensus repeats;
     for (int i = 0; i < 100; ++i)
         repeats.add(i % 3 == 0 ? 1.5 : 2.5);
-    EXPECT_EQ(repeats.ascending(),
-              (std::vector<std::pair<double, std::uint64_t>>{{1.5, 34},
-                                                             {2.5, 66}}));
+    EXPECT_EQ(repeats.ascending(), (LatencyRun{{1.5, 34}, {2.5, 66}}));
 }
 
 TEST(Percentile, StatsAreOrderedAndSorted)
