@@ -1,7 +1,6 @@
 #include "arrivals/generate.h"
 
 #include <cmath>
-#include <sstream>
 #include <vector>
 
 #include <climits>
@@ -183,18 +182,7 @@ parseTraceGenSpec(const std::string &text, std::string *error)
     if (colon == std::string::npos)
         return spec;
 
-    std::stringstream ss(text.substr(colon + 1));
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (item.empty())
-            continue;
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos) {
-            *error = "expected key=value, got '" + item + "'";
-            return std::nullopt;
-        }
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
+    auto apply = [&](const std::string &key, const std::string &value) {
         // Integer keys parse as integers (bounded, so the int-typed
         // fields never see a wrapped value and "2.7" rejects instead
         // of silently truncating); the rest parse as finite doubles.
@@ -209,7 +197,7 @@ parseTraceGenSpec(const std::string &text, std::string *error)
                 *error = "key '" + key +
                          "' needs a non-negative integer, got '" +
                          value + "'";
-                return std::nullopt;
+                return false;
             }
         } else {
             const std::optional<double> parsed =
@@ -218,7 +206,7 @@ parseTraceGenSpec(const std::string &text, std::string *error)
                 *error = "key '" + key +
                          "' needs a finite number, got '" + value +
                          "'";
-                return std::nullopt;
+                return false;
             }
             num = *parsed;
         }
@@ -231,7 +219,7 @@ parseTraceGenSpec(const std::string &text, std::string *error)
         } else if (key == "cap") {
             if (*whole > INT_MAX) {
                 *error = "cap is out of range";
-                return std::nullopt;
+                return false;
             }
             spec.maxTenants = int(*whole);
         } else if (key == "on") {
@@ -246,7 +234,7 @@ parseTraceGenSpec(const std::string &text, std::string *error)
         } else if (key == "batch") {
             if (*whole > INT_MAX) {
                 *error = "batch is out of range";
-                return std::nullopt;
+                return false;
             }
             spec.batch = int(*whole);
             spec.batchSet = true;
@@ -258,16 +246,20 @@ parseTraceGenSpec(const std::string &text, std::string *error)
         } else if (key == "prios") {
             if (*whole > INT_MAX) {
                 *error = "prios is out of range";
-                return std::nullopt;
+                return false;
             }
             spec.priorityLevels = int(*whole);
         } else {
             *error = "unknown key '" + key +
                      "' (want rate, horizon, seed, cap, on, off, "
                      "peak, steps, batch, qos, hold, or prios)";
-            return std::nullopt;
+            return false;
         }
-    }
+        return true;
+    };
+    if (!forEachKeyValue(std::string_view(text).substr(colon + 1), error,
+                         apply))
+        return std::nullopt;
     const std::string err = spec.validationError();
     if (!err.empty()) {
         *error = err;

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <climits>
 #include <fstream>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <string_view>
 
@@ -74,22 +74,6 @@ columnFromName(std::string_view text)
         if (equalsLower(text, kColumns[c]))
             return Column(c);
     return std::nullopt;
-}
-
-/** Split one CSV line into `cells` (views into `line`); quoted cells
- *  are not supported in traces (no comma-bearing values exist in the
- *  schema). A trailing comma ends in one empty cell. */
-void
-splitCsvLine(std::string_view line, std::vector<std::string_view> *cells)
-{
-    cells->clear();
-    for (;;) {
-        const std::size_t comma = line.find(',');
-        cells->push_back(line.substr(0, comma));
-        if (comma == std::string_view::npos)
-            return;
-        line.remove_prefix(comma + 1);
-    }
 }
 
 /** Apply one cell of `column` to `job`; "" on success. */
@@ -160,14 +144,6 @@ applyField(TenantJob &job, Column column, std::string_view text)
       }
     }
     return "";
-}
-
-template <class Int>
-void
-appendInt(std::string &out, Int v)
-{
-    char buf[24];
-    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 /** Bytes left in `is`, or 0 when the stream cannot seek (a pipe). */
@@ -370,37 +346,18 @@ traceCsvHeader()
 void
 writeTraceCsv(std::ostream &os, const ArrivalTrace &trace)
 {
-    std::string row = "# trace: " + trace.name + '\n' +
+    std::string buf = "# trace: " + trace.name + '\n' +
                       traceCsvHeader() + '\n';
-    os.write(row.data(), std::streamsize(row.size()));
     for (const TenantJob &j : trace.jobs) {
-        row.clear();
-        appendCsvCell(row, j.name);
-        row += ',';
-        appendCsvCell(row, j.model);
-        row += ',';
-        appendInt(row, j.modelScale);
-        row += ',';
-        appendInt(row, j.batch);
-        row += ',';
-        appendInt(row, j.microbatch);
-        row += ',';
-        row += algorithmName(j.algorithm);
-        row += ',';
-        appendDouble(row, j.arrivalSec);
-        row += ',';
-        appendDouble(row, j.departSec);
-        row += ',';
-        appendInt(row, j.priority);
-        row += ',';
-        appendInt(row, j.steps);
-        row += ',';
-        appendDouble(row, j.qosStepsPerSec);
-        row += ',';
-        appendDouble(row, j.qosDeadlineSec);
-        row += '\n';
-        os.write(row.data(), std::streamsize(row.size()));
+        appendCsvCell(buf, j.name);
+        appendCells(buf, j.model, j.modelScale, j.batch, j.microbatch,
+                    algorithmName(j.algorithm), j.arrivalSec, j.departSec,
+                    j.priority, j.steps, j.qosStepsPerSec,
+                    j.qosDeadlineSec);
+        buf += '\n';
+        flushRows(os, buf);
     }
+    flushRows(os, buf, true);
 }
 
 ArrivalTrace
@@ -427,7 +384,10 @@ loadTraceCsv(std::istream &is, std::string *error)
                 trace.name = text.substr(tag.size());
             continue;
         }
-        splitCsvLine(text, &cells);
+        const std::string_view bad = splitCsvCells(
+            std::span<char>(line.data(), text.size()), &cells);
+        if (!bad.empty())
+            return failTrace(error, lineno, std::string(bad));
         if (columns.empty()) {
             // Header row: every column must be known.
             for (std::string_view c : cells) {

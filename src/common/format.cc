@@ -25,6 +25,45 @@ appendCsvCell(std::string &out, std::string_view s)
     out += '"';
 }
 
+std::string_view
+splitCsvCells(std::span<char> line, std::vector<std::string_view> *cells)
+{
+    cells->clear();
+    char *p = line.data();
+    char *const end = p + line.size();
+    for (;;) {
+        if (p == end || *p != '"') {
+            const std::string_view rest(p, std::size_t(end - p));
+            const std::size_t comma = rest.find(',');
+            cells->push_back(rest.substr(0, comma));
+            if (comma == std::string_view::npos)
+                return {};
+            p += comma + 1;
+            continue;
+        }
+        // Quoted cell: copy its unescaped text down over the opening
+        // quote; the write cursor never passes the read cursor.
+        char *const begin = p;
+        char *out = p++;
+        for (;;) {
+            if (p == end)
+                return "unterminated quoted cell";
+            if (*p == '"') {
+                if (p + 1 == end || p[1] != '"')
+                    break;
+                ++p; // "" is one escaped quote
+            }
+            *out++ = *p++;
+        }
+        cells->emplace_back(begin, std::size_t(out - begin));
+        if (++p == end)
+            return {};
+        if (*p != ',')
+            return "text after a closing quote";
+        ++p;
+    }
+}
+
 std::string
 csvCell(const std::string &s)
 {

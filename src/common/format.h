@@ -1,18 +1,29 @@
 /**
  * @file
  * Deterministic text formatting shared by every CSV/JSON emitter
- * (sweep, serve, fleet, arrival traces): shortest-precision %g doubles
- * with pinned nan/inf spellings, JSON number tokens that map
- * non-finite values to null, RFC-4180 CSV cell quoting, and JSON
- * string escaping. One definition here keeps the guards identical
- * across emitters instead of drifting per copy.
+ * (sweep, serve, fleet, telemetry, arrival traces): shortest-precision
+ * %g doubles with pinned nan/inf spellings, JSON number tokens that
+ * map non-finite values to null, JSON string escaping, and the one CSV
+ * cell grammar -- RFC-4180 quoting on the way out, the matching cell
+ * splitter on the way in. One definition here keeps the guards
+ * identical across emitters and loaders instead of drifting per copy.
+ *
+ * CSV rows are built by appending cells into one reused buffer
+ * (appendCells) rather than a stream per row: million-session fleets
+ * emit their per-tenant CSV in a few seconds instead of minutes.
  */
 
 #ifndef DIVA_COMMON_FORMAT_H
 #define DIVA_COMMON_FORMAT_H
 
+#include <charconv>
+#include <concepts>
+#include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
 namespace diva
 {
@@ -41,6 +52,72 @@ std::string csvCell(const std::string &s);
 
 /** Append csvCell(s) to `out` without a temporary string. */
 void appendCsvCell(std::string &out, std::string_view s);
+
+/** Append ",cell": a double via appendDouble. */
+inline void
+appendCell(std::string &out, double v)
+{
+    out += ',';
+    appendDouble(out, v);
+}
+
+/** Append ",cell": an integer in decimal, or a bool as 0/1. */
+template <std::integral T>
+void
+appendCell(std::string &out, T v)
+{
+    out += ',';
+    if constexpr (std::is_same_v<T, bool>) {
+        out += v ? '1' : '0';
+    } else {
+        char buf[24];
+        out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+    }
+}
+
+/** Append ",cell": text, CSV-quoted when it needs it. */
+inline void
+appendCell(std::string &out, std::string_view s)
+{
+    out += ',';
+    appendCsvCell(out, s);
+}
+
+/** Append one ",cell" per argument, in order. */
+template <typename... Cells>
+void
+appendCells(std::string &out, const Cells &...cells)
+{
+    (appendCell(out, cells), ...);
+}
+
+/**
+ * Hand a row buffer to `os` once it passes 1 MiB (or at once with
+ * `all`) and clear it; a writer calls this after every row, so a
+ * million-row CSV keeps one bounded buffer.
+ */
+inline void
+flushRows(std::ostream &os, std::string &buf, bool all = false)
+{
+    if (all || buf.size() >= (std::size_t(1) << 20)) {
+        os.write(buf.data(), std::streamsize(buf.size()));
+        buf.clear();
+    }
+}
+
+/**
+ * Split one CSV line (no line terminator) into `cells`, the inverse of
+ * appendCsvCell: cells split at commas, and a cell that opens with '"'
+ * runs to its closing quote, with "" read as one '"'. Such a cell is
+ * unescaped in place in `line`, so every cell is a view into it. A '"'
+ * inside an unquoted cell is literal, and a line without quoted cells
+ * splits exactly as a plain comma split would; a trailing comma ends
+ * in one empty cell. Returns "" on success, else what is malformed (an
+ * unterminated quoted cell -- cells spanning lines included -- or
+ * text after a closing quote).
+ */
+std::string_view splitCsvCells(std::span<char> line,
+                               std::vector<std::string_view> *cells);
 
 /** Escape a string for embedding in a JSON string literal. */
 std::string jsonEscape(const std::string &s);

@@ -5,7 +5,8 @@
  * garbage rejects), doubles must be finite, and failure reports
  * through std::optional so each caller attaches its own message. One
  * definition here keeps the accept/reject rules identical everywhere
- * a number crosses a text boundary.
+ * a number crosses a text boundary. The `key=value,...` list walker
+ * shared by the --arrivals and --pod specs lives here too.
  */
 
 #ifndef DIVA_COMMON_PARSE_H
@@ -99,6 +100,37 @@ parseBoundedIntText(std::string_view text, long long lo, long long hi)
     if (v && *v >= lo && *v <= hi)
         return v;
     return std::nullopt;
+}
+
+/**
+ * Walk a `key=value,...` list in order, calling fn(key, value) per
+ * item; empty items are skipped and the value runs to the item's end
+ * ("a=b=c" is key "a", value "b=c"). Stops at the first item without
+ * '=' -- *error becomes "expected key=value, got 'ITEM'" -- or the
+ * first fn call that returns false (fn sets *error itself). True when
+ * every item was consumed.
+ */
+template <typename Fn>
+bool
+forEachKeyValue(std::string_view text, std::string *error, Fn &&fn)
+{
+    while (!text.empty()) {
+        const std::size_t comma = text.find(',');
+        const std::string_view item = text.substr(0, comma);
+        text.remove_prefix(comma == std::string_view::npos ? text.size()
+                                                           : comma + 1);
+        if (item.empty())
+            continue;
+        const std::size_t eq = item.find('=');
+        if (eq == std::string_view::npos) {
+            *error = "expected key=value, got '" + std::string(item) + "'";
+            return false;
+        }
+        if (!fn(std::string(item.substr(0, eq)),
+                std::string(item.substr(eq + 1))))
+            return false;
+    }
+    return true;
 }
 
 } // namespace diva

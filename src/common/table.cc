@@ -4,6 +4,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "common/format.h"
+
 namespace diva
 {
 
@@ -71,33 +73,20 @@ TextTable::print(std::ostream &os) const
 void
 TextTable::printCsv(std::ostream &os) const
 {
-    auto printRow = [&](const std::vector<std::string> &cells) {
+    std::string buf;
+    auto appendRow = [&](const std::vector<std::string> &cells) {
         for (std::size_t c = 0; c < header_.size(); ++c) {
             if (c > 0)
-                os << ',';
-            const std::string &cell = c < cells.size() ? cells[c] : "";
-            const bool quote =
-                cell.find_first_of(",\"\n") != std::string::npos;
-            if (quote) {
-                os << '"';
-                for (char ch : cell) {
-                    if (ch == '"')
-                        os << '"';
-                    os << ch;
-                }
-                os << '"';
-            } else {
-                os << cell;
-            }
+                buf += ',';
+            appendCsvCell(buf, c < cells.size() ? cells[c] : "");
         }
-        os << '\n';
+        buf += '\n';
     };
-    printRow(header_);
-    for (const auto &row : rows_) {
-        if (!row.empty() && row[0] == kSeparatorTag)
-            continue;
-        printRow(row);
-    }
+    appendRow(header_);
+    for (const auto &row : rows_)
+        if (row.empty() || row[0] != kSeparatorTag)
+            appendRow(row);
+    flushRows(os, buf, true);
 }
 
 std::string

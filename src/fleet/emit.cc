@@ -1,6 +1,5 @@
 #include "fleet/emit.h"
 
-#include <concepts>
 #include <string_view>
 
 #include "common/format.h"
@@ -10,39 +9,6 @@ namespace diva
 
 namespace
 {
-
-/** Append ",cell": a double via appendDouble. */
-void
-appendCell(std::string &out, double v)
-{
-    out += ',';
-    appendDouble(out, v);
-}
-
-/** Append ",cell": an integer (or bool, as 0/1) in decimal. */
-template <std::integral T>
-void
-appendCell(std::string &out, T v)
-{
-    out += ',';
-    out += std::to_string(v);
-}
-
-/** Append ",cell": text, CSV-quoted when it needs it. */
-void
-appendCell(std::string &out, std::string_view s)
-{
-    out += ',';
-    appendCsvCell(out, s);
-}
-
-/** Append one ",cell" per argument, in order. */
-template <typename... Cells>
-void
-appendCells(std::string &out, const Cells &...cells)
-{
-    (appendCell(out, cells), ...);
-}
 
 /** The run-level cells shared by every row of one fleet result. */
 std::string
@@ -113,44 +79,40 @@ constexpr const char *kPodCsvHeader =
 void
 writeFleetTenantCsv(std::ostream &os, const FleetResult &fleet)
 {
-    os << kTenantCsvHeader;
+    std::string buf = kTenantCsvHeader;
+    const std::string prefix = fleetPrefix(fleet);
     if (!fleet.ok()) {
         // One placeholder cell per tenant column, error last.
-        os << fleetPrefix(fleet)
-           << ",-,-,0,0,0,0,0,0,0,0,-,0,0,0,nan,nan,nan,nan,nan,nan,"
-              "nan,nan,0,0,nan,nan,0,"
-           << csvCell(fleet.error) << '\n';
-        return;
-    }
-    const std::string prefix = fleetPrefix(fleet);
-    std::string buf;
-    buf.reserve(1 << 20);
-    for (const FleetTenantMetrics &t : fleet.tenants) {
-        appendTenantRow(buf, prefix, fleet, t);
-        if (buf.size() > (1 << 20) - 1024) {
-            os.write(buf.data(), std::streamsize(buf.size()));
-            buf.clear();
+        buf += prefix;
+        buf += ",-,-,0,0,0,0,0,0,0,0,-,0,0,0,nan,nan,nan,nan,nan,nan,"
+               "nan,nan,0,0,nan,nan,0";
+        appendCell(buf, fleet.error);
+        buf += '\n';
+    } else {
+        for (const FleetTenantMetrics &t : fleet.tenants) {
+            appendTenantRow(buf, prefix, fleet, t);
+            flushRows(os, buf);
         }
     }
-    os.write(buf.data(), std::streamsize(buf.size()));
+    flushRows(os, buf, true);
 }
 
 void
 writeFleetPodCsv(std::ostream &os, const FleetResult &fleet)
 {
-    os << kPodCsvHeader;
-    if (!fleet.ok()) {
-        os << fleetPrefix(fleet)
-           << ",-,-,0,-,0,0,0,0,0,0,nan,0,nan,0,0,0,0,0,0,0,nan,nan,"
-              "nan,nan,"
-           << csvCell(fleet.error) << '\n';
-        return;
-    }
+    std::string buf = kPodCsvHeader;
     const std::string prefix = fleetPrefix(fleet);
-    std::string buf;
-    for (const FleetPodReport &p : fleet.pods)
-        appendPodRow(buf, prefix, p);
-    os.write(buf.data(), std::streamsize(buf.size()));
+    if (!fleet.ok()) {
+        buf += prefix;
+        buf += ",-,-,0,-,0,0,0,0,0,0,nan,0,nan,0,0,0,0,0,0,0,nan,nan,"
+               "nan,nan";
+        appendCell(buf, fleet.error);
+        buf += '\n';
+    } else {
+        for (const FleetPodReport &p : fleet.pods)
+            appendPodRow(buf, prefix, p);
+    }
+    flushRows(os, buf, true);
 }
 
 void

@@ -7,11 +7,8 @@
  * jsonNumber so NaN renders as "nan" in CSV and null in JSON, and a
  * multi-threaded fleet run emits bytes identical to a serial one.
  * Cache accounting (plan hits/misses) never appears here, so reruns
- * against a warm disk cache stay byte-identical too.
- *
- * CSV rows are built by appending cells into one reused buffer
- * rather than a stream per row: million-session fleets emit their
- * per-tenant CSV in a few seconds instead of minutes.
+ * against a warm disk cache stay byte-identical too. Rows are built
+ * with the shared cell appenders of common/format.h.
  */
 
 #ifndef DIVA_FLEET_EMIT_H

@@ -73,18 +73,7 @@ parsePodTemplate(const std::string &text, std::string *error)
     double ici_gbs = 0.0;
     long long link_lat = -1;
 
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (item.empty())
-            continue;
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos) {
-            *error = "expected key=value, got '" + item + "'";
-            return std::nullopt;
-        }
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
+    auto apply = [&](const std::string &key, const std::string &value) {
         if (key == "df" || key == "dataflow") {
             if (value == "WS")
                 dataflow = Dataflow::kWeightStationary;
@@ -94,7 +83,7 @@ parsePodTemplate(const std::string &text, std::string *error)
                 dataflow = Dataflow::kOuterProduct;
             else {
                 *error = "df takes WS, OS, or DiVa; got '" + value + "'";
-                return std::nullopt;
+                return false;
             }
         } else if (key == "ppu") {
             if (value == "on")
@@ -103,7 +92,7 @@ parsePodTemplate(const std::string &text, std::string *error)
                 ppu = false;
             else {
                 *error = "ppu takes on/off, got '" + value + "'";
-                return std::nullopt;
+                return false;
             }
             ppu_set = true;
         } else if (key == "chips") {
@@ -111,7 +100,7 @@ parsePodTemplate(const std::string &text, std::string *error)
             if (!n) {
                 *error = "chips must be in [1, 65536], got '" + value +
                          "'";
-                return std::nullopt;
+                return false;
             }
             chips = int(*n);
         } else if (key == "count") {
@@ -119,14 +108,14 @@ parsePodTemplate(const std::string &text, std::string *error)
             if (!n) {
                 *error = "count must be in [1, 65536], got '" + value +
                          "'";
-                return std::nullopt;
+                return false;
             }
             count = int(*n);
         } else if (key == "ici-gbs") {
             const auto d = parseDoubleText(value);
             if (!d || !(*d > 0.0)) {
                 *error = "ici-gbs must be > 0, got '" + value + "'";
-                return std::nullopt;
+                return false;
             }
             ici_gbs = *d;
         } else if (key == "link-lat") {
@@ -134,16 +123,19 @@ parsePodTemplate(const std::string &text, std::string *error)
             if (!n) {
                 *error = "link-lat must be in [0, 1e6] cycles, got '" +
                          value + "'";
-                return std::nullopt;
+                return false;
             }
             link_lat = *n;
         } else {
             *error = "unknown key '" + key +
                      "' (want df, ppu, chips, count, ici-gbs, or "
                      "link-lat)";
-            return std::nullopt;
+            return false;
         }
-    }
+        return true;
+    };
+    if (!forEachKeyValue(text, error, apply))
+        return std::nullopt;
 
     // WS has no PPU datapath; an explicit ppu=on is a spec error
     // rather than a silent downgrade.

@@ -335,38 +335,36 @@ RunTelemetry::writeJson(std::ostream &os) const
 void
 RunTelemetry::writeCsv(std::ostream &os) const
 {
-    os << "kind,series,window,t0_s,value\n";
+    std::string buf = "kind,series,window,t0_s,value\n";
+    // One "kind,series,window,t0_s,value" row; the series name is the
+    // only cell that can need quoting (serve series embed tenant names).
+    auto row = [&](std::string_view kind, const std::string &name,
+                   std::int64_t w, const auto &value) {
+        buf += kind;
+        appendCells(buf, name, w, double(w) * windowSec, value);
+        buf += '\n';
+        flushRows(os, buf);
+    };
     for (const auto &[name, s] : snapshot.series)
         for (const auto &[w, v] : s.points)
-            os << timeSeriesKindName(s.kind) << ',' << name << ','
-               << w << ',' << formatDouble(double(w) * windowSec)
-               << ',' << formatDouble(v) << "\n";
+            row(timeSeriesKindName(s.kind), name, w, v);
     for (const auto &[name, windows] : snapshot.sketches)
         for (const auto &[w, sk] : windows) {
-            const double t0 = double(w) * windowSec;
-            os << "count," << name << ',' << w << ','
-               << formatDouble(t0) << ',' << sk.count() << "\n";
-            os << "p50," << name << ',' << w << ',' << formatDouble(t0)
-               << ',' << formatDouble(sk.percentile(50.0)) << "\n";
-            os << "p95," << name << ',' << w << ',' << formatDouble(t0)
-               << ',' << formatDouble(sk.percentile(95.0)) << "\n";
-            os << "p99," << name << ',' << w << ',' << formatDouble(t0)
-               << ',' << formatDouble(sk.percentile(99.0)) << "\n";
+            row("count", name, w, sk.count());
+            row("p50", name, w, sk.percentile(50.0));
+            row("p95", name, w, sk.percentile(95.0));
+            row("p99", name, w, sk.percentile(99.0));
         }
     for (const SloScope &sc : report.scopes)
         for (const SloWindow &sw : sc.windows) {
-            const double t0 = double(sw.w) * windowSec;
             const double pct =
                 sw.steps > 0 ? 100.0 * double(sw.withinTarget) /
                                    double(sw.steps)
                              : kNaN;
-            os << "slo_attainment_pct," << sc.name << ',' << sw.w
-               << ',' << formatDouble(t0) << ',' << formatDouble(pct)
-               << "\n";
-            os << "slo_breach," << sc.name << ',' << sw.w << ','
-               << formatDouble(t0) << ',' << (sw.breach ? 1 : 0)
-               << "\n";
+            row("slo_attainment_pct", sc.name, sw.w, pct);
+            row("slo_breach", sc.name, sw.w, sw.breach);
         }
+    flushRows(os, buf, true);
 }
 
 void

@@ -1,8 +1,6 @@
 #include "sweep/emit.h"
 
-#include <cmath>
-#include <cstdio>
-#include <sstream>
+#include <limits>
 
 #include "backend/registry.h"
 
@@ -39,62 +37,56 @@ csvHeader()
            "postproc_dram_bytes,engine_power_w,engine_area_mm2,error";
 }
 
-std::string
-csvRow(const ScenarioResult &r)
+void
+appendCsvRow(std::string &out, const ScenarioResult &r)
 {
     const Scenario &s = r.scenario;
     const bool gpu = s.backend == SweepBackend::kGpu;
+    const bool pod = s.backend == SweepBackend::kMultiChip;
     // Metrics the backend does not model are emitted as empty cells
     // (integral columns) or "nan" (floating columns), never as fake
     // zeros a reader could mistake for measurements.
     const BackendCaps caps = capsFor(s);
-    std::ostringstream oss;
-    oss << csvCell(gpu ? s.gpu.name : s.config.name) << ','
-        << (gpu ? "-" : dataflowName(s.config.dataflow)) << ','
-        << (gpu ? 0 : int(s.config.hasPpu)) << ','
-        << (gpu ? 0 : s.config.peRows) << ','
-        << (gpu ? 0 : s.config.peCols) << ','
-        << (gpu ? 0 : s.config.sramBytes >> 20) << ','
-        << formatDouble(gpu ? s.gpu.bandwidthGBs
-                            : s.config.dramBandwidthGBs)
-        << ',' << csvCell(s.effectiveBackend()) << ','
-        << (s.backend == SweepBackend::kMultiChip ? s.pod.numChips : 1)
-        << ',';
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    appendCsvCell(out, gpu ? s.gpu.name : s.config.name);
+    appendCells(out, gpu ? "-" : dataflowName(s.config.dataflow),
+                gpu ? 0 : int(s.config.hasPpu), gpu ? 0 : s.config.peRows,
+                gpu ? 0 : s.config.peCols,
+                gpu ? 0 : s.config.sramBytes >> 20,
+                gpu ? s.gpu.bandwidthGBs : s.config.dramBandwidthGBs,
+                s.effectiveBackend(), pod ? s.pod.numChips : 1);
     // Pod link design point; zeros for backends without interconnect.
-    if (s.backend == SweepBackend::kMultiChip)
-        oss << formatDouble(s.pod.interconnectGBs) << ','
-            << s.pod.linkLatencyCycles;
+    if (pod)
+        appendCells(out, s.pod.interconnectGBs, s.pod.linkLatencyCycles);
     else
-        oss << 0 << ',' << 0;
-    oss << ',' << csvCell(s.model) << ',' << s.modelScale << ','
-        << csvCell(algorithmName(s.algorithm)) << ',' << r.resolvedBatch
-        << ',' << s.microbatch << ',';
+        out += ",0,0";
+    appendCells(out, s.model, s.modelScale, algorithmName(s.algorithm),
+                r.resolvedBatch, s.microbatch);
     if (caps.cycles)
-        oss << r.cycles << ',' << r.computeCycles << ','
-            << r.allReduceCycles << ',';
+        appendCells(out, r.cycles, r.computeCycles, r.allReduceCycles);
     else
-        oss << ",,,";
-    oss << formatDouble(r.seconds) << ','
-        << (caps.utilization ? formatDouble(r.utilization) : "nan")
-        << ',' << (caps.energy ? formatDouble(r.energyJ) : "nan")
-        << ',';
+        out += ",,,";
+    appendCells(out, r.seconds, caps.utilization ? r.utilization : kNaN,
+                caps.energy ? r.energyJ : kNaN);
     if (caps.dramTraffic)
-        oss << r.dramBytes << ',' << r.postProcDramBytes << ',';
+        appendCells(out, r.dramBytes, r.postProcDramBytes);
     else
-        oss << ",,";
-    oss << (caps.engineRating ? formatDouble(r.enginePowerW) : "nan")
-        << ','
-        << (caps.engineRating ? formatDouble(r.engineAreaMm2) : "nan")
-        << ',' << csvCell(r.error);
-    return oss.str();
+        out += ",,";
+    appendCells(out, caps.engineRating ? r.enginePowerW : kNaN,
+                caps.engineRating ? r.engineAreaMm2 : kNaN, r.error);
+    out += '\n';
 }
 
 void
 writeCsv(std::ostream &os, const SweepReport &report)
 {
-    os << csvHeader() << '\n';
-    for (const ScenarioResult &r : report.results)
-        os << csvRow(r) << '\n';
+    std::string buf = csvHeader();
+    buf += '\n';
+    for (const ScenarioResult &r : report.results) {
+        appendCsvRow(buf, r);
+        flushRows(os, buf);
+    }
+    flushRows(os, buf, true);
 }
 
 void

@@ -17,11 +17,12 @@
 namespace diva
 {
 
-/** Header matching csvRow()'s columns. */
+/** Header matching appendCsvRow()'s columns. */
 std::string csvHeader();
 
-/** One RFC-4180 CSV data row for one result. */
-std::string csvRow(const ScenarioResult &r);
+/** Append one RFC-4180 CSV data row (newline included) for one result;
+ *  writeCsv emits every row through it. */
+void appendCsvRow(std::string &out, const ScenarioResult &r);
 
 /** Emit header + one row per result. */
 void writeCsv(std::ostream &os, const SweepReport &report);

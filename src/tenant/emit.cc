@@ -1,7 +1,5 @@
 #include "tenant/emit.h"
 
-#include <sstream>
-
 #include "common/format.h"
 
 namespace diva
@@ -14,70 +12,62 @@ namespace
 std::string
 servePrefix(const ServeResult &s)
 {
-    std::ostringstream oss;
-    oss << csvCell(std::string(policyName(s.policy))) << ','
-        << csvCell(s.configName) << ',' << csvCell(s.workloadName) << ','
-        << s.chips << ',' << s.quantumIters << ','
-        << formatDouble(s.wallLimitSec);
-    return oss.str();
+    std::string out;
+    appendCsvCell(out, policyName(s.policy));
+    appendCells(out, s.configName, s.workloadName, s.chips,
+                s.quantumIters, s.wallLimitSec);
+    return out;
 }
+
+void
+appendTenantRow(std::string &out, const std::string &prefix,
+                const TenantMetrics &t)
+{
+    out += prefix;
+    appendCells(out, t.job.name, t.job.model, t.job.modelScale,
+                algorithmName(t.job.algorithm), t.resolvedBatch,
+                t.job.priority, t.job.arrivalSec, t.job.departSec,
+                t.job.qosStepsPerSec, t.job.qosDeadlineSec, t.job.steps,
+                t.stepsDone, t.completed, t.departed, t.admitted,
+                t.waitSec, t.endSec, t.achievedStepsPerSec,
+                t.isolatedStepsPerSec, t.slowdown, t.stepLatency.p50Sec,
+                t.stepLatency.p95Sec, t.stepLatency.p99Sec,
+                t.qosAttainmentPct, t.energyJ, t.energyShare,
+                t.switchesIn);
+    out += ",\n"; // empty error cell
+}
+
+constexpr const char *kServeCsvHeader =
+    "policy,config,workload,chips,quantum,wall_s,tenant,model,"
+    "scale,algorithm,batch,priority,arrival_s,depart_s,qos_sps,"
+    "qos_deadline_s,steps,steps_done,completed,departed,"
+    "admitted,wait_s,end_s,achieved_sps,isolated_sps,slowdown,"
+    "lat_p50_s,lat_p95_s,lat_p99_s,qos_attainment_pct,"
+    "energy_j,energy_share,switches_in,error\n";
 
 } // namespace
-
-std::string
-serveCsvHeader()
-{
-    return "policy,config,workload,chips,quantum,wall_s,tenant,model,"
-           "scale,algorithm,batch,priority,arrival_s,depart_s,qos_sps,"
-           "qos_deadline_s,steps,steps_done,completed,departed,"
-           "admitted,wait_s,end_s,achieved_sps,isolated_sps,slowdown,"
-           "lat_p50_s,lat_p95_s,lat_p99_s,qos_attainment_pct,"
-           "energy_j,energy_share,switches_in,error";
-}
-
-std::string
-serveCsvRow(const ServeResult &serve, const TenantMetrics &t)
-{
-    std::ostringstream oss;
-    oss << servePrefix(serve) << ',' << csvCell(t.job.name) << ','
-        << csvCell(t.job.model) << ',' << t.job.modelScale << ','
-        << csvCell(algorithmName(t.job.algorithm)) << ','
-        << t.resolvedBatch << ',' << t.job.priority << ','
-        << formatDouble(t.job.arrivalSec) << ','
-        << formatDouble(t.job.departSec) << ','
-        << formatDouble(t.job.qosStepsPerSec) << ','
-        << formatDouble(t.job.qosDeadlineSec) << ',' << t.job.steps
-        << ',' << t.stepsDone << ',' << int(t.completed) << ','
-        << int(t.departed) << ',' << int(t.admitted) << ','
-        << formatDouble(t.waitSec) << ',' << formatDouble(t.endSec)
-        << ',' << formatDouble(t.achievedStepsPerSec) << ','
-        << formatDouble(t.isolatedStepsPerSec) << ','
-        << formatDouble(t.slowdown) << ','
-        << formatDouble(t.stepLatency.p50Sec) << ','
-        << formatDouble(t.stepLatency.p95Sec) << ','
-        << formatDouble(t.stepLatency.p99Sec) << ','
-        << formatDouble(t.qosAttainmentPct) << ','
-        << formatDouble(t.energyJ) << ',' << formatDouble(t.energyShare)
-        << ',' << t.switchesIn << ',';
-    return oss.str();
-}
 
 void
 writeServeCsv(std::ostream &os, const std::vector<ServeResult> &serves)
 {
-    os << serveCsvHeader() << '\n';
+    std::string buf = kServeCsvHeader;
     for (const ServeResult &s : serves) {
+        const std::string prefix = servePrefix(s);
         if (!s.ok()) {
             // One placeholder cell per tenant column, error last.
-            os << servePrefix(s)
-               << ",-,-,0,-,0,0,0,0,0,0,0,0,0,0,0,nan,nan,nan,nan,nan,"
-                  "nan,nan,nan,nan,nan,nan,0,"
-               << csvCell(s.error) << '\n';
+            buf += prefix;
+            buf += ",-,-,0,-,0,0,0,0,0,0,0,0,0,0,0,nan,nan,nan,nan,nan,"
+                   "nan,nan,nan,nan,nan,nan,0";
+            appendCell(buf, s.error);
+            buf += '\n';
             continue;
         }
-        for (const TenantMetrics &t : s.tenants)
-            os << serveCsvRow(s, t) << '\n';
+        for (const TenantMetrics &t : s.tenants) {
+            appendTenantRow(buf, prefix, t);
+            flushRows(os, buf);
+        }
     }
+    flushRows(os, buf, true);
 }
 
 void

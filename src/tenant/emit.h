@@ -4,7 +4,8 @@
  * sweep emitters: output is a pure function of the results (one CSV
  * row per tenant per serve run), doubles go through formatDouble /
  * jsonNumber so NaN renders as "nan" in CSV and null in JSON, and a
- * parallel-backed serve emits bytes identical to a serial one.
+ * parallel-backed serve emits bytes identical to a serial one. CSV
+ * rows are built with the shared cell appenders of common/format.h.
  */
 
 #ifndef DIVA_TENANT_EMIT_H
@@ -18,13 +19,6 @@
 
 namespace diva
 {
-
-/** Header matching serveCsvRow()'s columns. */
-std::string serveCsvHeader();
-
-/** One CSV row for one tenant of one serve run. */
-std::string serveCsvRow(const ServeResult &serve,
-                        const TenantMetrics &tenant);
 
 /**
  * Emit header + one row per tenant per serve run. Failed runs emit a

@@ -5,8 +5,9 @@
  * generator determinism (same seed => byte-identical trace, different
  * seed => different trace) across all three arrival kinds, generator
  * spec parsing, the QoS admission controller's greedy feasible
- * subset, and seeded grammar fuzzing of the trace CSV, the generator
- * spec (--arrivals) and the fleet's pod template (--pod).
+ * subset, and seeded grammar fuzzing of the trace CSV and JSONL, the
+ * generator spec (--arrivals), the fleet's pod template (--pod) and
+ * the SLO target spec (--slo-p99-s).
  */
 
 #include <algorithm>
@@ -20,8 +21,10 @@
 #include "arrivals/admission.h"
 #include "arrivals/generate.h"
 #include "arrivals/trace.h"
+#include "common/format.h"
 #include "common/rng.h"
 #include "fleet/fleet.h"
+#include "obs/slo.h"
 
 namespace diva
 {
@@ -80,6 +83,32 @@ TEST(Trace, CsvRoundTrips)
     EXPECT_DOUBLE_EQ(loaded.jobs[1].arrivalSec, 0.3333333333333333);
 
     // Re-emitting the loaded trace is byte-identical.
+    EXPECT_EQ(traceCsv(loaded), csv);
+}
+
+// Names and models holding the CSV specials are quoted on the way
+// out and unquoted on the way in, so a save/load pass is lossless.
+TEST(Trace, CsvRoundTripsQuotedCells)
+{
+    ArrivalTrace trace;
+    trace.name = "quoted";
+    for (const char *name : {"a,b", "q\"x", "\"", "\"\"", ",", "p\"q,r"}) {
+        TenantJob j;
+        j.name = name;
+        j.model = "SqueezeNet\"";
+        j.steps = 4;
+        trace.jobs.push_back(j);
+    }
+    const std::string csv = traceCsv(trace);
+    std::istringstream in(csv);
+    std::string err;
+    const ArrivalTrace loaded = loadTraceCsv(in, &err);
+    ASSERT_TRUE(err.empty()) << err << "\n" << csv;
+    ASSERT_EQ(loaded.jobs.size(), trace.jobs.size());
+    for (std::size_t i = 0; i < trace.jobs.size(); ++i) {
+        EXPECT_EQ(loaded.jobs[i].name, trace.jobs[i].name);
+        EXPECT_EQ(loaded.jobs[i].model, "SqueezeNet\"");
+    }
     EXPECT_EQ(traceCsv(loaded), csv);
 }
 
@@ -187,6 +216,10 @@ TEST(Trace, CsvErrorMessagesArePinned)
         {"Model,STEPS\nM,1.0\n",
          "line 2: steps must be an integer in [0, 9223372036854775807], "
          "got '1.0'"},
+        {"name,model\n\"a,b,M\n", "line 2: unterminated quoted cell"},
+        {"name,model\n\"a\nb\",M\n", "line 2: unterminated quoted cell"},
+        {"name,model\n\"a\"b,M\n", "line 2: text after a closing quote"},
+        {"name,model\n\"a,b\",M,1\n", "line 2: expected 2 cells, got 3"},
     };
     for (const auto &c : cases) {
         std::istringstream in(c.csv);
@@ -295,6 +328,8 @@ TEST(Trace, CsvGrammarFuzz)
     canonical.jobs[2].microbatch = 4;
     canonical.jobs[3].modelScale = 2;
     canonical.jobs[3].qosDeadlineSec = 30.25;
+    canonical.jobs[0].name = "a,b";
+    canonical.jobs[2].name = "q\"x";
     const std::string base = traceCsv(canonical);
 
     Rng rng(2022);
@@ -324,7 +359,8 @@ TEST(Trace, CsvGrammarFuzz)
 
 /** The canonical JSONL form of a trace CSV: a {"trace": ...} record,
  *  a comment and a blank line, then one object per row keyed by the
- *  header, numeric cells bare and the rest quoted. */
+ *  header, numeric cells bare and the rest quoted ('"' and '\\'
+ *  backslash-escaped). */
 std::string
 traceJsonl(const ArrivalTrace &trace)
 {
@@ -332,22 +368,31 @@ traceJsonl(const ArrivalTrace &trace)
     std::string line;
     std::getline(csv, line); // "# trace: NAME"
     std::getline(csv, line);
-    std::vector<std::string> header;
-    std::string cell;
-    std::istringstream head(line);
-    while (std::getline(head, cell, ','))
-        header.push_back(cell);
+    std::vector<std::string_view> cells;
+    EXPECT_EQ(splitCsvCells(line, &cells), "");
+    const std::vector<std::string> header(cells.begin(), cells.end());
     std::string out = "{\"trace\": \"" + trace.name + "\"}\n# recorded\n\n";
     while (std::getline(csv, line)) {
-        std::istringstream row(line);
+        EXPECT_EQ(splitCsvCells(line, &cells), "") << line;
         out += '{';
-        for (std::size_t c = 0; std::getline(row, cell, ','); ++c) {
+        for (std::size_t c = 0; c < cells.size(); ++c) {
+            const std::string cell(cells[c]);
             char *end = nullptr;
             const bool number = !cell.empty() &&
                                 (std::strtod(cell.c_str(), &end),
                                  *end == '\0');
             out += (c ? ", \"" : "\"") + header.at(c) + "\": ";
-            out += number ? cell : '"' + cell + '"';
+            if (number) {
+                out += cell;
+                continue;
+            }
+            out += '"';
+            for (char ch : cell) {
+                if (ch == '"' || ch == '\\')
+                    out += '\\';
+                out += ch;
+            }
+            out += '"';
         }
         out += "}\n";
     }
@@ -356,9 +401,10 @@ traceJsonl(const ArrivalTrace &trace)
 
 // The JSONL loader under the same mutations as the CSV one (byte
 // deletes and duplicates, item swaps, truncation): every input either
-// loads sessions that each name a model, or fails with a "line N: ..."
-// message and no jobs. Nothing may crash (the sanitizer CI job runs
-// this too).
+// loads sessions that each name a model -- and then JSONL -> CSV ->
+// CSV is a fixed point, whatever commas and quotes the names picked
+// up -- or fails with a "line N: ..." message and no jobs. Nothing may
+// crash (the sanitizer CI job runs this too).
 TEST(Trace, JsonlGrammarFuzz)
 {
     TraceGenSpec spec;
@@ -372,6 +418,8 @@ TEST(Trace, JsonlGrammarFuzz)
     canonical.jobs[1].algorithm = TrainingAlgorithm::kSgd;
     canonical.jobs[2].microbatch = 4;
     canonical.jobs[3].qosDeadlineSec = 30.25;
+    canonical.jobs[0].name = "a,b";
+    canonical.jobs[2].name = "q\"x";
     const std::string base = traceJsonl(canonical);
     {
         std::istringstream in(base);
@@ -398,6 +446,11 @@ TEST(Trace, JsonlGrammarFuzz)
         EXPECT_FALSE(t.jobs.empty()) << "input:\n" << input;
         for (const TenantJob &job : t.jobs)
             EXPECT_FALSE(job.model.empty()) << "input:\n" << input;
+        const std::string once = traceCsv(t);
+        std::istringstream again(once);
+        const ArrivalTrace reloaded = loadTraceCsv(again, &err);
+        ASSERT_TRUE(err.empty()) << err << "\ninput:\n" << input;
+        EXPECT_EQ(traceCsv(reloaded), once) << "input:\n" << input;
     }
     EXPECT_GT(loaded, 100);
     EXPECT_GT(failed, 100);
@@ -511,6 +564,66 @@ TEST(PodTemplate, GrammarFuzz)
         EXPECT_TRUE(err.empty()) << err << "\ninput: " << input;
         ASSERT_FALSE(pods->empty()) << "input: " << input;
         EXPECT_EQ(buildFleet({*pods}).validationError(), "")
+            << "input: " << input;
+    }
+    EXPECT_GT(parsed, 300);
+    EXPECT_GT(failed, 300);
+}
+
+// The `key=value` list walker both specs share reports a bare item
+// with one message, in item order.
+TEST(KeyValueList, ErrorsArePinned)
+{
+    std::string err;
+    EXPECT_FALSE(parseTraceGenSpec("poisson:rate=2,,hold", &err));
+    EXPECT_EQ(err, "expected key=value, got 'hold'");
+    EXPECT_FALSE(parseTraceGenSpec("poisson:rate=x,hold", &err));
+    EXPECT_EQ(err, "key 'rate' needs a finite number, got 'x'");
+    EXPECT_FALSE(parsePodTemplate("df=OS,chips", &err));
+    EXPECT_EQ(err, "expected key=value, got 'chips'");
+    EXPECT_FALSE(parsePodTemplate("count=0,=,x", &err));
+    EXPECT_EQ(err, "count must be in [1, 65536], got '0'");
+    EXPECT_FALSE(parsePodTemplate(",,=DiVa", &err));
+    EXPECT_EQ(err,
+              "unknown key '' (want df, ppu, chips, count, ici-gbs, or "
+              "link-lat)");
+    ASSERT_TRUE(parsePodTemplate(",df=OS,,count=2,", &err)) << err;
+    EXPECT_EQ(parsePodTemplate(",df=OS,,count=2,", &err)->size(), 2u);
+}
+
+// Seeded mutations of valid --slo-p99-s specs: each parses to a spec
+// with only positive finite targets, or fails with a "--slo-p99-s:"
+// message. Nothing may throw.
+TEST(SloSpec, GrammarFuzz)
+{
+    const std::string bases[] = {"0.5", "0.5,1:0.2,0:0.8",
+                                 "2:1e-3,7:0.25,-3:4"};
+    Rng rng(3311);
+    int parsed = 0, failed = 0;
+    for (int i = 0; i < 3000; ++i) {
+        const std::string input = mutateSpec(bases[i % 3], rng);
+        obs::SloSpec spec;
+        std::string err;
+        bool ok = false;
+        EXPECT_NO_THROW(ok = obs::parseSloSpec(input, &spec, &err))
+            << "input: " << input;
+        if (!ok) {
+            ++failed;
+            EXPECT_EQ(err.rfind("--slo-p99-s: ", 0), 0u)
+                << err << "\ninput: " << input;
+            continue;
+        }
+        ++parsed;
+        EXPECT_TRUE(spec.enabled()) << "input: " << input;
+        EXPECT_TRUE(spec.globalTargetSec == 0.0 ||
+                    (spec.globalTargetSec > 0.0 &&
+                     std::isfinite(spec.globalTargetSec)))
+            << "input: " << input;
+        for (const auto &[prio, target] : spec.perPriority)
+            EXPECT_TRUE(target > 0.0 && std::isfinite(target))
+                << "input: " << input;
+        EXPECT_TRUE(std::is_sorted(spec.perPriority.begin(),
+                                   spec.perPriority.end()))
             << "input: " << input;
     }
     EXPECT_GT(parsed, 300);

@@ -30,20 +30,23 @@ namespace diva
 namespace
 {
 
-/** Comma-split one CSV row (no quoted cells in these fixtures). */
+/** The cells of one CSV line, split by the shared CSV reader. */
 std::vector<std::string>
-cells(const std::string &row)
+cells(std::string line)
 {
-    std::vector<std::string> out;
-    std::string cell;
-    std::stringstream ss(row);
-    while (std::getline(ss, cell, ','))
-        out.push_back(cell);
-    // A trailing empty cell (empty error column) is dropped by
-    // getline; re-add it so indexing matches the header.
-    if (!row.empty() && row.back() == ',')
-        out.push_back("");
-    return out;
+    std::vector<std::string_view> views;
+    EXPECT_EQ(splitCsvCells(line, &views), "") << line;
+    return {views.begin(), views.end()};
+}
+
+/** The cells of the CSV data row writeCsv emits for `r`. */
+std::vector<std::string>
+cells(const ScenarioResult &r)
+{
+    std::string row;
+    appendCsvRow(row, r);
+    row.pop_back(); // the newline
+    return cells(row);
 }
 
 /** Column index of `name` in csvHeader(). */
@@ -129,7 +132,7 @@ TEST(BackendRegistry, RuntimeBackendIsReachableByNameAlone)
     EXPECT_NE(chip.scenario.canonicalKey(),
               echo.scenario.canonicalKey());
     // CSV reports the registered name and its capability flags.
-    const std::vector<std::string> row = cells(csvRow(echo));
+    const std::vector<std::string> row = cells(echo);
     EXPECT_EQ(row[column("backend")], "echo");
     EXPECT_EQ(row[column("cycles")], "");
     EXPECT_EQ(row[column("utilization")], "nan");
@@ -341,7 +344,7 @@ TEST(Emit, GpuRowsEmitEmptyOrNanForUnmodeledMetrics)
     ASSERT_TRUE(r.ok()) << r.error;
     EXPECT_GT(r.seconds, 0.0);
 
-    const std::vector<std::string> row = cells(csvRow(r));
+    const std::vector<std::string> row = cells(r);
     ASSERT_EQ(row.size(), cells(csvHeader()).size());
     EXPECT_EQ(row[column("cycles")], "");
     EXPECT_EQ(row[column("compute_cycles")], "");
@@ -375,7 +378,7 @@ TEST(Emit, ChipRowsStillCarryEveryMetric)
     s.batch = 8;
     const ScenarioResult r = runScenario(s);
     ASSERT_TRUE(r.ok()) << r.error;
-    const std::vector<std::string> row = cells(csvRow(r));
+    const std::vector<std::string> row = cells(r);
     EXPECT_NE(row[column("cycles")], "");
     EXPECT_NE(row[column("utilization")], "nan");
     EXPECT_NE(row[column("energy_j")], "nan");

@@ -5,7 +5,8 @@
  * against snprintf("%.*g", max(6, shortest)) over seeded doubles of
  * every class, and parseIntText / parseDoubleText against whole-string
  * std::stoll / std::stod over a seeded mutation corpus (verdict and
- * bit-exact value, sign of zero included).
+ * bit-exact value, sign of zero included); and the CSV cell grammar:
+ * the row appenders, and the splitter as their inverse.
  */
 
 #include <algorithm>
@@ -285,6 +286,78 @@ TEST(ParseText, MatchesStollAndStodOnASeededMutationCorpus)
     // The corpus must exercise both verdicts, not only rejections.
     EXPECT_GT(accepted, corpus.size() / 4);
     EXPECT_LT(accepted, corpus.size());
+}
+
+// The shared CSV appenders: one leading comma per cell, bools as 0/1,
+// integers in decimal, doubles via appendDouble, text quoted only when
+// it needs it -- and a string literal is text, never a bool.
+TEST(CsvCells, AppendersWriteOneCellEach)
+{
+    std::string out = "x";
+    appendCells(out, "a,b", true, false, -7,
+                std::uint64_t(18446744073709551615ULL), 0.5, std::nan(""),
+                std::string_view("q\"x"), std::string("plain"));
+    EXPECT_EQ(out, "x,\"a,b\",1,0,-7,18446744073709551615,0.5,nan,"
+                   "\"q\"\"x\",plain");
+}
+
+// splitCsvCells inverts appendCsvCell over seeded cells drawn from the
+// CSV specials.
+TEST(CsvCells, SplitInvertsTheAppenders)
+{
+    Rng rng(4180);
+    static const char kAlphabet[] = "ab ,\"\n#";
+    std::vector<std::string_view> got;
+    for (int i = 0; i < 20000; ++i) {
+        std::vector<std::string> want(1 + rng.uniformInt(5));
+        std::string line;
+        for (std::size_t c = 0; c < want.size(); ++c) {
+            for (std::uint64_t n = rng.uniformInt(5); n > 0; --n)
+                want[c] += kAlphabet[rng.uniformInt(sizeof(kAlphabet) - 1)];
+            if (c)
+                line += ',';
+            appendCsvCell(line, want[c]);
+        }
+        const std::string written = line;
+        ASSERT_EQ(splitCsvCells(line, &got), "") << written;
+        ASSERT_EQ(std::vector<std::string>(got.begin(), got.end()), want)
+            << written;
+    }
+}
+
+// Unquoted cells split at every comma ('"' inside them is literal);
+// a quoted cell must close, and only a comma may follow it.
+TEST(CsvCells, SplitEdgeCasesArePinned)
+{
+    const struct
+    {
+        std::string line;
+        std::vector<std::string> cells;
+        std::string_view error;
+    } cases[] = {
+        {"", {""}, ""},
+        {",", {"", ""}, ""},
+        {"a,b,", {"a", "b", ""}, ""},
+        {"a\"b,c\"", {"a\"b", "c\""}, ""},
+        {"\"\"", {""}, ""},
+        {"\"\"\"\"", {"\""}, ""},
+        {"\"a,b\",\"\",c", {"a,b", "", "c"}, ""},
+        {"\"a\",", {"a", ""}, ""},
+        {" \"a\"", {" \"a\""}, ""},
+        {"\"a", {}, "unterminated quoted cell"},
+        {"x,\"a\"\"", {}, "unterminated quoted cell"},
+        {"\"a\"b", {}, "text after a closing quote"},
+        {"\"a\" ,b", {}, "text after a closing quote"},
+    };
+    std::vector<std::string_view> got;
+    for (const auto &c : cases) {
+        std::string line = c.line;
+        EXPECT_EQ(splitCsvCells(line, &got), c.error) << c.line;
+        if (c.error.empty())
+            EXPECT_EQ(std::vector<std::string>(got.begin(), got.end()),
+                      c.cells)
+                << c.line;
+    }
 }
 
 } // namespace

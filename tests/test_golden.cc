@@ -2,14 +2,25 @@
  * @file
  * Golden regression tests: exact cycle counts and traffic for
  * hand-computable GEMMs on every engine, locking the cycle models
- * against accidental drift. Each expected value is derived in the
- * accompanying comment from the model equations.
+ * against accidental drift (each expected value is derived in the
+ * accompanying comment from the model equations), and byte-exact
+ * fixtures under tests/golden/csv/ for the sweep CSV and the serve
+ * telemetry CSV, locking the CSV writers against format drift.
  */
+
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "arch/accelerator_config.h"
 #include "gemm/engine.h"
+#include "obs/slo.h"
+#include "sweep/emit.h"
+#include "sweep/runner.h"
+#include "sweep/spec.h"
+#include "tenant/serve.h"
 
 namespace diva
 {
@@ -147,6 +158,101 @@ TEST(Golden, WsSramPortRates)
     const GemmResult r = computeOnly(tpuV3Ws(), GemmShape(128, 128, 128));
     EXPECT_EQ(r.sramReadBytes, 399u * 2304u);
     EXPECT_EQ(r.sramWriteBytes, 399u * 512u);
+}
+
+// ------------------------------------------------------- CSV fixtures
+
+std::string
+csvFixture(const std::string &name)
+{
+    std::ifstream in(std::string(DIVA_SOURCE_DIR) + "/tests/golden/csv/" +
+                         name,
+                     std::ios::binary);
+    std::ostringstream whole;
+    whole << in.rdbuf();
+    return whole.str();
+}
+
+/**
+ * A sweep whose CSV holds every cell shape the writer emits: a chip
+ * row, a pod row (link cells), a GPU row (empty integral cells and
+ * "nan" metrics), and two kinds of failing scenario -- an unknown
+ * model whose name and error message both need RFC-4180 quoting, and
+ * a pod with more chips than the batch has samples, whose error cell
+ * needs none.
+ */
+std::string
+sweepGoldenCsv()
+{
+    SweepSpec spec;
+    spec.configs = {divaDefault(true)};
+    spec.models = {"SqueezeNet", "Squeeze,\"Net\""};
+    spec.batches = {8};
+    spec.algorithms = {TrainingAlgorithm::kDpSgd};
+    spec.backends = {SweepBackend::kSingleChip, SweepBackend::kMultiChip,
+                     SweepBackend::kGpu};
+    MultiChipConfig pair, wide;
+    pair.numChips = 2;
+    wide.numChips = 16;
+    spec.pods = {pair, wide};
+    spec.gpus = {GpuConfig::v100Fp32()};
+    SweepRunner runner(SweepOptions{});
+    std::ostringstream csv;
+    writeCsv(csv, runner.run(spec));
+    return csv.str();
+}
+
+/** A two-priority round-robin serve with fixed iteration costs and a
+ *  global plus per-priority p99 target: series, sketch and SLO rows. */
+std::string
+telemetryGoldenCsv()
+{
+    ServeSpec s;
+    s.workload.name = "golden";
+    for (int i = 0; i < 3; ++i) {
+        TenantJob j;
+        j.name = "t" + std::to_string(i);
+        j.model = "SqueezeNet";
+        j.batch = 8;
+        j.arrivalSec = 0.4 * i;
+        j.steps = 12;
+        j.priority = i % 2;
+        s.workload.jobs.push_back(j);
+    }
+    s.config = divaDefault(true);
+    s.policy = SchedPolicy::kRoundRobin;
+    obs::RunTelemetry tel;
+    tel.windowSec = 0.5;
+    std::string err;
+    EXPECT_TRUE(obs::parseSloSpec("0.15,1:0.12", &tel.slo, &err)) << err;
+    s.opts.telemetry = &tel;
+    IterationCost cost;
+    cost.seconds = 0.05;
+    cost.energyJ = 1.0;
+    cost.resolvedBatch = 8;
+    SwitchCost sw;
+    sw.seconds = 0.01;
+    sw.energyJ = 0.5;
+    sw.dramBytes = 1024;
+    const ServeResult r = runServeLoop(s, {cost, cost, cost}, sw);
+    EXPECT_TRUE(r.ok()) << r.error;
+    std::ostringstream csv;
+    tel.writeCsv(csv);
+    return csv.str();
+}
+
+TEST(GoldenCsv, SweepCsvMatchesFixture)
+{
+    const std::string want = csvFixture("sweep.csv");
+    ASSERT_FALSE(want.empty()) << "sweep.csv fixture unreadable";
+    EXPECT_EQ(sweepGoldenCsv(), want);
+}
+
+TEST(GoldenCsv, TelemetryCsvMatchesFixture)
+{
+    const std::string want = csvFixture("telemetry.csv");
+    ASSERT_FALSE(want.empty()) << "telemetry.csv fixture unreadable";
+    EXPECT_EQ(telemetryGoldenCsv(), want);
 }
 
 } // namespace

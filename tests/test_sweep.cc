@@ -22,6 +22,16 @@ namespace diva
 namespace
 {
 
+/** The CSV data row writeCsv emits for `r`, newline stripped. */
+std::string
+csvRow(const ScenarioResult &r)
+{
+    std::string row;
+    appendCsvRow(row, r);
+    row.pop_back();
+    return row;
+}
+
 /** A small but multi-axis spec: 2 configs x 2 models x 2 algos. */
 SweepSpec
 smallSpec()

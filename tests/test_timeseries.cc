@@ -6,9 +6,10 @@
  * exact nearest-rank percentiles in src/common/percentile.cc,
  * merge order-independence, window-edge determinism, the bitwise
  * latency-decomposition invariant (fast and slow paths), the SLO spec
- * parser, and end-to-end byte-determinism of the fleet and serve-loop
+ * parser, end-to-end byte-determinism of the fleet and serve-loop
  * telemetry across engine thread counts and warm plan caches --
- * including that turning telemetry on perturbs no existing output.
+ * including that turning telemetry on perturbs no existing output --
+ * and RFC-4180 quoting of tenant-named series in the telemetry CSV.
  */
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "arrivals/generate.h"
+#include "common/format.h"
 #include "common/percentile.h"
 #include "fleet/emit.h"
 #include "fleet/engine.h"
@@ -411,6 +413,47 @@ TEST(ServeTelemetryTest, DecompositionAuditsCleanAndSeriesAppear)
         return os.str();
     };
     EXPECT_EQ(emit(r), emit(r2));
+}
+
+// Serve series embed tenant names; a name holding a comma or a quote
+// must stay one quoted cell, so every row reads back as 5 cells.
+TEST(ServeTelemetryTest, CsvQuotesSeriesNames)
+{
+    ServeSpec s;
+    s.workload.name = "test";
+    s.workload.jobs = {job("a,b", 0.0, 20, 0), job("q\"x", 0.1, 20, 1)};
+    s.config = divaDefault(true);
+    s.policy = SchedPolicy::kRoundRobin;
+    obs::RunTelemetry tel;
+    tel.windowSec = 0.25;
+    std::string err;
+    ASSERT_TRUE(obs::parseSloSpec("0.5,1:0.25", &tel.slo, &err)) << err;
+    s.opts.telemetry = &tel;
+    IterationCost cost;
+    cost.seconds = 0.05;
+    cost.energyJ = 1.0;
+    cost.resolvedBatch = 8;
+    const ServeResult r = runServeLoop(s, {cost, cost}, SwitchCost{});
+    ASSERT_TRUE(r.ok()) << r.error;
+    ASSERT_GT(tel.snapshot.series.count("serve.rr.tenant.a,b.steps"), 0u);
+    ASSERT_GT(tel.snapshot.series.count("serve.rr.tenant.q\"x.steps"),
+              0u);
+
+    std::ostringstream os;
+    tel.writeCsv(os);
+    std::istringstream in(os.str());
+    std::string line;
+    std::vector<std::string_view> cells;
+    std::size_t rows = 0, named = 0;
+    while (std::getline(in, line)) {
+        ASSERT_EQ(splitCsvCells(line, &cells), "") << line;
+        ASSERT_EQ(cells.size(), 5u) << line;
+        ++rows;
+        named += cells[1] == "serve.rr.tenant.a,b.steps" ||
+                 cells[1] == "serve.rr.tenant.q\"x.steps";
+    }
+    EXPECT_GT(rows, 10u);
+    EXPECT_GT(named, 1u);
 }
 
 TEST(FleetTelemetryTest, ByteIdenticalAcrossThreadsAndReruns)
