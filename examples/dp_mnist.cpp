@@ -13,7 +13,8 @@
 #include "common/rng.h"
 #include "dp/accountant.h"
 #include "dp/data.h"
-#include "dp/dp_sgd.h"
+#include "dp/mlp.h"
+#include "dp/trainer.h"
 
 using namespace diva;
 
@@ -53,8 +54,8 @@ main()
     Rng init_a(7), init_b(7);
     Mlp model_dp({dim, 64, classes}, init_a);
     Mlp model_dpr({dim, 64, classes}, init_b);
-    DpSgdTrainer vanilla(model_dp, cfg);
-    DpSgdRTrainer reweighted(model_dpr, cfg);
+    Trainer<Mlp> vanilla(model_dp, TrainingAlgorithm::kDpSgd, cfg);
+    Trainer<Mlp> reweighted(model_dpr, TrainingAlgorithm::kDpSgdR, cfg);
 
     RdpAccountant accountant(cfg.noiseMultiplier,
                              double(batch) / double(train_size));

@@ -349,7 +349,8 @@ writeTraceCsv(std::ostream &os, const ArrivalTrace &trace)
     std::string buf = "# trace: " + trace.name + '\n' +
                       traceCsvHeader() + '\n';
     for (const TenantJob &j : trace.jobs) {
-        appendCsvCell(buf, j.name);
+        // A row opening with '#' would read back as a comment.
+        appendCsvCell(buf, j.name, j.name.starts_with('#'));
         appendCells(buf, j.model, j.modelScale, j.batch, j.microbatch,
                     algorithmName(j.algorithm), j.arrivalSec, j.departSec,
                     j.priority, j.steps, j.qosStepsPerSec,

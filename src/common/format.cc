@@ -10,9 +10,9 @@ namespace diva
 {
 
 void
-appendCsvCell(std::string &out, std::string_view s)
+appendCsvCell(std::string &out, std::string_view s, bool quote)
 {
-    if (s.find_first_of(",\"\n") == std::string_view::npos) {
+    if (!quote && s.find_first_of(",\"\n") == std::string_view::npos) {
         out += s;
         return;
     }

@@ -50,8 +50,12 @@ std::string jsonNumber(double v);
 /** Quote a CSV-unsafe cell per RFC 4180; safe cells pass through. */
 std::string csvCell(const std::string &s);
 
-/** Append csvCell(s) to `out` without a temporary string. */
-void appendCsvCell(std::string &out, std::string_view s);
+/**
+ * Append csvCell(s) to `out` without a temporary string; `quote`
+ * quotes even a safe cell.
+ */
+void appendCsvCell(std::string &out, std::string_view s,
+                   bool quote = false);
 
 /** Append ",cell": a double via appendDouble. */
 inline void

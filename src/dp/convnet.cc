@@ -1,56 +1,10 @@
 #include "dp/convnet.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/logging.h"
 #include "dp/ops.h"
 
 namespace diva
 {
-
-void
-ConvNetGrads::setZero()
-{
-    convW.setZero();
-    convB.setZero();
-    fcW.setZero();
-    fcB.setZero();
-}
-
-void
-ConvNetGrads::addScaled(const ConvNetGrads &other, double s)
-{
-    convW.addScaled(other.convW, s);
-    convB.addScaled(other.convB, s);
-    fcW.addScaled(other.fcW, s);
-    fcB.addScaled(other.fcB, s);
-}
-
-void
-ConvNetGrads::scale(double s)
-{
-    convW.scale(s);
-    convB.scale(s);
-    fcW.scale(s);
-    fcB.scale(s);
-}
-
-double
-ConvNetGrads::l2NormSq() const
-{
-    return convW.l2NormSq() + convB.l2NormSq() + fcW.l2NormSq() +
-           fcB.l2NormSq();
-}
-
-double
-ConvNetGrads::maxAbsDiff(const ConvNetGrads &other) const
-{
-    return std::max(
-        std::max(convW.maxAbsDiff(other.convW),
-                 convB.maxAbsDiff(other.convB)),
-        std::max(fcW.maxAbsDiff(other.fcW), fcB.maxAbsDiff(other.fcB)));
-}
 
 ConvNet::ConvNet(const ConvGeometry &geometry, int num_classes, Rng &rng)
     : conv_(geometry, rng),

@@ -10,10 +10,12 @@
 #ifndef DIVA_DP_CONVNET_H
 #define DIVA_DP_CONVNET_H
 
+#include <array>
 #include <vector>
 
 #include "common/rng.h"
 #include "dp/conv2d.h"
+#include "dp/grads.h"
 #include "dp/linear.h"
 #include "dp/tensor.h"
 
@@ -21,29 +23,19 @@ namespace diva
 {
 
 /** Gradient container matching a ConvNet's parameters. */
-struct ConvNetGrads
+struct ConvNetGrads : GradsOps<ConvNetGrads>
 {
     Tensor convW;
     Tensor convB;
     Tensor fcW;
     Tensor fcB;
 
-    /** Visit every parameter-gradient tensor (for generic trainers). */
-    template <typename Fn>
-    void
-    forEachTensor(Fn &&fn)
+    template <typename G>
+    static auto
+    tensorsOf(G &g)
     {
-        fn(convW);
-        fn(convB);
-        fn(fcW);
-        fn(fcB);
+        return std::array{&g.convW, &g.convB, &g.fcW, &g.fcB};
     }
-
-    void setZero();
-    void addScaled(const ConvNetGrads &other, double s);
-    void scale(double s);
-    double l2NormSq() const;
-    double maxAbsDiff(const ConvNetGrads &other) const;
 };
 
 /** conv2d -> ReLU -> flatten -> linear classifier. */

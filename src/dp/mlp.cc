@@ -1,8 +1,5 @@
 #include "dp/mlp.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/logging.h"
 #include "dp/ops.h"
 
@@ -23,67 +20,6 @@ row(const Tensor &t, std::int64_t i)
 }
 
 } // namespace
-
-void
-MlpGrads::setZero()
-{
-    for (auto &t : dw)
-        t.setZero();
-    for (auto &t : db)
-        t.setZero();
-}
-
-void
-MlpGrads::add(const MlpGrads &other)
-{
-    DIVA_ASSERT(dw.size() == other.dw.size());
-    for (std::size_t l = 0; l < dw.size(); ++l) {
-        dw[l].add(other.dw[l]);
-        db[l].add(other.db[l]);
-    }
-}
-
-void
-MlpGrads::addScaled(const MlpGrads &other, double s)
-{
-    DIVA_ASSERT(dw.size() == other.dw.size());
-    for (std::size_t l = 0; l < dw.size(); ++l) {
-        dw[l].addScaled(other.dw[l], s);
-        db[l].addScaled(other.db[l], s);
-    }
-}
-
-void
-MlpGrads::scale(double s)
-{
-    for (auto &t : dw)
-        t.scale(s);
-    for (auto &t : db)
-        t.scale(s);
-}
-
-double
-MlpGrads::l2NormSq() const
-{
-    double acc = 0.0;
-    for (const auto &t : dw)
-        acc += t.l2NormSq();
-    for (const auto &t : db)
-        acc += t.l2NormSq();
-    return acc;
-}
-
-double
-MlpGrads::maxAbsDiff(const MlpGrads &other) const
-{
-    DIVA_ASSERT(dw.size() == other.dw.size());
-    double best = 0.0;
-    for (std::size_t l = 0; l < dw.size(); ++l) {
-        best = std::max(best, dw[l].maxAbsDiff(other.dw[l]));
-        best = std::max(best, db[l].maxAbsDiff(other.db[l]));
-    }
-    return best;
-}
 
 Mlp::Mlp(const std::vector<int> &dims, Rng &rng)
 {

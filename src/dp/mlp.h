@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "dp/grads.h"
 #include "dp/linear.h"
 #include "dp/tensor.h"
 
@@ -18,28 +19,23 @@ namespace diva
 {
 
 /** Gradient container matching an Mlp's parameter structure. */
-struct MlpGrads
+struct MlpGrads : GradsOps<MlpGrads>
 {
     std::vector<Tensor> dw;
     std::vector<Tensor> db;
 
-    /** Visit every parameter-gradient tensor (for generic trainers). */
-    template <typename Fn>
-    void
-    forEachTensor(Fn &&fn)
+    /** Every dw, then every db. */
+    template <typename G>
+    static auto
+    tensorsOf(G &g)
     {
-        for (auto &t : dw)
-            fn(t);
-        for (auto &t : db)
-            fn(t);
+        std::vector<decltype(&g.dw[0])> out;
+        for (auto &t : g.dw)
+            out.push_back(&t);
+        for (auto &t : g.db)
+            out.push_back(&t);
+        return out;
     }
-
-    void setZero();
-    void add(const MlpGrads &other);
-    void addScaled(const MlpGrads &other, double s);
-    void scale(double s);
-    double l2NormSq() const;
-    double maxAbsDiff(const MlpGrads &other) const;
 };
 
 /** Feed-forward ReLU network ending in raw logits. */

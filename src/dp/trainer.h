@@ -1,20 +1,30 @@
 /**
  * @file
- * Model-generic DP-SGD trainers (Algorithm 1), templated over the
- * model type. A model must provide:
+ * The functional trainer: SGD, DP-SGD and DP-SGD(R) (Algorithm 1 of
+ * the paper) for any conforming model, keyed by the same
+ * TrainingAlgorithm the cost model prices.
+ *
+ * DP-SGD materializes every per-example gradient, clips each to the
+ * max norm C, aggregates, and adds N(0, sigma^2 C^2 I) noise. DP-SGD(R)
+ * derives the per-example norms *without* materializing the gradients
+ * (first pass), then runs a reweighted per-batch backward pass whose
+ * result equals the sum of clipped per-example gradients (Lee &
+ * Kifer); SGD is that second pass with unit weights and no noise.
+ * Given the same noise seed, DP-SGD and DP-SGD(R) produce the same
+ * noisy update.
+ *
+ * A model must provide:
  *
  *   - nested `Cache` type and
  *     `lossAndLogitGrad(x, y, cache, dlogits)`;
- *   - `Grads zeroGrads()` where Grads supports `addScaled`, `scale`,
- *     `l2NormSq` and `forEachTensor(fn)`;
+ *   - `Grads zeroGrads()` where Grads derives from GradsOps
+ *     (dp/grads.h);
  *   - `perExampleGrad(cache, dlogits, i, grads)`;
  *   - `perExampleGradNormSq(cache, dlogits, i)`;
  *   - `backwardReweighted(cache, dlogits, weights, grads)`;
  *   - `applyUpdate(grads, lr)`.
  *
- * Both Mlp (dp/mlp.h) and ConvNet (dp/convnet.h) satisfy this concept;
- * the concrete DpSgdTrainer/DpSgdRTrainer classes in dp/dp_sgd.h are
- * the Mlp instantiations kept for convenience.
+ * Mlp (dp/mlp.h) and ConvNet (dp/convnet.h) both do.
  */
 
 #ifndef DIVA_DP_TRAINER_H
@@ -22,148 +32,130 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
-#include "dp/dp_sgd.h"
 #include "dp/tensor.h"
+#include "train/algorithm.h"
 
 namespace diva
 {
 
-/** Shared mechanics of the generic trainers. */
+/** Hyper-parameters of a trainer (clip and noise unused by SGD). */
+struct DpSgdConfig
+{
+    double clipNorm = 1.0;        ///< C, max per-example gradient norm
+    double noiseMultiplier = 1.0; ///< sigma
+    double learningRate = 0.5;
+    std::uint64_t noiseSeed = 0x90155eed;
+};
+
+/** Result of deriving one mini-batch gradient. */
+struct DpStepResult
+{
+    double meanLoss = 0.0;
+    /** One per example under DP-SGD and DP-SGD(R); empty under SGD. */
+    std::vector<double> perExampleNorms;
+    /** Fraction of examples whose gradient hit the clip bound. */
+    double clippedFraction = 0.0;
+};
+
+/** One trainer for every algorithm and every conforming model. */
 template <typename Model>
-class DpTrainerBaseT
+class Trainer
 {
   public:
-    using Grads = decltype(std::declval<Model>().zeroGrads());
+    using Grads = decltype(std::declval<const Model &>().zeroGrads());
 
-    DpTrainerBaseT(Model &model, const DpSgdConfig &cfg)
-        : model_(model), cfg_(cfg), noiseRng_(cfg.noiseSeed)
+    Trainer(Model &model, TrainingAlgorithm algorithm,
+            const DpSgdConfig &cfg)
+        : model_(model), algorithm_(algorithm), cfg_(cfg),
+          noiseRng_(cfg.noiseSeed)
     {
         DIVA_ASSERT(cfg.clipNorm > 0.0, "clip norm must be positive");
         DIVA_ASSERT(cfg.noiseMultiplier >= 0.0);
     }
 
-    virtual ~DpTrainerBaseT() = default;
+    /**
+     * Derive the mini-batch gradient for (x, y) into `out`: under DP,
+     * the aggregate of clipped per-example gradients plus noise; in
+     * every case averaged by the batch size (Algorithm 1, line 24 /
+     * 41).
+     */
+    DpStepResult
+    gradient(const Tensor &x, const std::vector<int> &y, Grads &out)
+    {
+        DpStepResult result;
+        typename Model::Cache cache;
+        Tensor dlogits;
+        result.meanLoss = model_.lossAndLogitGrad(x, y, cache, dlogits);
 
-    virtual DpStepResult noisyGradient(const Tensor &x,
-                                       const std::vector<int> &y,
-                                       Grads &out) = 0;
+        const std::int64_t batch = x.rows();
+        std::int64_t clipped = 0;
+        // Record example i's norm; returns its clip factor
+        // r_i = 1 / max(1, n_i / C).
+        const auto clip = [&](double norm_sq) {
+            const double norm = std::sqrt(norm_sq);
+            result.perExampleNorms.push_back(norm);
+            const double factor = 1.0 / std::max(1.0, norm / cfg_.clipNorm);
+            if (factor < 1.0)
+                ++clipped;
+            return factor;
+        };
 
-    /** One full step: noisy gradient + SGD update. */
+        if (algorithm_ == TrainingAlgorithm::kDpSgd) {
+            // Lines 19-23: materialize g_i, derive its norm, scale by
+            // min(1, C/n_i), and accumulate.
+            out = model_.zeroGrads();
+            Grads example = model_.zeroGrads();
+            for (std::int64_t i = 0; i < batch; ++i) {
+                model_.perExampleGrad(cache, dlogits, i, example);
+                out.addScaled(example, clip(example.l2NormSq()));
+            }
+        } else {
+            std::vector<double> weights(std::size_t(batch), 1.0);
+            // DP-SGD(R) lines 30-33: per-example norms only; no
+            // per-example gradient tensor is ever materialized.
+            if (algorithm_ == TrainingAlgorithm::kDpSgdR)
+                for (std::int64_t i = 0; i < batch; ++i)
+                    weights[std::size_t(i)] = clip(
+                        model_.perExampleGradNormSq(cache, dlogits, i));
+            // Lines 35-40: per-batch backprop of the reweighted loss;
+            // clipping and reduction fuse into the GEMMs.
+            model_.backwardReweighted(cache, dlogits, weights, out);
+        }
+
+        if (algorithm_ != TrainingAlgorithm::kSgd) {
+            result.clippedFraction = double(clipped) / double(batch);
+            const double stddev = cfg_.noiseMultiplier * cfg_.clipNorm;
+            if (stddev > 0.0)
+                out.forEachTensor([&](Tensor &t) {
+                    for (auto &v : t.data())
+                        v = float(v + noiseRng_.gaussian(0.0, stddev));
+                });
+        }
+        out.scale(1.0 / double(batch));
+        return result;
+    }
+
+    /** One full step: gradient + SGD update. */
     DpStepResult
     step(const Tensor &x, const std::vector<int> &y)
     {
         Grads grads = model_.zeroGrads();
-        DpStepResult result = noisyGradient(x, y, grads);
+        DpStepResult result = gradient(x, y, grads);
         model_.applyUpdate(grads, cfg_.learningRate);
         return result;
     }
 
-    Model &model() { return model_; }
-    const DpSgdConfig &config() const { return cfg_; }
-
-  protected:
-    double
-    clipFactor(double norm) const
-    {
-        return 1.0 / std::max(1.0, norm / cfg_.clipNorm);
-    }
-
-    void
-    noiseAndAverage(Grads &grads, std::int64_t batch)
-    {
-        const double stddev = cfg_.noiseMultiplier * cfg_.clipNorm;
-        if (stddev > 0.0) {
-            grads.forEachTensor([&](Tensor &t) {
-                for (auto &v : t.data())
-                    v = float(v + noiseRng_.gaussian(0.0, stddev));
-            });
-        }
-        grads.scale(1.0 / double(batch));
-    }
-
+  private:
     Model &model_;
+    TrainingAlgorithm algorithm_;
     DpSgdConfig cfg_;
     Rng noiseRng_;
-};
-
-/** Vanilla DP-SGD for any conforming model. */
-template <typename Model>
-class DpSgdTrainerT : public DpTrainerBaseT<Model>
-{
-  public:
-    using Base = DpTrainerBaseT<Model>;
-    using Grads = typename Base::Grads;
-    using Base::Base;
-
-    DpStepResult
-    noisyGradient(const Tensor &x, const std::vector<int> &y,
-                  Grads &out) override
-    {
-        DpStepResult result;
-        typename Model::Cache cache;
-        Tensor dlogits;
-        result.meanLoss =
-            this->model_.lossAndLogitGrad(x, y, cache, dlogits);
-
-        const std::int64_t batch = x.rows();
-        out = this->model_.zeroGrads();
-        Grads example = this->model_.zeroGrads();
-        std::int64_t clipped = 0;
-        for (std::int64_t i = 0; i < batch; ++i) {
-            this->model_.perExampleGrad(cache, dlogits, i, example);
-            const double norm = std::sqrt(example.l2NormSq());
-            result.perExampleNorms.push_back(norm);
-            const double factor = this->clipFactor(norm);
-            if (factor < 1.0)
-                ++clipped;
-            out.addScaled(example, factor);
-        }
-        result.clippedFraction = double(clipped) / double(batch);
-        this->noiseAndAverage(out, batch);
-        return result;
-    }
-};
-
-/** Reweighted DP-SGD(R) for any conforming model. */
-template <typename Model>
-class DpSgdRTrainerT : public DpTrainerBaseT<Model>
-{
-  public:
-    using Base = DpTrainerBaseT<Model>;
-    using Grads = typename Base::Grads;
-    using Base::Base;
-
-    DpStepResult
-    noisyGradient(const Tensor &x, const std::vector<int> &y,
-                  Grads &out) override
-    {
-        DpStepResult result;
-        typename Model::Cache cache;
-        Tensor dlogits;
-        result.meanLoss =
-            this->model_.lossAndLogitGrad(x, y, cache, dlogits);
-
-        const std::int64_t batch = x.rows();
-        std::vector<double> weights(std::size_t(batch), 0.0);
-        std::int64_t clipped = 0;
-        for (std::int64_t i = 0; i < batch; ++i) {
-            const double norm = std::sqrt(
-                this->model_.perExampleGradNormSq(cache, dlogits, i));
-            result.perExampleNorms.push_back(norm);
-            weights[std::size_t(i)] = this->clipFactor(norm);
-            if (weights[std::size_t(i)] < 1.0)
-                ++clipped;
-        }
-        result.clippedFraction = double(clipped) / double(batch);
-
-        this->model_.backwardReweighted(cache, dlogits, weights, out);
-        this->noiseAndAverage(out, batch);
-        return result;
-    }
 };
 
 } // namespace diva

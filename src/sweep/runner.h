@@ -61,13 +61,6 @@ struct SweepOptions
     bool planCache = true;
 
     /**
-     * Lock stripes of the plan cache (clamped to >= 1). Any width
-     * yields identical plans and identical hit/miss totals; wider
-     * spreads concurrent lookups over more mutexes.
-     */
-    std::size_t planCacheStripes = PlanCache::kDefaultStripes;
-
-    /**
      * When non-empty, persist results in a DiskCache under this
      * directory: previously stored scenarios are served without
      * simulation (counted as cache hits) and fresh successful results

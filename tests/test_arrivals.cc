@@ -86,13 +86,15 @@ TEST(Trace, CsvRoundTrips)
     EXPECT_EQ(traceCsv(loaded), csv);
 }
 
-// Names and models holding the CSV specials are quoted on the way
-// out and unquoted on the way in, so a save/load pass is lossless.
+// Names and models holding the CSV specials -- and names opening with
+// the comment mark '#' -- are quoted on the way out and unquoted on
+// the way in, so a save/load pass is lossless.
 TEST(Trace, CsvRoundTripsQuotedCells)
 {
     ArrivalTrace trace;
     trace.name = "quoted";
-    for (const char *name : {"a,b", "q\"x", "\"", "\"\"", ",", "p\"q,r"}) {
+    for (const char *name : {"a,b", "q\"x", "\"", "\"\"", ",", "p\"q,r",
+                             "#x"}) {
         TenantJob j;
         j.name = name;
         j.model = "SqueezeNet\"";
@@ -330,6 +332,7 @@ TEST(Trace, CsvGrammarFuzz)
     canonical.jobs[3].qosDeadlineSec = 30.25;
     canonical.jobs[0].name = "a,b";
     canonical.jobs[2].name = "q\"x";
+    canonical.jobs[3].name = "#x";
     const std::string base = traceCsv(canonical);
 
     Rng rng(2022);
@@ -420,6 +423,7 @@ TEST(Trace, JsonlGrammarFuzz)
     canonical.jobs[3].qosDeadlineSec = 30.25;
     canonical.jobs[0].name = "a,b";
     canonical.jobs[2].name = "q\"x";
+    canonical.jobs[3].name = "#x";
     const std::string base = traceJsonl(canonical);
     {
         std::istringstream in(base);

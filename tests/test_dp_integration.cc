@@ -13,7 +13,8 @@
 #include "common/rng.h"
 #include "dp/accountant.h"
 #include "dp/data.h"
-#include "dp/dp_sgd.h"
+#include "dp/mlp.h"
+#include "dp/trainer.h"
 
 namespace diva
 {
@@ -61,7 +62,7 @@ TEST(DpPipeline, TrainsUnderBudgetAndGeneralizes)
 
     Rng init(7);
     Mlp model({16, 32, 4}, init);
-    DpSgdRTrainer trainer(model, cfg);
+    Trainer<Mlp> trainer(model, TrainingAlgorithm::kDpSgdR, cfg);
     RdpAccountant accountant(cfg.noiseMultiplier,
                              double(batch) / double(n_train));
 
@@ -96,7 +97,7 @@ TEST(DpPipeline, MoreNoiseCostsAccuracyButBuysPrivacy)
         cfg.learningRate = 0.4;
         Rng init(7);
         Mlp model({16, 32, 4}, init);
-        DpSgdRTrainer trainer(model, cfg);
+        Trainer<Mlp> trainer(model, TrainingAlgorithm::kDpSgdR, cfg);
         RdpAccountant acc(sigma, double(batch) / double(n_train));
         Rng batch_rng(11);
         Tensor x;
@@ -129,8 +130,8 @@ TEST(DpPipeline, VanillaAndReweightedStayIdenticalLong)
     Rng init_a(3), init_b(3);
     Mlp model_a({12, 24, 3}, init_a);
     Mlp model_b({12, 24, 3}, init_b);
-    DpSgdTrainer vanilla(model_a, cfg);
-    DpSgdRTrainer reweighted(model_b, cfg);
+    Trainer<Mlp> vanilla(model_a, TrainingAlgorithm::kDpSgd, cfg);
+    Trainer<Mlp> reweighted(model_b, TrainingAlgorithm::kDpSgdR, cfg);
 
     Rng rng_a(9), rng_b(9);
     Tensor xa, xb;

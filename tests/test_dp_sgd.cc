@@ -1,6 +1,6 @@
 /**
  * @file
- * Property tests for the DP-SGD trainers, headlined by the paper's
+ * Property tests for the trainer's three algorithms, headlined by the paper's
  * Algorithm-1 equivalence: DP-SGD and DP-SGD(R) must produce the same
  * noisy gradient (and the same trained model) given the same seed.
  */
@@ -11,7 +11,8 @@
 
 #include "common/rng.h"
 #include "dp/data.h"
-#include "dp/dp_sgd.h"
+#include "dp/mlp.h"
+#include "dp/trainer.h"
 
 namespace diva
 {
@@ -40,7 +41,8 @@ TEST(DpSgd, ConfigValidation)
     Mlp model({4, 3}, rng);
     DpSgdConfig cfg;
     cfg.clipNorm = 0.0;
-    EXPECT_THROW(DpSgdTrainer(model, cfg), std::logic_error);
+    EXPECT_THROW(Trainer<Mlp>(model, TrainingAlgorithm::kDpSgd, cfg),
+                 std::logic_error);
 }
 
 TEST(DpSgd, ClippedNormsRespectBound)
@@ -50,11 +52,11 @@ TEST(DpSgd, ClippedNormsRespectBound)
     DpSgdConfig cfg;
     cfg.clipNorm = 0.1; // aggressive: everything should clip
     cfg.noiseMultiplier = 0.0;
-    DpSgdTrainer trainer(model, cfg);
+    Trainer<Mlp> trainer(model, TrainingAlgorithm::kDpSgd, cfg);
 
     const Problem p = makeProblem(16, 8, 4, 3);
     MlpGrads grads = model.zeroGrads();
-    const DpStepResult r = trainer.noisyGradient(p.x, p.y, grads);
+    const DpStepResult r = trainer.gradient(p.x, p.y, grads);
 
     // With everything clipped, the aggregate norm is at most B*C/B = C.
     EXPECT_NEAR(r.clippedFraction, 1.0, 1e-9);
@@ -68,11 +70,11 @@ TEST(DpSgd, LooseClipBoundIsNoOp)
     DpSgdConfig cfg;
     cfg.clipNorm = 1e6;
     cfg.noiseMultiplier = 0.0;
-    DpSgdTrainer dp(model, cfg);
+    Trainer<Mlp> dp(model, TrainingAlgorithm::kDpSgd, cfg);
 
     const Problem p = makeProblem(12, 8, 4, 5);
     MlpGrads dp_grads = model.zeroGrads();
-    const DpStepResult r = dp.noisyGradient(p.x, p.y, dp_grads);
+    const DpStepResult r = dp.gradient(p.x, p.y, dp_grads);
     EXPECT_DOUBLE_EQ(r.clippedFraction, 0.0);
 
     // Without clipping or noise, DP-SGD reduces to plain SGD's
@@ -92,10 +94,10 @@ TEST(DpSgd, PerExampleNormsReported)
     Mlp model({6, 10, 3}, rng);
     DpSgdConfig cfg;
     cfg.noiseMultiplier = 0.0;
-    DpSgdTrainer trainer(model, cfg);
+    Trainer<Mlp> trainer(model, TrainingAlgorithm::kDpSgd, cfg);
     const Problem p = makeProblem(9, 6, 3, 6);
     MlpGrads grads = model.zeroGrads();
-    const DpStepResult r = trainer.noisyGradient(p.x, p.y, grads);
+    const DpStepResult r = trainer.gradient(p.x, p.y, grads);
     ASSERT_EQ(r.perExampleNorms.size(), 9u);
     for (double n : r.perExampleNorms)
         EXPECT_GT(n, 0.0);
@@ -123,15 +125,15 @@ TEST_P(DpEquivalence, NoisyGradientsMatch)
     cfg.noiseMultiplier = sigma;
     cfg.noiseSeed = 99;
 
-    DpSgdTrainer vanilla(model_a, cfg);
-    DpSgdRTrainer reweighted(model_b, cfg);
+    Trainer<Mlp> vanilla(model_a, TrainingAlgorithm::kDpSgd, cfg);
+    Trainer<Mlp> reweighted(model_b, TrainingAlgorithm::kDpSgdR, cfg);
 
     const Problem p = makeProblem(10, 8, 4, 8);
     MlpGrads g_vanilla = model_a.zeroGrads();
     MlpGrads g_reweighted = model_b.zeroGrads();
-    const DpStepResult ra = vanilla.noisyGradient(p.x, p.y, g_vanilla);
+    const DpStepResult ra = vanilla.gradient(p.x, p.y, g_vanilla);
     const DpStepResult rb =
-        reweighted.noisyGradient(p.x, p.y, g_reweighted);
+        reweighted.gradient(p.x, p.y, g_reweighted);
 
     EXPECT_NEAR(ra.meanLoss, rb.meanLoss, 1e-9);
     EXPECT_DOUBLE_EQ(ra.clippedFraction, rb.clippedFraction);
@@ -154,8 +156,8 @@ TEST(DpEquivalenceTraining, ModelsStayIdenticalOverSteps)
     cfg.clipNorm = 0.5;
     cfg.noiseMultiplier = 0.8;
     cfg.learningRate = 0.3;
-    DpSgdTrainer vanilla(model_a, cfg);
-    DpSgdRTrainer reweighted(model_b, cfg);
+    Trainer<Mlp> vanilla(model_a, TrainingAlgorithm::kDpSgd, cfg);
+    Trainer<Mlp> reweighted(model_b, TrainingAlgorithm::kDpSgdR, cfg);
 
     Rng data_rng(21);
     Dataset data = makeSyntheticClassification(256, 6, 3, data_rng);
@@ -182,10 +184,10 @@ TEST(DpSgd, NoiseHasExpectedMagnitude)
     DpSgdConfig cfg;
     cfg.clipNorm = 1.0;
     cfg.noiseMultiplier = 5.0; // dominate the signal
-    DpSgdTrainer trainer(model, cfg);
+    Trainer<Mlp> trainer(model, TrainingAlgorithm::kDpSgd, cfg);
     const Problem p = makeProblem(8, 4, 3, 31);
     MlpGrads grads = model.zeroGrads();
-    trainer.noisyGradient(p.x, p.y, grads);
+    trainer.gradient(p.x, p.y, grads);
     // After averaging by B, noise stddev per coord ~ sigma*C/B = 0.625.
     const double rms =
         std::sqrt(grads.l2NormSq() / double(model.paramCount()));
@@ -200,12 +202,12 @@ TEST(DpSgd, ZeroNoiseIsDeterministic)
     Mlp model_b({5, 4}, rng_b);
     DpSgdConfig cfg;
     cfg.noiseMultiplier = 0.0;
-    DpSgdTrainer ta(model_a, cfg);
-    DpSgdTrainer tb(model_b, cfg);
+    Trainer<Mlp> ta(model_a, TrainingAlgorithm::kDpSgd, cfg);
+    Trainer<Mlp> tb(model_b, TrainingAlgorithm::kDpSgd, cfg);
     const Problem p = makeProblem(6, 5, 4, 41);
     MlpGrads ga = model_a.zeroGrads(), gb = model_b.zeroGrads();
-    ta.noisyGradient(p.x, p.y, ga);
-    tb.noisyGradient(p.x, p.y, gb);
+    ta.gradient(p.x, p.y, ga);
+    tb.gradient(p.x, p.y, gb);
     EXPECT_DOUBLE_EQ(ga.maxAbsDiff(gb), 0.0);
 }
 
@@ -217,7 +219,7 @@ TEST(DpSgd, TrainingReducesLossOnSeparableData)
     cfg.clipNorm = 1.0;
     cfg.noiseMultiplier = 0.5;
     cfg.learningRate = 0.5;
-    DpSgdRTrainer trainer(model, cfg);
+    Trainer<Mlp> trainer(model, TrainingAlgorithm::kDpSgdR, cfg);
 
     Rng data_rng(51);
     Dataset data =
@@ -241,7 +243,9 @@ TEST(SgdTrainer, ConvergesOnSeparableData)
 {
     Rng rng(60);
     Mlp model({8, 16, 3}, rng);
-    SgdTrainer trainer(model, 0.5);
+    DpSgdConfig cfg;
+    cfg.learningRate = 0.5;
+    Trainer<Mlp> trainer(model, TrainingAlgorithm::kSgd, cfg);
     Rng data_rng(61);
     Dataset data =
         makeSyntheticClassification(512, 8, 3, data_rng, 4.0);

@@ -11,8 +11,9 @@
 #include "arch/accelerator_config.h"
 #include "dp/accountant.h"
 #include "dp/conv2d.h"
-#include "dp/dp_sgd.h"
+#include "dp/mlp.h"
 #include "dp/ops.h"
+#include "dp/trainer.h"
 #include "gemm/engine.h"
 #include "gpu/gpu_model.h"
 #include "models/zoo.h"
@@ -133,7 +134,8 @@ TEST(FailureInjection, DpTrainerInputs)
     Mlp model({4, 2}, rng);
     DpSgdConfig cfg;
     cfg.noiseMultiplier = -1.0;
-    EXPECT_THROW(DpSgdTrainer(model, cfg), std::logic_error);
+    EXPECT_THROW(Trainer<Mlp>(model, TrainingAlgorithm::kDpSgd, cfg),
+                 std::logic_error);
 }
 
 TEST(FailureInjection, NumericOpsShapeChecks)
