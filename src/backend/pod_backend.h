@@ -4,6 +4,11 @@
  * sharded over a pod of identical chips and the per-batch weight
  * gradients are ring-all-reduced (simulateDataParallel). Models every
  * metric, pod-wide.
+ *
+ * Known gap: each chip's shard is priced as one monolithic pass and
+ * Scenario::microbatch is never read, so a pod row at micro-batch m
+ * equals its micro-batch-0 twin byte for byte (pinned by
+ * PodBackend.IgnoresMicrobatch; honoring it changes pod outputs).
  */
 
 #ifndef DIVA_BACKEND_POD_BACKEND_H

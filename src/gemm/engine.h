@@ -12,6 +12,7 @@
 #ifndef DIVA_GEMM_ENGINE_H
 #define DIVA_GEMM_ENGINE_H
 
+#include <cstdint>
 #include <memory>
 
 #include "arch/accelerator_config.h"
@@ -115,6 +116,29 @@ class GemmEngineModel
      * excluding memory stalls. Must also report SRAM traffic.
      */
     virtual Cycles computeCycles(const GemmShape &shape) const = 0;
+
+    /**
+     * Sum a per-tile cost over an (a x b) region tiled (tile_a x
+     * tile_b) in O(1): Σ count · cost(at, bt) over the at most four
+     * tile classes (full or last tile in each dimension). uint64 counts
+     * wrap the sum exactly as a loop over every tile would.
+     */
+    template <typename Cost>
+    static Cycles sumOverTiles(std::int64_t a, std::int64_t tile_a,
+                               std::int64_t b, std::int64_t tile_b,
+                               Cost &&cost)
+    {
+        const std::int64_t ext[2][2] = {{tile_a, a % tile_a},
+                                        {tile_b, b % tile_b}};
+        const Cycles n[2][2] = {{Cycles(a / tile_a), ext[0][1] != 0},
+                                {Cycles(b / tile_b), ext[1][1] != 0}};
+        Cycles total = 0;
+        for (int i = 0; i < 2; ++i)
+            for (int j = 0; j < 2; ++j)
+                if (n[0][i] != 0 && n[1][j] != 0)
+                    total += n[0][i] * n[1][j] * cost(ext[0][i], ext[1][j]);
+        return total;
+    }
 
     /** Per-cycle SRAM read/write rates of this dataflow (Table I). */
     virtual Bytes sramReadBytesPerCycle() const = 0;

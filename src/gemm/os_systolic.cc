@@ -14,30 +14,17 @@ OsSystolicModel::OsSystolicModel(const AcceleratorConfig &cfg)
 Cycles
 OsSystolicModel::computeCycles(const GemmShape &shape) const
 {
-    const std::int64_t pe_h = cfg_.peRows;
-    const std::int64_t pe_w = cfg_.peCols;
     const std::int64_t drain = cfg_.drainRowsPerCycle;
-
-    const std::int64_t tiles_m = ceilDiv(shape.m, pe_h);
-    const std::int64_t tiles_n = ceilDiv(shape.n, pe_w);
-
-    Cycles total = 0;
-    for (std::int64_t tm = 0; tm < tiles_m; ++tm) {
-        const std::int64_t mt =
-            std::min<std::int64_t>(pe_h, shape.m - tm * pe_h);
-        for (std::int64_t tn = 0; tn < tiles_n; ++tn) {
-            const std::int64_t nt =
-                std::min<std::int64_t>(pe_w, shape.n - tn * pe_w);
+    return sumOverTiles(
+        shape.m, cfg_.peRows, shape.n, cfg_.peCols,
+        [&](std::int64_t mt, std::int64_t nt) {
             // Figure 3(b): the skewed LHS/RHS streams take
             // K + mt + nt - 1 cycles to produce the final partial sum;
             // the latched outputs must then drain before the PEs can
             // start the next tile's accumulation.
             const Cycles stream = Cycles(shape.k + mt + nt - 1);
-            const Cycles drain_cycles = Cycles(ceilDiv(mt, drain));
-            total += stream + drain_cycles;
-        }
-    }
-    return total;
+            return stream + Cycles(ceilDiv(mt, drain));
+        });
 }
 
 Bytes

@@ -16,23 +16,15 @@ OuterProductModel::OuterProductModel(const AcceleratorConfig &cfg)
 Cycles
 OuterProductModel::computeCycles(const GemmShape &shape) const
 {
-    const std::int64_t pe_h = cfg_.peRows;
-    const std::int64_t pe_w = cfg_.peCols;
     const std::int64_t drain = cfg_.drainRowsPerCycle;
-
-    const std::int64_t tiles_m = ceilDiv(shape.m, pe_h);
-    const std::int64_t tiles_n = ceilDiv(shape.n, pe_w);
 
     // Broadcast over the local buses has a short, constant pipeline
     // fill (bus drive + multiply + accumulate register).
     constexpr Cycles kPipelineFill = 2;
 
-    Cycles total = 0;
-    for (std::int64_t tm = 0; tm < tiles_m; ++tm) {
-        const std::int64_t mt =
-            std::min<std::int64_t>(pe_h, shape.m - tm * pe_h);
-        for (std::int64_t tn = 0; tn < tiles_n; ++tn) {
-            (void)tn;
+    return sumOverTiles(
+        shape.m, cfg_.peRows, shape.n, cfg_.peCols,
+        [&](std::int64_t mt, std::int64_t) {
             // K vector pairs streamed, one per cycle; no skew. The
             // R-rows-per-cycle drain proceeds progressively, so the
             // next tile's accumulation overlaps the drain in rows that
@@ -40,10 +32,8 @@ OuterProductModel::computeCycles(const GemmShape &shape) const
             // max(K, drain-time) rather than their sum.
             const Cycles accumulate = Cycles(shape.k);
             const Cycles drain_cycles = Cycles(ceilDiv(mt, drain));
-            total += std::max(accumulate, drain_cycles) + kPipelineFill;
-        }
-    }
-    return total;
+            return std::max(accumulate, drain_cycles) + kPipelineFill;
+        });
 }
 
 Bytes

@@ -16,40 +16,28 @@ WsSystolicModel::WsSystolicModel(const AcceleratorConfig &cfg)
 Cycles
 WsSystolicModel::computeCycles(const GemmShape &shape) const
 {
-    const std::int64_t pe_h = cfg_.peRows;
-    const std::int64_t pe_w = cfg_.peCols;
-    const std::int64_t fill = cfg_.weightFillRowsPerCycle;
-
-    const std::int64_t tiles_k = ceilDiv(shape.k, pe_h);
-    const std::int64_t tiles_n = ceilDiv(shape.n, pe_w);
-
-    Cycles total = 0;
-    bool first_tile = true;
-    for (std::int64_t tk = 0; tk < tiles_k; ++tk) {
-        const std::int64_t kt =
-            std::min<std::int64_t>(pe_h, shape.k - tk * pe_h);
-        for (std::int64_t tn = 0; tn < tiles_n; ++tn) {
-            const std::int64_t nt =
-                std::min<std::int64_t>(pe_w, shape.n - tn * pe_w);
-            // Latch the (kt x nt) weight tile, then stream all M LHS
-            // rows through it. The stream occupies M + kt + nt - 1
-            // cycles due to the diagonal input/output skew
-            // (Figure 3(c): M + K + PE_W - 1).
-            const Cycles latch = Cycles(ceilDiv(kt, fill));
-            const Cycles stream = Cycles(shape.m + kt + nt - 1);
-            if (cfg_.wsDoubleBufferWeights) {
-                // Double-buffered latches hide the fill behind the
-                // previous tile's stream; only the first fill and any
-                // fill longer than a stream stay exposed.
-                total += first_tile ? latch + stream
-                                    : std::max(latch, stream);
-            } else {
-                total += latch + stream;
-            }
-            first_tile = false;
-        }
-    }
-    return total;
+    // Latch each (kt x nt) weight tile, then stream all M LHS rows
+    // through it. The stream occupies M + kt + nt - 1 cycles due to the
+    // diagonal input/output skew (Figure 3(c): M + K + PE_W - 1).
+    const auto latch = [&](std::int64_t kt) {
+        return Cycles(ceilDiv<std::int64_t>(kt, cfg_.weightFillRowsPerCycle));
+    };
+    const auto stream = [&](std::int64_t kt, std::int64_t nt) {
+        return Cycles(shape.m + kt + nt - 1);
+    };
+    // Double-buffered latches hide each fill behind the previous tile's
+    // stream; only the first fill and any fill longer than a stream stay
+    // exposed. The first tile costs latch + stream = max + min, so the
+    // sum is Σ max(latch, stream) plus min(latch, stream) of tile 0.
+    const bool db = cfg_.wsDoubleBufferWeights;
+    const std::int64_t kt0 = std::min<std::int64_t>(cfg_.peRows, shape.k);
+    const std::int64_t nt0 = std::min<std::int64_t>(cfg_.peCols, shape.n);
+    return (db ? std::min(latch(kt0), stream(kt0, nt0)) : 0) +
+           sumOverTiles(shape.k, cfg_.peRows, shape.n, cfg_.peCols,
+                        [&](std::int64_t kt, std::int64_t nt) {
+                            return db ? std::max(latch(kt), stream(kt, nt))
+                                      : latch(kt) + stream(kt, nt);
+                        });
 }
 
 Bytes

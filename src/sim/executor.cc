@@ -130,9 +130,9 @@ Executor::run(const OpStream &stream, Trace *trace) const
     SimResult result;
     for (std::size_t i = 0; i < stream.ops.size(); ++i) {
         const Op &op = stream.ops[i];
-        const Cycles cycles_before = result.totalCycles();
-        const Bytes dram_before = result.totalDram().total();
-        const Macs macs_before = result.totalMacs();
+        SimResult before; // per-op deltas: only a traced run pays
+        if (trace)
+            before = result;
         switch (op.type) {
           case OpType::kGemm:
             runGemm(result, op, stream.algorithm);
@@ -162,9 +162,10 @@ Executor::run(const OpStream &stream, Trace *trace) const
             } else {
                 t.detail = std::to_string(op.inElems) + " elems";
             }
-            t.cycles = result.totalCycles() - cycles_before;
-            t.dramBytes = result.totalDram().total() - dram_before;
-            t.macs = result.totalMacs() - macs_before;
+            t.cycles = result.totalCycles() - before.totalCycles();
+            t.dramBytes =
+                result.totalDram().total() - before.totalDram().total();
+            t.macs = result.totalMacs() - before.totalMacs();
             trace->push_back(std::move(t));
         }
     }

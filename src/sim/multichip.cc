@@ -25,10 +25,9 @@ simulateDataParallel(const AcceleratorConfig &chip, const Network &net,
     result.numChips = pod.numChips;
     result.perChipBatch = ceilDiv(global_batch, pod.numChips);
 
-    const Executor exec(chip);
     // The slowest chip carries the ceil-sized shard.
-    const SimResult chip_result =
-        exec.run(buildOpStream(net, algo, result.perChipBatch));
+    const SimResult chip_result = Executor(chip).run(
+        buildOpStream(net, algo, result.perChipBatch));
     result.computeCycles = chip_result.totalCycles();
 
     const double grad_bytes = double(net.paramCount()) * 4.0;
@@ -83,11 +82,6 @@ simulateDataParallel(const AcceleratorConfig &chip, const Network &net,
     result.energyJ = pod_energy;
     result.postProcDramBytes =
         Bytes(chips) * chip_result.postProcessingDram.total();
-
-    const Cycles single =
-        exec.run(buildOpStream(net, algo, global_batch)).totalCycles();
-    result.efficiency = double(single) / (double(pod.numChips) *
-                                          double(result.totalCycles));
     return result;
 }
 

@@ -40,12 +40,6 @@ struct ScalingResult
     Cycles totalCycles = 0;
 
     /**
-     * Strong-scaling efficiency: single-chip time at the global batch
-     * divided by (numChips x multi-chip time). 1.0 = perfect scaling.
-     */
-    double efficiency = 0.0;
-
-    /**
      * Pod-level effective FLOPS utilization: the per-chip iteration
      * utilization derated by the all-reduce stall (engines are idle
      * while gradients circulate the ring).
@@ -69,7 +63,9 @@ struct ScalingResult
 
 /**
  * Simulate one data-parallel iteration of `global_batch` examples
- * sharded over the pod. Requires global_batch >= numChips.
+ * sharded over the pod (one shard simulation, for the slowest chip).
+ * Requires global_batch >= numChips. Strong-scaling efficiency is the
+ * caller's ratio against the 1-chip pod at the same global batch.
  */
 ScalingResult simulateDataParallel(const AcceleratorConfig &chip,
                                    const Network &net,

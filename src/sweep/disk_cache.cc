@@ -229,6 +229,7 @@ DiskCache::load()
     }
     if (first)
         rewrite_needed_ = true; // existing file with no header line
+    torn_tail_ = !file.empty() && file.back() != '\n';
 
 #ifndef _WIN32
     if (map)
@@ -350,8 +351,11 @@ DiskCache::append(
         return 0;
     if (!std::filesystem::exists(path_))
         buffer = headerLine() + '\n' + buffer;
+    else if (torn_tail_) // a crashed writer's tail: leave it its own line
+        buffer.insert(0, 1, '\n');
     if (!appendAtomically(path_, buffer))
         return 0; // keys stay unstored, so a later append retries them
+    torn_tail_ = false;
     for (const auto *entry : batch)
         entries_[entry->first] = entry->second;
     obs::MetricsRegistry::instance().addCounter("disk_cache.appended",

@@ -108,6 +108,8 @@ class DiskCache
     /** Set when the existing file has a foreign header: the next
      *  append rewrites the whole file instead of appending to it. */
     bool rewrite_needed_ = false;
+    /** The file ends in a torn record: the next append starts a line. */
+    bool torn_tail_ = false;
 };
 
 } // namespace diva

@@ -1,5 +1,8 @@
 #include "train/planner.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/logging.h"
 
 namespace diva
@@ -104,20 +107,26 @@ buildMicrobatchedOpStream(const Network &net, TrainingAlgorithm algo,
     stream.algorithm = algo;
     stream.batch = batch;
 
-    auto append_pass = [&](int mb, bool last) {
-        OpStream pass = buildOpStream(net, algo, mb);
-        for (auto &op : pass.ops) {
-            // Noise is added once per logical mini-batch, after the
-            // last micro-batch's gradients are accumulated.
-            if (op.type == OpType::kNoiseAdd && !last)
-                continue;
-            stream.ops.push_back(std::move(op));
-        }
+    // Every full pass lowers to the same ops, so each distinct pass is
+    // built once and copied pass by pass. Noise is added once per
+    // logical mini-batch, after the last micro-batch's gradients are
+    // accumulated: earlier passes copy every op but the noise.
+    const auto not_noise = [](const Op &op) {
+        return op.type != OpType::kNoiseAdd;
     };
-    for (int p = 0; p < full_passes; ++p)
-        append_pass(microbatch, remainder == 0 && p + 1 == full_passes);
-    if (remainder > 0)
-        append_pass(remainder, true);
+    const OpStream full = buildOpStream(net, algo, microbatch);
+    const OpStream rest = remainder > 0
+                              ? buildOpStream(net, algo, remainder)
+                              : OpStream{};
+    const OpStream &last = remainder > 0 ? rest : full;
+    const int early = remainder > 0 ? full_passes : full_passes - 1;
+    const auto early_ops = std::size_t(
+        std::count_if(full.ops.begin(), full.ops.end(), not_noise));
+    stream.ops.reserve(std::size_t(early) * early_ops + last.ops.size());
+    for (int p = 0; p < early; ++p)
+        std::copy_if(full.ops.begin(), full.ops.end(),
+                     std::back_inserter(stream.ops), not_noise);
+    stream.ops.insert(stream.ops.end(), last.ops.begin(), last.ops.end());
     return stream;
 }
 

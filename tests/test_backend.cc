@@ -333,6 +333,52 @@ TEST(SweepRunner, MixedSweepCsvIsByteIdenticalAcrossPlanCacheAndThreads)
         }
 }
 
+TEST(PodBackend, IgnoresMicrobatch)
+{
+    // Known gap, pinned so that closing it is a deliberate change: the
+    // pod prices each chip's shard as one monolithic pass, so a pod row
+    // at micro-batch 4 equals its micro-batch-0 twin in every cell but
+    // the micro-batch itself. A chip row re-runs forward/backward per
+    // micro-batch and differs.
+    SweepSpec spec;
+    spec.configs = {tpuV3Ws(), divaDefault(true)};
+    spec.models = {"SqueezeNet"};
+    spec.batches = {16};
+    spec.microbatches = {0, 4};
+    spec.algorithms = {TrainingAlgorithm::kDpSgd,
+                       TrainingAlgorithm::kDpSgdR};
+    spec.backends = {SweepBackend::kSingleChip, SweepBackend::kMultiChip};
+    MultiChipConfig pod;
+    pod.numChips = 2;
+    spec.pods = {pod};
+    const SweepReport report = SweepRunner().run(spec);
+    ASSERT_EQ(report.failures, 0u);
+    // Axis-major order: per (config, algorithm), micro-batch 0's chip
+    // and pod rows, then micro-batch 4's.
+    ASSERT_EQ(report.results.size(), 16u);
+    const std::size_t mb = column("microbatch");
+    std::size_t pod_pairs = 0;
+    for (std::size_t g = 0; g < report.results.size(); g += 4) {
+        for (std::size_t b = 0; b < 2; ++b) {
+            const ScenarioResult &whole = report.results[g + b];
+            const ScenarioResult &split = report.results[g + 2 + b];
+            ASSERT_EQ(whole.scenario.microbatch, 0);
+            ASSERT_EQ(split.scenario.microbatch, 4);
+            ASSERT_EQ(whole.scenario.backend, split.scenario.backend);
+            std::vector<std::string> a = cells(whole), c = cells(split);
+            a[mb] = c[mb];
+            if (whole.scenario.backend == SweepBackend::kMultiChip) {
+                EXPECT_EQ(a, c) << whole.scenario.config.name;
+                ++pod_pairs;
+            } else {
+                EXPECT_LT(whole.cycles, split.cycles)
+                    << whole.scenario.config.name;
+            }
+        }
+    }
+    EXPECT_EQ(pod_pairs, 4u);
+}
+
 TEST(Emit, GpuRowsEmitEmptyOrNanForUnmodeledMetrics)
 {
     Scenario s;

@@ -10,7 +10,14 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <set>
 #include <sstream>
+#include <string_view>
+#include <vector>
+
+#include "common/rng.h"
 
 #include "sweep/disk_cache.h"
 #include "sweep/emit.h"
@@ -130,6 +137,32 @@ TEST(DiskCache, SkipsCorruptLinesButKeepsValidOnes)
     EXPECT_EQ(reloaded.size(), 2u);
 }
 
+TEST(DiskCache, AppendAfterTornTailStartsAFreshLine)
+{
+    // A writer that crashed mid-record leaves a tail with no newline;
+    // the next append must not glue its first record onto it.
+    const std::string dir = freshCacheDir("torn");
+    std::string path;
+    {
+        DiskCache cache(dir);
+        cache.append({{"good-1", sampleResult(1)}});
+        path = cache.filePath();
+    }
+    {
+        std::ofstream out(path, std::ios::app);
+        out << "0123456789abcdef\tgood-2\t9";
+    }
+    {
+        DiskCache cache(dir);
+        EXPECT_EQ(cache.corruptLinesSkipped(), 1u);
+        EXPECT_EQ(cache.append({{"good-2", sampleResult(2)}}), 1u);
+    }
+    DiskCache reloaded(dir);
+    EXPECT_EQ(reloaded.size(), 2u);
+    EXPECT_TRUE(reloaded.contains("good-2"));
+    EXPECT_EQ(reloaded.corruptLinesSkipped(), 1u);
+}
+
 TEST(DiskCache, ForeignVersionIsIgnoredThenRewritten)
 {
     const std::string dir = freshCacheDir("version");
@@ -152,6 +185,159 @@ TEST(DiskCache, ForeignVersionIsIgnoredThenRewritten)
     EXPECT_EQ(reloaded.size(), 1u);
     EXPECT_TRUE(reloaded.contains("new-key"));
     EXPECT_EQ(reloaded.corruptLinesSkipped(), 0u);
+}
+
+/** Every stored field of `got` equals `want`'s. */
+bool
+sameStoredFields(const ScenarioResult &got, const ScenarioResult &want)
+{
+    return got.resolvedBatch == want.resolvedBatch &&
+           got.cycles == want.cycles &&
+           got.computeCycles == want.computeCycles &&
+           got.allReduceCycles == want.allReduceCycles &&
+           got.seconds == want.seconds &&
+           got.utilization == want.utilization &&
+           got.energyJ == want.energyJ &&
+           got.dramBytes == want.dramBytes &&
+           got.postProcDramBytes == want.postProcDramBytes &&
+           got.enginePowerW == want.enginePowerW &&
+           got.engineAreaMm2 == want.engineAreaMm2 && got.ok();
+}
+
+/** `text` split the way the preload splits it: on '\n', with a final
+ *  unterminated piece kept and no empty piece after a final '\n'. */
+std::vector<std::string>
+storeLines(const std::string &text)
+{
+    std::vector<std::string> lines;
+    for (std::size_t pos = 0; pos < text.size();) {
+        std::size_t nl = text.find('\n', pos);
+        if (nl == std::string::npos)
+            nl = text.size();
+        lines.push_back(text.substr(pos, nl - pos));
+        pos = nl + 1;
+    }
+    return lines;
+}
+
+TEST(DiskCache, GrammarFuzz)
+{
+    // A store of 20 records, mutated 2000 seeded ways: bytes flipped
+    // (to newlines and tabs too), a record torn mid-line, lines
+    // duplicated, deleted or swapped, and the header edited. Every
+    // load must keep exactly the intact original records, count every
+    // other non-empty line as corrupt, and leave the store appendable.
+    const std::string dir = freshCacheDir("fuzz");
+    std::map<std::string, ScenarioResult> want;
+    std::string path, original;
+    {
+        DiskCache cache(dir);
+        std::vector<std::pair<std::string, ScenarioResult>> records;
+        for (int i = 0; i < 20; ++i)
+            records.emplace_back("key-" + std::to_string(i),
+                                 sampleResult(i));
+        ASSERT_EQ(cache.append(records), 20u);
+        want.insert(records.begin(), records.end());
+        path = cache.filePath();
+        std::ifstream in(path, std::ios::binary);
+        original.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const std::vector<std::string> lines = storeLines(original);
+    ASSERT_EQ(lines.size(), 21u);
+    const std::string &header = lines[0];
+    const std::set<std::string> intact(lines.begin() + 1, lines.end());
+
+    Rng rng(0xd15c);
+    const char kBytes[] = "\n\t0af-.x9 \xff";
+    for (int iter = 0; iter < 2000; ++iter) {
+        std::vector<std::string> mutated = lines;
+        const int edits = 1 + int(rng.uniformInt(3));
+        bool torn = false;
+        for (int e = 0; e < edits && !mutated.empty(); ++e) {
+            std::string &line = mutated[rng.uniformInt(mutated.size())];
+            const std::size_t at = rng.uniformInt(mutated.size());
+            switch (rng.uniformInt(6)) {
+              case 0: // byte flip
+                if (!line.empty())
+                    line[rng.uniformInt(line.size())] =
+                        rng.uniformInt(2) == 0
+                            ? char(rng.uniformInt(256))
+                            : kBytes[rng.uniformInt(sizeof(kBytes) - 1)];
+                break;
+              case 1: // a torn tail record
+                mutated.resize(at + 1);
+                mutated.back().resize(rng.uniformInt(
+                    mutated.back().size() + 1));
+                torn = true;
+                break;
+              case 2: // duplicated line
+                mutated.insert(mutated.begin() + std::ptrdiff_t(at), line);
+                break;
+              case 3: // deleted line
+                mutated.erase(mutated.begin() + std::ptrdiff_t(at));
+                break;
+              case 4: // swapped lines
+                std::swap(line, mutated[at]);
+                break;
+              default: // header edit
+                mutated[0] = rng.uniformInt(2) == 0
+                                 ? "diva-sweep-cache v" +
+                                       std::to_string(rng.uniformInt(3))
+                                 : mutated[0] + " ";
+                break;
+            }
+        }
+        std::string text;
+        for (const std::string &line : mutated)
+            text += line + '\n';
+        if (torn && !text.empty())
+            text.pop_back(); // the torn record has no newline
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << text;
+        }
+
+        std::unique_ptr<DiskCache> cache;
+        ASSERT_NO_THROW(cache = std::make_unique<DiskCache>(dir))
+            << "iteration " << iter;
+        for (const auto &[key, r] : cache->entries()) {
+            ASSERT_EQ(want.count(key), 1u) << "iteration " << iter;
+            EXPECT_TRUE(sameStoredFields(r, want.at(key)))
+                << "iteration " << iter << " key " << key;
+        }
+        const std::vector<std::string> got = storeLines(text);
+        if (got.empty() || got[0] != header) {
+            // A foreign or headerless file is never half-parsed.
+            EXPECT_EQ(cache->size(), 0u) << "iteration " << iter;
+            EXPECT_EQ(cache->corruptLinesSkipped(), 0u)
+                << "iteration " << iter;
+        } else {
+            std::size_t content = 0, valid = 0;
+            std::set<std::string> keys;
+            for (std::size_t i = 1; i < got.size(); ++i) {
+                content += !got[i].empty();
+                if (intact.count(got[i])) {
+                    ++valid;
+                    keys.insert(got[i].substr(got[i].find('\t') + 1,
+                                              got[i].find('\t', 17) - 17));
+                }
+            }
+            EXPECT_EQ(cache->size(), keys.size()) << "iteration " << iter;
+            EXPECT_EQ(cache->corruptLinesSkipped(), content - valid)
+                << "iteration " << iter;
+        }
+
+        // Appendable: the new record lands intact beside the old ones.
+        const std::size_t before = cache->size();
+        ASSERT_EQ(cache->append({{"fuzz-new", sampleResult(99)}}), 1u)
+            << "iteration " << iter;
+        const DiskCache reloaded(dir);
+        EXPECT_EQ(reloaded.size(), before + 1) << "iteration " << iter;
+        ASSERT_TRUE(reloaded.contains("fuzz-new")) << "iteration " << iter;
+        EXPECT_TRUE(sameStoredFields(reloaded.entries().at("fuzz-new"),
+                                     sampleResult(99)))
+            << "iteration " << iter;
+    }
 }
 
 /** 2 configs x 1 model x 2 algos, cheap to simulate. */

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "arch/accelerator_config.h"
+#include "common/rng.h"
 #include "gemm/engine.h"
 #include "gemm/os_systolic.h"
 #include "gemm/outer_product.h"
@@ -233,6 +238,189 @@ TEST(Engines, SramTrafficScalesWithComputeCycles)
         EXPECT_GT(r.sramReadBytes, 0u);
         EXPECT_GT(r.sramWriteBytes, 0u);
     }
+}
+
+// ------------------------------------ closed forms vs the tile loops
+
+/*
+ * Reference tile loops: the per-tile cycle models as the engines
+ * summed them before the closed forms, one loop iteration per tile.
+ */
+
+Cycles
+wsTileLoop(const AcceleratorConfig &cfg, const GemmShape &shape)
+{
+    const std::int64_t pe_h = cfg.peRows;
+    const std::int64_t pe_w = cfg.peCols;
+    const std::int64_t fill = cfg.weightFillRowsPerCycle;
+    const std::int64_t tiles_k = ceilDiv(shape.k, pe_h);
+    const std::int64_t tiles_n = ceilDiv(shape.n, pe_w);
+    Cycles total = 0;
+    bool first_tile = true;
+    for (std::int64_t tk = 0; tk < tiles_k; ++tk) {
+        const std::int64_t kt =
+            std::min<std::int64_t>(pe_h, shape.k - tk * pe_h);
+        for (std::int64_t tn = 0; tn < tiles_n; ++tn) {
+            const std::int64_t nt =
+                std::min<std::int64_t>(pe_w, shape.n - tn * pe_w);
+            const Cycles latch = Cycles(ceilDiv(kt, fill));
+            const Cycles stream = Cycles(shape.m + kt + nt - 1);
+            if (cfg.wsDoubleBufferWeights) {
+                total += first_tile ? latch + stream
+                                    : std::max(latch, stream);
+            } else {
+                total += latch + stream;
+            }
+            first_tile = false;
+        }
+    }
+    return total;
+}
+
+Cycles
+osTileLoop(const AcceleratorConfig &cfg, const GemmShape &shape)
+{
+    const std::int64_t pe_h = cfg.peRows;
+    const std::int64_t pe_w = cfg.peCols;
+    const std::int64_t drain = cfg.drainRowsPerCycle;
+    const std::int64_t tiles_m = ceilDiv(shape.m, pe_h);
+    const std::int64_t tiles_n = ceilDiv(shape.n, pe_w);
+    Cycles total = 0;
+    for (std::int64_t tm = 0; tm < tiles_m; ++tm) {
+        const std::int64_t mt =
+            std::min<std::int64_t>(pe_h, shape.m - tm * pe_h);
+        for (std::int64_t tn = 0; tn < tiles_n; ++tn) {
+            const std::int64_t nt =
+                std::min<std::int64_t>(pe_w, shape.n - tn * pe_w);
+            const Cycles stream = Cycles(shape.k + mt + nt - 1);
+            const Cycles drain_cycles = Cycles(ceilDiv(mt, drain));
+            total += stream + drain_cycles;
+        }
+    }
+    return total;
+}
+
+Cycles
+outerProductTileLoop(const AcceleratorConfig &cfg, const GemmShape &shape)
+{
+    const std::int64_t pe_h = cfg.peRows;
+    const std::int64_t pe_w = cfg.peCols;
+    const std::int64_t drain = cfg.drainRowsPerCycle;
+    const std::int64_t tiles_m = ceilDiv(shape.m, pe_h);
+    const std::int64_t tiles_n = ceilDiv(shape.n, pe_w);
+    constexpr Cycles kPipelineFill = 2;
+    Cycles total = 0;
+    for (std::int64_t tm = 0; tm < tiles_m; ++tm) {
+        const std::int64_t mt =
+            std::min<std::int64_t>(pe_h, shape.m - tm * pe_h);
+        for (std::int64_t tn = 0; tn < tiles_n; ++tn) {
+            const Cycles accumulate = Cycles(shape.k);
+            const Cycles drain_cycles = Cycles(ceilDiv(mt, drain));
+            total += std::max(accumulate, drain_cycles) + kPipelineFill;
+        }
+    }
+    return total;
+}
+
+TEST(GemmEngines, ClosedFormMatchesTileLoopReference)
+{
+    // Engines on 7x5, 256x32 and 128x128 arrays at every weight-fill
+    // and drain rate in [1, 16] (drain capped at peRows), WS with
+    // double-buffered latches off and on.
+    struct Array
+    {
+        int rows, cols;
+        std::vector<std::unique_ptr<GemmEngineModel>> ws[2], os, op;
+    };
+    std::vector<Array> arrays;
+    for (const auto &[rows, cols] :
+         {std::pair{7, 5}, std::pair{256, 32}, std::pair{128, 128}}) {
+        Array a{rows, cols, {}, {}, {}};
+        for (int rate = 1; rate <= 16; ++rate) {
+            for (int db = 0; db < 2; ++db) {
+                AcceleratorConfig ws = tpuV3Ws();
+                ws.peRows = rows;
+                ws.peCols = cols;
+                ws.weightFillRowsPerCycle = rate;
+                ws.drainRowsPerCycle = std::min(rate, rows);
+                ws.wsDoubleBufferWeights = db == 1;
+                a.ws[db].push_back(GemmEngineModel::create(ws));
+            }
+            for (AcceleratorConfig cfg :
+                 {systolicOs(false), divaDefault(false)}) {
+                cfg.peRows = rows;
+                cfg.peCols = cols;
+                cfg.drainRowsPerCycle = std::min(rate, rows);
+                (cfg.dataflow == Dataflow::kOuterProduct ? a.op : a.os)
+                    .push_back(GemmEngineModel::create(cfg));
+            }
+        }
+        arrays.push_back(std::move(a));
+    }
+
+    GemmOptions compute_only;
+    compute_only.writeOutputToDram = false;
+    compute_only.lhsFromDram = false;
+    compute_only.rhsFromDram = false;
+    const auto closed = [&](const GemmEngineModel &e, const GemmShape &s) {
+        return e.simulate(s, compute_only).computeCycles;
+    };
+
+    // Dimensions of 1, PE multiples +-1, anything up to ~20k, and
+    // anything up to two tiles; shapes whose reference loops would
+    // run past kMaxTiles are redrawn so the loops stay cheap.
+    constexpr std::int64_t kMaxTiles = 4096;
+    Rng rng(20221001);
+    const auto dim = [&](std::int64_t pe) -> std::int64_t {
+        switch (rng.uniformInt(4)) {
+          case 0:
+            return 1;
+          case 1:
+            return std::max<std::int64_t>(
+                1, pe * std::int64_t(1 + rng.uniformInt(160)) - 1 +
+                       std::int64_t(rng.uniformInt(3)));
+          case 2:
+            return std::int64_t(1 + rng.uniformInt(20000));
+          default:
+            return std::int64_t(1 + rng.uniformInt(std::uint64_t(2 * pe)));
+        }
+    };
+    constexpr int kShapes = 120000;
+    int mismatches = 0;
+    for (int i = 0; i < kShapes && mismatches < 10; ++i) {
+        const Array &a = arrays[rng.uniformInt(arrays.size())];
+        GemmShape s;
+        do {
+            s = GemmShape(dim(a.rows), dim(a.rows), dim(a.cols));
+        } while (ceilDiv(s.n, std::int64_t(a.cols)) *
+                     ceilDiv(std::max(s.m, s.k), std::int64_t(a.rows)) >
+                 kMaxTiles);
+        const auto pick = [&](const auto &engines) -> const GemmEngineModel & {
+            return *engines[rng.uniformInt(engines.size())];
+        };
+        const GemmEngineModel &ws = pick(a.ws[rng.uniformInt(2)]);
+        const GemmEngineModel &os = pick(a.os);
+        const GemmEngineModel &op = pick(a.op);
+        const Cycles want[] = {wsTileLoop(ws.config(), s),
+                               osTileLoop(os.config(), s),
+                               outerProductTileLoop(op.config(), s)};
+        const Cycles got[] = {closed(ws, s), closed(os, s), closed(op, s)};
+        for (int e = 0; e < 3; ++e) {
+            if (got[e] != want[e]) {
+                ++mismatches;
+                const AcceleratorConfig &c =
+                    (e == 0 ? ws : e == 1 ? os : op).config();
+                ADD_FAILURE() << c.name << " " << c.peRows << "x"
+                              << c.peCols << " fill "
+                              << c.weightFillRowsPerCycle << " drain "
+                              << c.drainRowsPerCycle << " db "
+                              << c.wsDoubleBufferWeights << " shape "
+                              << s.str() << ": closed form " << got[e]
+                              << ", tile loop " << want[e];
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
 }
 
 TEST(GemmResult, Accumulation)

@@ -4,8 +4,9 @@
  * hand-computable GEMMs on every engine, locking the cycle models
  * against accidental drift (each expected value is derived in the
  * accompanying comment from the model equations), and byte-exact
- * fixtures under tests/golden/csv/ for the sweep CSV and the serve
- * telemetry CSV, locking the CSV writers against format drift.
+ * fixtures under tests/golden/csv/ for the sweep CSV (every dataflow,
+ * both backends, micro-batched passes) and the serve telemetry CSV,
+ * locking the cycle models and the CSV writers against drift.
  */
 
 #include <fstream>
@@ -202,6 +203,40 @@ sweepGoldenCsv()
     return csv.str();
 }
 
+/**
+ * Every dataflow's cycle model through both simulation backends: WS
+ * with and without double-buffered weight latches (the latter under
+ * its own config name), OS and DiVa each with the PPU off and on,
+ * SqueezeNet at an odd batch of 37 -- monolithic and in micro-batches
+ * of 5, so the last pass is a 2-example remainder -- under DP-SGD and
+ * DP-SGD(R), on one chip and on a 4-chip pod. Captured from the tile
+ * loops the closed-form cycle sums replaced.
+ */
+std::string
+sweepDataflowsGoldenCsv()
+{
+    AcceleratorConfig ws_db = tpuV3Ws();
+    ws_db.name = "Systolic-WS-DB";
+    ws_db.wsDoubleBufferWeights = true;
+    SweepSpec spec;
+    spec.configs = {tpuV3Ws(),          ws_db,
+                    systolicOs(false),  systolicOs(true),
+                    divaDefault(false), divaDefault(true)};
+    spec.models = {"SqueezeNet"};
+    spec.batches = {37};
+    spec.microbatches = {0, 5};
+    spec.algorithms = {TrainingAlgorithm::kDpSgd,
+                       TrainingAlgorithm::kDpSgdR};
+    spec.backends = {SweepBackend::kSingleChip, SweepBackend::kMultiChip};
+    MultiChipConfig quad;
+    quad.numChips = 4;
+    spec.pods = {quad};
+    SweepRunner runner(SweepOptions{});
+    std::ostringstream csv;
+    writeCsv(csv, runner.run(spec));
+    return csv.str();
+}
+
 /** A two-priority round-robin serve with fixed iteration costs and a
  *  global plus per-priority p99 target: series, sketch and SLO rows. */
 std::string
@@ -246,6 +281,13 @@ TEST(GoldenCsv, SweepCsvMatchesFixture)
     const std::string want = csvFixture("sweep.csv");
     ASSERT_FALSE(want.empty()) << "sweep.csv fixture unreadable";
     EXPECT_EQ(sweepGoldenCsv(), want);
+}
+
+TEST(GoldenCsv, SweepDataflowsCsvMatchesFixture)
+{
+    const std::string want = csvFixture("sweep_dataflows.csv");
+    ASSERT_FALSE(want.empty()) << "sweep_dataflows.csv fixture unreadable";
+    EXPECT_EQ(sweepDataflowsGoldenCsv(), want);
 }
 
 TEST(GoldenCsv, TelemetryCsvMatchesFixture)
