@@ -1,7 +1,5 @@
 #include "arch/accelerator_config.h"
 
-#include <functional>
-
 #include "common/logging.h"
 
 namespace diva
@@ -52,65 +50,6 @@ AcceleratorConfig::validate() const
     const std::string error = validationError();
     if (!error.empty())
         DIVA_FATAL(error);
-}
-
-bool
-operator==(const AcceleratorConfig &a, const AcceleratorConfig &b)
-{
-    return a.name == b.name && a.dataflow == b.dataflow &&
-           a.peRows == b.peRows && a.peCols == b.peCols &&
-           a.freqGhz == b.freqGhz && a.sramBytes == b.sramBytes &&
-           a.dramBandwidthGBs == b.dramBandwidthGBs &&
-           a.dramLatencyCycles == b.dramLatencyCycles &&
-           a.weightFillRowsPerCycle == b.weightFillRowsPerCycle &&
-           a.wsDoubleBufferWeights == b.wsDoubleBufferWeights &&
-           a.drainRowsPerCycle == b.drainRowsPerCycle &&
-           a.hasPpu == b.hasPpu && a.inputBytes == b.inputBytes &&
-           a.accumBytes == b.accumBytes && a.vectorLanes == b.vectorLanes;
-}
-
-bool
-operator!=(const AcceleratorConfig &a, const AcceleratorConfig &b)
-{
-    return !(a == b);
-}
-
-namespace
-{
-
-/** Boost-style hash combine. */
-template <typename T>
-void
-hashCombine(std::size_t &seed, const T &value)
-{
-    seed ^= std::hash<T>{}(value) + 0x9e3779b97f4a7c15ull + (seed << 6) +
-            (seed >> 2);
-}
-
-} // namespace
-
-std::size_t
-configHash(const AcceleratorConfig &cfg)
-{
-    // Fields are folded in a fixed canonical (alphabetical) sequence,
-    // decoupled from the struct's declaration order.
-    std::size_t seed = 0;
-    hashCombine(seed, cfg.accumBytes);
-    hashCombine(seed, static_cast<int>(cfg.dataflow));
-    hashCombine(seed, cfg.drainRowsPerCycle);
-    hashCombine(seed, cfg.dramBandwidthGBs);
-    hashCombine(seed, cfg.dramLatencyCycles);
-    hashCombine(seed, cfg.freqGhz);
-    hashCombine(seed, cfg.hasPpu);
-    hashCombine(seed, cfg.inputBytes);
-    hashCombine(seed, cfg.name);
-    hashCombine(seed, cfg.peCols);
-    hashCombine(seed, cfg.peRows);
-    hashCombine(seed, cfg.sramBytes);
-    hashCombine(seed, cfg.vectorLanes);
-    hashCombine(seed, cfg.weightFillRowsPerCycle);
-    hashCombine(seed, cfg.wsDoubleBufferWeights);
-    return seed;
 }
 
 AcceleratorConfig

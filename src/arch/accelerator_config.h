@@ -12,7 +12,6 @@
 #ifndef DIVA_ARCH_ACCELERATOR_CONFIG_H
 #define DIVA_ARCH_ACCELERATOR_CONFIG_H
 
-#include <cstddef>
 #include <string>
 
 #include "common/types.h"
@@ -121,28 +120,6 @@ struct AcceleratorConfig
     /** Sanity-check field values; calls DIVA_FATAL on invalid configs. */
     void validate() const;
 };
-
-/**
- * Semantic equality: every field compares equal, deliberately
- * including the display name. Sweeps use names to distinguish design
- * points whose simulated fields coincide (e.g. "DiVa R=8" vs the
- * default "DiVa"), so two same-valued configs with different names are
- * different axis points -- they simulate identically but are cached
- * and reported separately.
- */
-bool operator==(const AcceleratorConfig &a, const AcceleratorConfig &b);
-bool operator!=(const AcceleratorConfig &a, const AcceleratorConfig &b);
-
-/**
- * Canonical hash of a configuration, used as the sweep result-cache
- * key. The hash is a pure function of the field *values*, folded in a
- * fixed canonical sequence independent of the struct's declaration
- * order, so reordering fields in AcceleratorConfig (or assigning them
- * in any order) never changes the hash of a given design point.
- * Consistent with operator==: a == b implies configHash(a) ==
- * configHash(b).
- */
-std::size_t configHash(const AcceleratorConfig &cfg);
 
 /** Baseline TPUv3-like weight-stationary systolic array (no PPU). */
 AcceleratorConfig tpuV3Ws();

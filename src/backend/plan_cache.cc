@@ -18,10 +18,12 @@ namespace
 
 /**
  * Fixed-capacity key builder: renders "model|scale|..." into a stack
- * buffer so a hot-path probe allocates nothing. Zoo model names and
- * algorithm names are short; should a pathological name overflow the
- * buffer anyway, the tail is truncated -- consistently for probe and
- * insert, so correctness (same key -> same entry) is unaffected.
+ * buffer so a hot-path probe allocates nothing. A name that overflows
+ * the buffer has its tail cut, and two long names sharing the kept
+ * prefix would then share an entry. That is safe only because just
+ * zoo models are ever inserted: a plan is cached after buildModel()
+ * accepts the name, and the zoo's names and the algorithm names are
+ * short, so no key that reaches the table is cut.
  */
 class KeyBuf
 {

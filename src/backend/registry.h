@@ -30,7 +30,7 @@ class BackendRegistry
     /**
      * Register a backend under backend->name(). Calls DIVA_FATAL on a
      * duplicate name: silently shadowing a substrate would change what
-     * every cached canonical key means.
+     * every cached scenario key means.
      */
     void add(std::unique_ptr<SimBackend> backend);
 

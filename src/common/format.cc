@@ -136,16 +136,17 @@ appendDouble(std::string &out, double v)
     int x = 0;
     std::from_chars(c + 1 + (c[1] == '+'), end, x);
     const int prec = d < 6 ? 6 : d;
-    // Two kinds of double have a rounding interval wider than the
-    // %.{P}g digit grid, so printf's correctly rounded digits differ
-    // from the shortest ones: a subnormal padded to 6 digits
-    // (DBL_TRUE_MIN is 4.94066e-324, not 5e-324) and an exact power
-    // of two at 16-17 digits (2^-1017 is ...044e-307, not ...045).
-    // They keep the second, printf-exact call.
+    // A subnormal padded to 6 digits has a rounding interval wider
+    // than the %.6g digit grid, so printf's correctly rounded digits
+    // differ from the shortest ones (DBL_TRUE_MIN is 4.94066e-324, not
+    // 5e-324) yet still parse back; it keeps the second, printf-exact
+    // call. An exact power of two at 16-17 digits has such an interval
+    // too, on its lower side, and printf's digits there need not parse
+    // back (2^-24 at %.16g), so it keeps the shortest digits.
     const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
     const bool zeroExp = (bits & 0x7ff0000000000000ULL) == 0;
     const bool zeroMant = (bits & 0x000fffffffffffffULL) == 0;
-    if ((d < 6 && zeroExp && !zeroMant) || (d > 15 && zeroMant)) {
+    if (d < 6 && zeroExp && !zeroMant) {
         const auto res = std::to_chars(buf, buf + sizeof(buf), v,
                                        std::chars_format::general, prec);
         out.append(buf, res.ptr);

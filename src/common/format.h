@@ -29,15 +29,17 @@ namespace diva
 {
 
 /**
- * Decimal form of a double ("0.25", "1e-06"): printf's %.{P}g with P
- * the digit count of the shortest round-trip form, floored at 6. It
- * takes one std::to_chars call and lays out %g's text from those
- * digits; a subnormal shorter than 6 digits and an exact power of two
- * at 16-17 digits take a second, printf-exact call, because their %g
- * digits differ from the shortest ones. The text parses back to v
- * except for +-2^k at 46 exponents k, whose 16-digit %g rounding
- * misses (2^-24 prints as 5.960464477539062e-08). Non-finite values
- * format as "nan" / "inf" / "-inf".
+ * Decimal form of a double ("0.25", "1e-06"): printf's %.{P}g layout
+ * of the shortest round-trip digits, with P their count floored at 6.
+ * It takes one std::to_chars call and lays out %g's text from those
+ * digits; a subnormal shorter than 6 digits takes a second,
+ * printf-exact call, because %.6g pads it with other digits (its text
+ * parses back all the same). So every finite value's text parses back
+ * to v. That is printf's own %.{P}g text except for +-2^k at 46
+ * exponents k, whose correctly rounded digits miss by one in the last
+ * place (2^-24 prints as 5.960464477539063e-08; %.16g gives ...062,
+ * which parses to another double). Non-finite values format as "nan" /
+ * "inf" / "-inf".
  */
 std::string formatDouble(double v);
 
@@ -65,18 +67,26 @@ appendCell(std::string &out, double v)
     appendDouble(out, v);
 }
 
-/** Append ",cell": an integer in decimal, or a bool as 0/1. */
+/** Append an integer in decimal, or a bool as 0/1. */
 template <std::integral T>
 void
-appendCell(std::string &out, T v)
+appendInt(std::string &out, T v)
 {
-    out += ',';
     if constexpr (std::is_same_v<T, bool>) {
         out += v ? '1' : '0';
     } else {
         char buf[24];
         out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
     }
+}
+
+/** Append ",cell": an integer via appendInt. */
+template <std::integral T>
+void
+appendCell(std::string &out, T v)
+{
+    out += ',';
+    appendInt(out, v);
 }
 
 /** Append ",cell": text, CSV-quoted when it needs it. */

@@ -455,18 +455,20 @@ struct FleetSim
 std::string
 FleetSim::price(SweepRunner &runner)
 {
-    // Dedupe pods into types. Design points come from named factory
-    // configs, so the config name plus the pod shape identifies one.
+    // Dedupe pods into types on the exact design key. Its pod part is
+    // written for one-chip pods too, since migration prices every
+    // pod's link.
     std::map<std::string, std::uint32_t> typeOf;
     podType.resize(spec.pods.size());
     for (std::size_t p = 0; p < spec.pods.size(); ++p) {
         const PodSpec &ps = spec.pods[p];
-        std::ostringstream key;
-        key << ps.config.name << '|' << ps.chips << '|'
-            << ps.config.sramBytes << '|' << ps.pod.interconnectGBs
-            << '|' << ps.pod.linkLatencyCycles;
+        MultiChipConfig link = ps.pod;
+        link.numChips = ps.chips;
+        std::string key;
+        appendDesignKey(key, SweepBackend::kMultiChip, ps.config, link,
+                        GpuConfig{});
         const auto [it, fresh] =
-            typeOf.emplace(key.str(), std::uint32_t(types.size()));
+            typeOf.emplace(std::move(key), std::uint32_t(types.size()));
         if (fresh)
             types.push_back(ps);
         podType[p] = it->second;

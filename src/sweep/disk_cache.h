@@ -2,7 +2,7 @@
  * @file
  * Persistent on-disk sweep result cache.
  *
- * A DiskCache is a versioned canonical-key -> ScenarioResult store
+ * A DiskCache is a versioned Scenario::key() -> ScenarioResult store
  * backed by one append-only text file, so repeated diva_sweep
  * invocations skip already-simulated scenarios. Design points:
  *
@@ -28,7 +28,7 @@
  *    mapped) to stderr instead of silently dropping corrupt lines.
  *
  * Only simulation *outputs* are stored; the scenario itself is
- * identified by its canonical key, and the runner re-attaches the
+ * identified by its key, and the runner re-attaches the
  * requester's Scenario on every hit.
  */
 
@@ -46,12 +46,17 @@
 namespace diva
 {
 
-/** On-disk canonical-key -> ScenarioResult store. */
+/** On-disk Scenario::key() -> ScenarioResult store. */
 class DiskCache
 {
   public:
-    /** Bump when the record layout changes; old files are discarded. */
-    static constexpr int kFormatVersion = 1;
+    /**
+     * Bump when the record layout or the key changes; old files are
+     * discarded. Version 2 keys on Scenario::key(), whose doubles
+     * round-trip: a version-1 key wrote them at 6 significant digits,
+     * so one v1 record could stand for several design points.
+     */
+    static constexpr int kFormatVersion = 2;
 
     /**
      * Open (creating if needed) the cache under `dir`. The directory

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <sstream>
+#include <string_view>
 
 #include "backend/registry.h"
 #include "common/logging.h"
@@ -13,27 +13,6 @@
 
 namespace diva
 {
-
-namespace
-{
-
-/**
- * The inputs that decide which execution plan (model build + op
- * stream) a scenario needs -- the PlanCache's key, minus the resolved
- * batch it cannot know before evaluation. Scenarios sharing a
- * signature share a plan.
- */
-std::string
-planSignature(const Scenario &s)
-{
-    std::ostringstream sig;
-    sig << s.model << '|' << s.modelScale << '|' << int(s.algorithm)
-        << '|' << s.batch << '|' << s.microbatch << '|'
-        << s.effectiveBackend();
-    return sig.str();
-}
-
-} // namespace
 
 ScenarioResult
 runScenario(const Scenario &scenario, PlanCache &plans)
@@ -103,45 +82,42 @@ SweepRunner::run(const std::vector<Scenario> &scenarios)
     if (!opts_.cacheAcrossRuns)
         cache_.clear();
 
-    // Map each scenario to its canonical key; the first scenario to
-    // claim an uncached key becomes a simulation job, the rest are
-    // cache hits resolved after the pool drains.
+    // Map each scenario to its key; the first scenario to claim an
+    // uncached key becomes a simulation job, the rest are cache hits
+    // resolved after the pool drains.
+    //
+    // Jobs are batched into groups on the key's workload part (job
+    // slots per group, in first-appearance order), which decides the
+    // execution plan (model build + op stream) a scenario needs. One
+    // worker claims a whole group, so after the first member's
+    // PlanCache miss every other member is an in-thread hit -- and two
+    // workers never build the same plan concurrently. Each worker
+    // still writes only its own jobs' slots, so results are
+    // independent of scheduling; the per-scenario assembly below
+    // imposes the deterministic order.
     std::vector<std::string> keys(scenarios.size());
     std::vector<std::size_t> jobs; // indices into `scenarios`
-    std::unordered_map<std::string, std::size_t> claimed; // key -> job
+    std::unordered_map<std::string_view, std::size_t> claimed; // -> job
+    std::vector<std::vector<std::size_t>> groups; // job slots
+    std::unordered_map<std::string_view, std::size_t> group_of;
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
-        keys[i] = scenarios[i].canonicalKey();
+        std::size_t workload = 0;
+        keys[i] = scenarios[i].key(&workload);
         if (cached(keys[i]) || claimed.count(keys[i])) {
             ++report.cacheHits;
             continue;
         }
         claimed.emplace(keys[i], jobs.size());
+        const auto [it, fresh] = group_of.emplace(
+            std::string_view(keys[i]).substr(0, workload), groups.size());
+        if (fresh)
+            groups.emplace_back();
+        groups[it->second].push_back(jobs.size());
         jobs.push_back(i);
         ++report.cacheMisses;
     }
 
     const PlanCache::Stats plans_before = plans_.stats();
-
-    // Batch the jobs into structure-of-arrays groups keyed on the
-    // plan signature (parallel arrays: job index list per signature,
-    // in first-appearance order). One worker claims a whole group, so
-    // after the first member's PlanCache miss every other member is an
-    // in-thread hit -- and two workers never build the same plan
-    // concurrently. Each worker still writes only its own jobs'
-    // slots, so results are independent of scheduling; the
-    // per-scenario assembly below imposes the deterministic order.
-    std::vector<std::vector<std::size_t>> groups; // job slots
-    {
-        std::unordered_map<std::string, std::size_t> group_of;
-        for (std::size_t j = 0; j < jobs.size(); ++j) {
-            const std::string sig = planSignature(scenarios[jobs[j]]);
-            const auto [it, fresh] =
-                group_of.emplace(sig, groups.size());
-            if (fresh)
-                groups.emplace_back();
-            groups[it->second].push_back(j);
-        }
-    }
 
     std::vector<ScenarioResult> job_results(jobs.size());
     std::atomic<std::size_t> done{0};
@@ -174,35 +150,35 @@ SweepRunner::run(const std::vector<Scenario> &scenarios)
     // store): a cached failure would replay a possibly transient error
     // forever instead of retrying it. With a disk store, fresh results
     // go into the persistent_ mirror (matching the bytes appended);
-    // otherwise into the in-memory cache.
+    // otherwise into the in-memory cache. Either way each is copied
+    // once; the report takes the claimant's own result below.
     std::vector<std::pair<std::string, ScenarioResult>> fresh_ok;
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        if (!job_results[j].ok())
-            continue;
-        fresh_ok.emplace_back(keys[jobs[j]], job_results[j]);
-    }
-    if (disk_) {
+    for (std::size_t j = 0; j < jobs.size(); ++j)
+        if (job_results[j].ok())
+            fresh_ok.emplace_back(keys[jobs[j]], job_results[j]);
+    if (disk_)
         disk_->append(fresh_ok);
-        for (const auto &[key, result] : fresh_ok)
-            persistent_.emplace(key, result);
-    } else {
-        for (const auto &[key, result] : fresh_ok)
-            cache_.emplace(key, result);
-    }
+    auto &store = disk_ ? persistent_ : cache_;
+    for (auto &[key, result] : fresh_ok)
+        store.emplace(std::move(key), std::move(result));
 
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
+        ScenarioResult &r = report.results[i];
         const auto claim = claimed.find(keys[i]);
-        // Simulated this run, or (for pure hits) already in the cache.
-        ScenarioResult r = claim != claimed.end()
-                               ? job_results[claim->second]
-                               : *cached(keys[i]);
-        // Report the requester's own scenario (labels may differ even
-        // when the canonical simulation inputs coincide).
-        r.scenario = scenarios[i];
+        if (claim == claimed.end())
+            r = *cached(keys[i]); // a hit from an earlier run
+        else if (jobs[claim->second] == i)
+            r = std::move(job_results[claim->second]);
+        else // a duplicate of an earlier scenario of this run
+            r = report.results[jobs[claim->second]];
         r.cacheHit = claim == claimed.end() || jobs[claim->second] != i;
+        // A hit reports the requester's own scenario (labels may
+        // differ even when the simulation inputs coincide); a
+        // claimant's result carries its own already.
+        if (r.cacheHit)
+            r.scenario = scenarios[i];
         if (!r.ok())
             ++report.failures;
-        report.results[i] = std::move(r);
     }
 
     // Published once per run from this (sequential) tail, so the
@@ -219,11 +195,11 @@ SweepRunner::run(const std::vector<Scenario> &scenarios)
         for (const auto &group : groups)
             metrics.recordValue("sweep.group_size",
                                 double(group.size()));
-        for (std::size_t j = 0; j < jobs.size(); ++j)
-            if (job_results[j].ok())
+        for (const std::size_t i : jobs)
+            if (report.results[i].ok())
                 metrics.recordValue(
                     "sweep.batch_size",
-                    double(job_results[j].resolvedBatch));
+                    double(report.results[i].resolvedBatch));
     }
     return report;
 }

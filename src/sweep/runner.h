@@ -1,11 +1,12 @@
 /**
  * @file
- * Parallel sweep execution with a canonical-key result cache.
+ * Parallel sweep execution with a result cache keyed on
+ * Scenario::key(), the exact text of a scenario's simulation inputs.
  *
  * The runner simulates each *unique* scenario exactly once on a
  * fixed-size worker pool and assembles results in scenario order, so
  * the report is bit-identical whatever the thread count. Scenarios
- * whose canonical key was already simulated -- duplicates within one
+ * whose key was already simulated -- duplicates within one
  * run, repeats across run() calls on the same runner, or (with
  * SweepOptions::cacheDir) results persisted by earlier processes --
  * are served from the cache and flagged as hits. Failed results are
@@ -16,7 +17,8 @@
  * through the BackendRegistry, and a shared thread-safe PlanCache
  * memoizes workload lowering (buildModel + buildOpStream) so a sweep
  * crossing many design points with few workloads builds each workload
- * once, not once per cell.
+ * once, not once per cell. Jobs sharing the key's workload part run on
+ * one worker, so each plan is built once and by one thread.
  */
 
 #ifndef DIVA_SWEEP_RUNNER_H
@@ -143,7 +145,7 @@ class SweepRunner
     SweepOptions opts_;
     PlanCache plans_;
     /**
-     * canonical key -> successful result, fresh simulations only
+     * Scenario::key() -> successful result, fresh simulations only
      * (failures are never kept). Cleared per run() when
      * !opts.cacheAcrossRuns; unused when a disk store exists.
      */

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <functional>
 #include <map>
-#include <sstream>
 
+#include "common/format.h"
 #include "common/logging.h"
 #include "models/zoo.h"
 #include "train/memory_model.h"
@@ -26,89 +26,78 @@ backendName(SweepBackend b)
 std::string
 Scenario::label() const
 {
-    std::ostringstream oss;
-    if (backend == SweepBackend::kGpu)
-        oss << gpu.name;
-    else
-        oss << config.name;
+    std::string out =
+        backend == SweepBackend::kGpu ? gpu.name : config.name;
     if (backend == SweepBackend::kMultiChip) {
-        oss << " x" << pod.numChips;
+        out += " x";
+        appendInt(out, pod.numChips);
         // Spell out the link design point: pods differing only in
         // interconnect must stay tellable apart in reports.
-        oss << " ici=" << pod.interconnectGBs << "GB/s lat="
-            << pod.linkLatencyCycles;
+        out += " ici=";
+        appendDouble(out, pod.interconnectGBs);
+        out += "GB/s lat=";
+        appendInt(out, pod.linkLatencyCycles);
     }
-    oss << " / " << model;
-    if (modelScale != 0)
-        oss << "@" << modelScale;
-    oss << " / " << algorithmName(algorithm) << " / b=";
+    out += " / ";
+    out += model;
+    if (modelScale != 0) {
+        out += '@';
+        appendInt(out, modelScale);
+    }
+    out += " / ";
+    out += algorithmName(algorithm);
+    out += " / b=";
     if (batch == kAutoBatch)
-        oss << "auto";
+        out += "auto";
     else
-        oss << batch;
-    if (microbatch > 0)
-        oss << " mb=" << microbatch;
-    return oss.str();
+        appendInt(out, batch);
+    if (microbatch > 0) {
+        out += " mb=";
+        appendInt(out, microbatch);
+    }
+    return out;
 }
 
-namespace
-{
-
-/**
- * Serialize every simulated AcceleratorConfig field. The cache and
- * dedup treat equal keys as identical simulation inputs, so the key
- * spells the values out rather than trusting a 64-bit configHash
- * whose collisions would silently alias two design points.
- */
 void
-appendConfigKey(std::ostringstream &oss, const AcceleratorConfig &c)
+appendDesignKey(std::string &out, SweepBackend backend,
+                const AcceleratorConfig &config,
+                const MultiChipConfig &pod, const GpuConfig &gpu)
 {
-    oss << c.name << ';' << dataflowName(c.dataflow) << ';' << c.peRows
-        << ';' << c.peCols << ';' << c.freqGhz << ';' << c.sramBytes
-        << ';' << c.dramBandwidthGBs << ';' << c.dramLatencyCycles
-        << ';' << c.weightFillRowsPerCycle << ';'
-        << c.wsDoubleBufferWeights << ';' << c.drainRowsPerCycle << ';'
-        << c.hasPpu << ';' << c.inputBytes << ';' << c.accumBytes << ';'
-        << c.vectorLanes;
+    if (backend == SweepBackend::kGpu) {
+        appendCells(out, gpu.name, gpu.peakTflops, gpu.bandwidthGBs,
+                    gpu.numSms, gpu.tileM, gpu.tileN, gpu.kGranule,
+                    gpu.kernelOverheadSec, gpu.gemmEfficiency);
+        return;
+    }
+    const AcceleratorConfig &c = config;
+    appendCells(out, c.name, dataflowName(c.dataflow), c.peRows,
+                c.peCols, c.freqGhz, c.sramBytes, c.dramBandwidthGBs,
+                c.dramLatencyCycles, c.weightFillRowsPerCycle,
+                c.wsDoubleBufferWeights, c.drainRowsPerCycle, c.hasPpu,
+                c.inputBytes, c.accumBytes, c.vectorLanes);
+    if (backend == SweepBackend::kMultiChip)
+        appendCells(out, pod.numChips, pod.interconnectGBs,
+                    pod.linkLatencyCycles);
 }
-
-} // namespace
 
 std::string
-Scenario::canonicalKey() const
+Scenario::key(std::size_t *workloadSize) const
 {
-    std::ostringstream oss;
     // Keyed on the *effective* backend: a registered non-built-in
     // backend must never alias the built-in of the same kind in the
-    // result caches.
-    oss << effectiveBackend() << '|' << model << '|' << modelScale
-        << '|' << algorithmName(algorithm) << '|' << batch << '|'
-        << microbatch;
+    // result caches. Text cells are CSV-quoted when they need it, so
+    // cell boundaries are exact too.
+    std::string out;
+    appendCsvCell(out, effectiveBackend());
+    appendCells(out, model, modelScale, algorithmName(algorithm), batch,
+                microbatch);
     // The auto-batch protocol depends on the budget only when active.
     if (batch == kAutoBatch)
-        oss << "|mem=" << memoryBudget;
-    switch (backend) {
-      case SweepBackend::kSingleChip:
-        oss << "|cfg=";
-        appendConfigKey(oss, config);
-        break;
-      case SweepBackend::kMultiChip:
-        oss << "|cfg=";
-        appendConfigKey(oss, config);
-        oss << "|chips=" << pod.numChips << "|ici="
-            << pod.interconnectGBs << "|lat=" << pod.linkLatencyCycles;
-        break;
-      case SweepBackend::kGpu:
-        // Key on every timing-relevant GpuConfig field, not just the
-        // display name, so distinct GPU design points sharing a name
-        // never collapse in dedup or the result cache.
-        oss << "|gpu=" << gpu.name << ';' << gpu.peakTflops << ';'
-            << gpu.bandwidthGBs << ';' << gpu.numSms << ';' << gpu.tileM
-            << ';' << gpu.tileN << ';' << gpu.kGranule << ';'
-            << gpu.kernelOverheadSec << ';' << gpu.gemmEfficiency;
-        break;
-    }
-    return oss.str();
+        appendCell(out, memoryBudget);
+    if (workloadSize)
+        *workloadSize = out.size();
+    appendDesignKey(out, backend, config, pod, gpu);
+    return out;
 }
 
 Network

@@ -6,14 +6,17 @@
  * training algorithm) and the execution backend (single chip,
  * data-parallel pod, or roofline GPU model).
  *
- * Scenarios have a canonical string key that identifies the underlying
- * simulation inputs; the sweep runner's result cache and the spec
- * expander's deduplication are both keyed on it.
+ * Scenarios have an exact text key that identifies the underlying
+ * simulation inputs: the spec expander's deduplication, the sweep
+ * runner's result cache, its plan-sharing job groups (the key's
+ * workload part) and the disk store are all keyed on it, and the
+ * fleet dedups pod types on its design part (appendDesignKey).
  */
 
 #ifndef DIVA_SWEEP_SCENARIO_H
 #define DIVA_SWEEP_SCENARIO_H
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -104,14 +107,30 @@ struct Scenario
     }
 
     /**
-     * Canonical key of the simulation inputs this scenario denotes.
-     * Two scenarios with equal keys produce identical results; fields
-     * irrelevant to the selected backend (e.g. the accelerator config
-     * under kGpu, the pod shape under kSingleChip) are excluded so
-     * sweeps over unrelated axes collapse into one simulation.
+     * Exact key of the simulation inputs this scenario denotes, one
+     * CSV row of cells: the workload part (effective backend, model,
+     * scale, algorithm, batch, micro-batch, and the memory budget when
+     * the batch is auto), then the design part from appendDesignKey().
+     * Doubles are written in their round-trip form, so two scenarios
+     * share a key only when every input they are simulated from is
+     * equal. Fields irrelevant to the selected backend (the
+     * accelerator config under kGpu, the pod shape under kSingleChip)
+     * are left out, so sweeps over unrelated axes collapse into one
+     * simulation. `workloadSize`, when given, receives the length of
+     * the workload part, a prefix of the key.
      */
-    std::string canonicalKey() const;
+    std::string key(std::size_t *workloadSize = nullptr) const;
 };
+
+/**
+ * Append the design part of a simulation key to `out`, as ",cell"
+ * cells: every AcceleratorConfig field, then for kMultiChip the pod's
+ * chip count, ICI bandwidth and link latency; for kGpu every GpuConfig
+ * field instead. Doubles go through appendDouble and round-trip.
+ */
+void appendDesignKey(std::string &out, SweepBackend backend,
+                     const AcceleratorConfig &config,
+                     const MultiChipConfig &pod, const GpuConfig &gpu);
 
 /** Results and metadata of one simulated scenario. */
 struct ScenarioResult

@@ -17,8 +17,8 @@ SweepSpec::expand() const
         DIVA_FATAL("sweep spec has no model axis");
 
     // The backend axis as (kind, backendId) pairs: names resolve
-    // through the registry; built-in names keep an empty id so their
-    // canonical keys stay stable.
+    // through the registry; built-in names keep an empty id, as a
+    // scenario built without this axis has it.
     std::vector<std::pair<SweepBackend, std::string>> backend_axis;
     if (!backendNames.empty()) {
         for (const std::string &name : backendNames) {
@@ -69,7 +69,7 @@ SweepSpec::expand() const
             ++out.invalidSkipped;
             return;
         }
-        if (!seen.insert(s.canonicalKey()).second) {
+        if (!seen.insert(s.key()).second) {
             ++out.duplicatesRemoved;
             return;
         }

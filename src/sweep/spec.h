@@ -5,7 +5,7 @@
  * micro-batch sizes, training algorithms and execution backends.
  * expand() takes the full cartesian product, drops invalid design
  * points (e.g. a WS array with a PPU), and deduplicates scenarios
- * whose canonical keys coincide.
+ * whose keys (Scenario::key(), exact simulation inputs) coincide.
  */
 
 #ifndef DIVA_SWEEP_SPEC_H
@@ -72,7 +72,7 @@ struct SweepSpec
         /** Combos dropped because the config failed validate(). */
         std::size_t invalidSkipped = 0;
 
-        /** Combos dropped as exact canonical-key duplicates. */
+        /** Combos dropped as duplicates: equal Scenario::key(). */
         std::size_t duplicatesRemoved = 0;
     };
 
@@ -80,7 +80,7 @@ struct SweepSpec
      * Expand the axes into a deduplicated scenario list. Ordering is
      * deterministic: config-major, then model, scale, algorithm,
      * batch, micro-batch, backend (pods/GPUs innermost); the first
-     * occurrence of each canonical key survives.
+     * occurrence of each Scenario::key() survives.
      */
     Expansion expand() const;
 };

@@ -107,94 +107,6 @@ TEST(AcceleratorConfig, ValidateRejectsNegativeBandwidth)
     EXPECT_THROW(cfg.validate(), std::runtime_error);
 }
 
-TEST(ConfigEquality, PresetsCompareEqualToThemselves)
-{
-    EXPECT_EQ(tpuV3Ws(), tpuV3Ws());
-    EXPECT_EQ(divaDefault(true), divaDefault(true));
-    EXPECT_NE(divaDefault(true), divaDefault(false));
-    EXPECT_NE(tpuV3Ws(), systolicOs(false));
-}
-
-TEST(ConfigEquality, AnyFieldChangeBreaksEquality)
-{
-    const AcceleratorConfig base = divaDefault(true);
-    AcceleratorConfig cfg = base;
-    cfg.sramBytes = 32_MiB;
-    EXPECT_NE(base, cfg);
-    cfg = base;
-    cfg.drainRowsPerCycle = 16;
-    EXPECT_NE(base, cfg);
-    cfg = base;
-    cfg.name = "DiVa-renamed";
-    EXPECT_NE(base, cfg);
-}
-
-TEST(ConfigHash, StableAcrossFieldAssignmentOrder)
-{
-    // Assign the same design point with fields written in two very
-    // different orders: the hash is a pure function of field values
-    // folded in a canonical sequence, so both must coincide.
-    AcceleratorConfig a;
-    a.name = "custom";
-    a.dataflow = Dataflow::kOutputStationary;
-    a.peRows = 64;
-    a.peCols = 256;
-    a.sramBytes = 8_MiB;
-    a.dramBandwidthGBs = 900.0;
-    a.hasPpu = true;
-    a.drainRowsPerCycle = 4;
-
-    AcceleratorConfig b;
-    b.drainRowsPerCycle = 4;
-    b.hasPpu = true;
-    b.dramBandwidthGBs = 900.0;
-    b.sramBytes = 8_MiB;
-    b.peCols = 256;
-    b.peRows = 64;
-    b.dataflow = Dataflow::kOutputStationary;
-    b.name = "custom";
-
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(configHash(a), configHash(b));
-}
-
-TEST(ConfigHash, ConsistentWithEquality)
-{
-    EXPECT_EQ(configHash(tpuV3Ws()), configHash(tpuV3Ws()));
-    EXPECT_EQ(configHash(divaDefault(true)),
-              configHash(divaDefault(true)));
-}
-
-TEST(ConfigHash, SensitiveToEveryField)
-{
-    const AcceleratorConfig base = divaDefault(true);
-    const std::size_t h = configHash(base);
-    auto mutated = [&](auto &&mutate) {
-        AcceleratorConfig cfg = base;
-        mutate(cfg);
-        return configHash(cfg);
-    };
-    EXPECT_NE(h, mutated([](auto &c) { c.name = "x"; }));
-    EXPECT_NE(h, mutated([](auto &c) {
-        c.dataflow = Dataflow::kOutputStationary;
-    }));
-    EXPECT_NE(h, mutated([](auto &c) { c.peRows = 64; }));
-    EXPECT_NE(h, mutated([](auto &c) { c.peCols = 64; }));
-    EXPECT_NE(h, mutated([](auto &c) { c.freqGhz = 1.0; }));
-    EXPECT_NE(h, mutated([](auto &c) { c.sramBytes = 8_MiB; }));
-    EXPECT_NE(h, mutated([](auto &c) { c.dramBandwidthGBs = 1.0; }));
-    EXPECT_NE(h, mutated([](auto &c) { c.dramLatencyCycles = 7; }));
-    EXPECT_NE(h, mutated([](auto &c) { c.weightFillRowsPerCycle = 1; }));
-    EXPECT_NE(h, mutated([](auto &c) {
-        c.wsDoubleBufferWeights = true;
-    }));
-    EXPECT_NE(h, mutated([](auto &c) { c.drainRowsPerCycle = 1; }));
-    EXPECT_NE(h, mutated([](auto &c) { c.hasPpu = false; }));
-    EXPECT_NE(h, mutated([](auto &c) { c.inputBytes = 4; }));
-    EXPECT_NE(h, mutated([](auto &c) { c.accumBytes = 8; }));
-    EXPECT_NE(h, mutated([](auto &c) { c.vectorLanes = 8; }));
-}
-
 TEST(DataflowName, AllNamed)
 {
     EXPECT_STREQ(dataflowName(Dataflow::kWeightStationary), "WS");

@@ -128,9 +128,9 @@ TEST(BackendRegistry, RuntimeBackendIsReachableByNameAlone)
     EXPECT_EQ(echo.seconds, 42.0);
     ASSERT_TRUE(chip.ok()) << chip.error;
     EXPECT_NE(chip.seconds, 42.0);
-    // Distinct canonical keys: no result-cache aliasing.
-    EXPECT_NE(chip.scenario.canonicalKey(),
-              echo.scenario.canonicalKey());
+    // Distinct keys: no result-cache aliasing.
+    EXPECT_NE(chip.scenario.key(),
+              echo.scenario.key());
     // CSV reports the registered name and its capability flags.
     const std::vector<std::string> row = cells(echo);
     EXPECT_EQ(row[column("backend")], "echo");

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the persistent on-disk sweep result cache: round-trip
- * fidelity, corruption tolerance, version handling, the
+ * fidelity, corruption tolerance, version handling, exact keys, the
  * never-persist-failures rule, and SweepRunner integration (fresh run
  * = misses, rerun = 100% hits, byte-identical CSV).
  */
@@ -382,6 +382,65 @@ TEST(DiskCache, RunnerFreshRunMissesRerunAllHits)
         writeCsv(oss, report);
         EXPECT_EQ(oss.str(), first_csv); // byte-identical CSV
     }
+}
+
+TEST(DiskCache, IciTwinsAreTwoEntriesAndV1StoresAreIgnored)
+{
+    // Two pods that differ only in the 7th significant digit of their
+    // ICI bandwidth are two design points, stored and served apart.
+    const std::string dir = freshCacheDir("ici-twins");
+    Scenario low;
+    low.config = divaDefault(true);
+    low.model = "ResNet-50";
+    low.batch = 64;
+    low.backend = SweepBackend::kMultiChip;
+    low.pod.interconnectGBs = 1.0000001;
+    Scenario high = low;
+    high.pod.interconnectGBs = 1.0000004;
+    SweepOptions opts;
+    opts.cacheDir = dir;
+    SweepReport cold;
+    {
+        SweepRunner runner(opts);
+        cold = runner.run({low, high});
+    }
+    EXPECT_EQ(cold.cacheMisses, 2u);
+    ASSERT_TRUE(cold.results[0].ok()) << cold.results[0].error;
+    ASSERT_TRUE(cold.results[1].ok()) << cold.results[1].error;
+    EXPECT_NE(cold.results[0].cycles, cold.results[1].cycles);
+
+    const DiskCache stored(dir);
+    EXPECT_EQ(stored.size(), 2u);
+    EXPECT_TRUE(stored.contains(low.key()));
+    EXPECT_TRUE(stored.contains(high.key()));
+    {
+        SweepRunner runner(opts);
+        const SweepReport warm = runner.run({low, high});
+        EXPECT_EQ(warm.cacheHits, 2u);
+        for (std::size_t i = 0; i < 2; ++i)
+            EXPECT_EQ(warm.results[i].cycles, cold.results[i].cycles);
+    }
+
+    // Version-1 keys wrote doubles at 6 significant digits, so a v1
+    // record may stand for several design points: a store under a v1
+    // header is ignored wholesale, valid records and all.
+    EXPECT_EQ(DiskCache::kFormatVersion, 2);
+    std::string text;
+    {
+        std::ifstream in(stored.filePath());
+        std::ostringstream whole;
+        whole << in.rdbuf();
+        text = whole.str();
+    }
+    const std::string header = "diva-sweep-cache v2\n";
+    ASSERT_EQ(text.rfind(header, 0), 0u);
+    {
+        std::ofstream out(stored.filePath(), std::ios::trunc);
+        out << "diva-sweep-cache v1\n" << text.substr(header.size());
+    }
+    const DiskCache v1(dir);
+    EXPECT_EQ(v1.size(), 0u);
+    EXPECT_EQ(v1.corruptLinesSkipped(), 0u);
 }
 
 TEST(DiskCache, RunnerWithoutCacheDirDoesNotTouchDisk)

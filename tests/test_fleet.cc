@@ -6,8 +6,8 @@
  * heterogeneous fleet, load-aware beats first-fit on tail latency),
  * migration-cost reconciliation between fleet totals and per-pod /
  * per-tenant sums, energy-budget preemption ordering, partial-SRAM
- * working-set switch costs, spec/trace validation, and
- * byte-determinism of the fleet emitters across engine thread counts
+ * working-set switch costs, spec/trace validation, exact pod-type
+ * dedup, and byte-determinism of the fleet emitters across engine thread counts
  * and warm plan caches.
  */
 
@@ -495,6 +495,43 @@ TEST(FleetWorkingSet, PartialSwitchIsStrictlyCheaper)
     EXPECT_LT(mpart.seconds, mfull.seconds);
     EXPECT_LT(mpart.energyJ, mfull.energyJ);
     EXPECT_LT(mpart.dramBytes, mfull.dramBytes);
+}
+
+TEST(FleetPricing, IciTwinPodsAreTwoPodTypes)
+{
+    // Two pods that differ only in the 7th significant digit of their
+    // ICI bandwidth are two design points: each prices as its own pod
+    // type, and the pod CSV differs from the fleet with both pods at
+    // the lower bandwidth.
+    std::string err;
+    const auto gen =
+        parseTraceGenSpec("poisson:rate=2,horizon=4,seed=3", &err);
+    ASSERT_TRUE(gen.has_value()) << err;
+    const ArrivalTrace t = generateTrace(*gen);
+    ASSERT_FALSE(t.jobs.empty());
+    auto run = [&](const char *second, std::size_t *priced) {
+        SweepRunner runner;
+        const FleetResult r = simulateFleet(
+            fleetOf({podsOf("chips=8,count=1,ici-gbs=1.0000001"),
+                     podsOf(second)},
+                    PlacementKind::kLoadAware),
+            t, runner);
+        EXPECT_TRUE(r.ok()) << r.error;
+        // One priced scenario per (pod type, tenant class).
+        *priced = runner.cacheSize();
+        std::ostringstream os;
+        writeFleetPodCsv(os, r);
+        return os.str();
+    };
+    std::size_t twins = 0;
+    std::size_t same = 0;
+    const std::string twin_csv =
+        run("chips=8,count=1,ici-gbs=1.0000004", &twins);
+    const std::string same_csv =
+        run("chips=8,count=1,ici-gbs=1.0000001", &same);
+    EXPECT_GT(same, 0u);
+    EXPECT_EQ(twins, 2 * same);
+    EXPECT_NE(twin_csv, same_csv);
 }
 
 TEST(FleetDeterminism, EmittersAreByteIdenticalAcrossThreads)

@@ -96,8 +96,8 @@ TEST(SweepSpec, ExpansionOrderIsDeterministic)
     const auto b = spec.expand();
     ASSERT_EQ(a.scenarios.size(), b.scenarios.size());
     for (std::size_t i = 0; i < a.scenarios.size(); ++i)
-        EXPECT_EQ(a.scenarios[i].canonicalKey(),
-                  b.scenarios[i].canonicalKey());
+        EXPECT_EQ(a.scenarios[i].key(),
+                  b.scenarios[i].key());
 }
 
 TEST(SweepRunner, ParallelBitIdenticalToSerial)
@@ -178,10 +178,10 @@ TEST(SweepRunner, AutoBatchResolvesToFigureProtocol)
     ASSERT_TRUE(r.ok()) << r.error;
     EXPECT_GT(r.resolvedBatch, 0);
     // An auto-batch scenario and its resolved explicit twin share the
-    // simulation but not the canonical key (different requests).
+    // simulation but not the key (different requests).
     Scenario explicit_twin = s;
     explicit_twin.batch = r.resolvedBatch;
-    EXPECT_NE(s.canonicalKey(), explicit_twin.canonicalKey());
+    EXPECT_NE(s.key(), explicit_twin.key());
     const ScenarioResult r2 = runScenario(explicit_twin);
     EXPECT_EQ(r.cycles, r2.cycles);
 }
@@ -438,15 +438,20 @@ TEST(Scenario, GpuKeyCoversTimingFieldsNotJustName)
     a.backend = SweepBackend::kGpu;
     a.gpu = GpuConfig::a100Fp16();
     Scenario b = a;
-    EXPECT_EQ(a.canonicalKey(), b.canonicalKey());
+    EXPECT_EQ(a.key(), b.key());
     b.gpu.gemmEfficiency = 0.5; // same name, different design point
-    EXPECT_NE(a.canonicalKey(), b.canonicalKey());
+    EXPECT_NE(a.key(), b.key());
+    // A twin in the 7th significant digit is a design point of its own.
+    ASSERT_EQ(a.gpu.kernelOverheadSec, 5e-6);
+    Scenario c = a;
+    c.gpu.kernelOverheadSec = 5.000001e-6;
+    EXPECT_NE(a.key(), c.key());
 }
 
 TEST(Scenario, PodAxesAreDistinctDesignPoints)
 {
     // Interconnect bandwidth and link latency are sweepable pod axes:
-    // each value is its own canonical key and survives expansion.
+    // each value is its own key and survives expansion.
     Scenario base;
     base.config = divaDefault(true);
     base.model = "ResNet-50";
@@ -455,19 +460,78 @@ TEST(Scenario, PodAxesAreDistinctDesignPoints)
     fat_links.pod.interconnectGBs = 140.0;
     Scenario long_links = base;
     long_links.pod.linkLatencyCycles = 2000;
-    EXPECT_NE(base.canonicalKey(), fat_links.canonicalKey());
-    EXPECT_NE(base.canonicalKey(), long_links.canonicalKey());
-    EXPECT_NE(fat_links.canonicalKey(), long_links.canonicalKey());
+    // Twins in the 7th significant digit, which 6-digit text merges.
+    Scenario ici_twin = base;
+    ici_twin.pod.interconnectGBs = 70.00001;
+    Scenario freq_twin = base;
+    freq_twin.config.freqGhz = 0.9400001;
+    Scenario dram_twin = base;
+    dram_twin.config.dramBandwidthGBs = 450.0001;
+    const std::vector<Scenario> points = {base,    fat_links, long_links,
+                                          ici_twin, freq_twin, dram_twin};
+    for (std::size_t i = 0; i < points.size(); ++i)
+        for (std::size_t j = 0; j < i; ++j)
+            EXPECT_NE(points[i].key(), points[j].key()) << i << " " << j;
 
     SweepSpec spec;
-    spec.configs = {divaDefault(true)};
+    spec.configs = {divaDefault(true), freq_twin.config, dram_twin.config};
     spec.models = {"ResNet-50"};
     spec.batches = {64};
     spec.backends = {SweepBackend::kMultiChip};
-    spec.pods = {base.pod, fat_links.pod, long_links.pod};
+    spec.pods = {base.pod, fat_links.pod, long_links.pod, ici_twin.pod};
     const SweepSpec::Expansion e = spec.expand();
-    EXPECT_EQ(e.scenarios.size(), 3u);
+    EXPECT_EQ(e.scenarios.size(), 12u);
     EXPECT_EQ(e.duplicatesRemoved, 0u);
+}
+
+TEST(Scenario, KeyCoversEveryDesignField)
+{
+    // Every AcceleratorConfig field, and each pod field, is part of
+    // the design key: changing any one gives another key.
+    Scenario base;
+    base.config = divaDefault(true);
+    base.model = "ResNet-50";
+    base.backend = SweepBackend::kMultiChip;
+    const std::string key = base.key();
+    auto mutated = [&](auto &&mutate) {
+        Scenario s = base;
+        mutate(s.config, s.pod);
+        return s.key();
+    };
+    EXPECT_NE(key, mutated([](auto &c, auto &) { c.name = "x"; }));
+    EXPECT_NE(key, mutated([](auto &c, auto &) {
+        c.dataflow = Dataflow::kOutputStationary;
+    }));
+    EXPECT_NE(key, mutated([](auto &c, auto &) { c.peRows = 64; }));
+    EXPECT_NE(key, mutated([](auto &c, auto &) { c.peCols = 64; }));
+    EXPECT_NE(key, mutated([](auto &c, auto &) { c.freqGhz = 1.0; }));
+    EXPECT_NE(key, mutated([](auto &c, auto &) { c.sramBytes = 8_MiB; }));
+    EXPECT_NE(key, mutated([](auto &c, auto &) {
+        c.dramBandwidthGBs = 1.0;
+    }));
+    EXPECT_NE(key, mutated([](auto &c, auto &) {
+        c.dramLatencyCycles = 7;
+    }));
+    EXPECT_NE(key, mutated([](auto &c, auto &) {
+        c.weightFillRowsPerCycle = 1;
+    }));
+    EXPECT_NE(key, mutated([](auto &c, auto &) {
+        c.wsDoubleBufferWeights = true;
+    }));
+    EXPECT_NE(key, mutated([](auto &c, auto &) {
+        c.drainRowsPerCycle = 1;
+    }));
+    EXPECT_NE(key, mutated([](auto &c, auto &) { c.hasPpu = false; }));
+    EXPECT_NE(key, mutated([](auto &c, auto &) { c.inputBytes = 4; }));
+    EXPECT_NE(key, mutated([](auto &c, auto &) { c.accumBytes = 8; }));
+    EXPECT_NE(key, mutated([](auto &c, auto &) { c.vectorLanes = 8; }));
+    EXPECT_NE(key, mutated([](auto &, auto &p) { p.numChips = 4; }));
+    EXPECT_NE(key, mutated([](auto &, auto &p) {
+        p.interconnectGBs = 35.0;
+    }));
+    EXPECT_NE(key, mutated([](auto &, auto &p) {
+        p.linkLatencyCycles = 7;
+    }));
 }
 
 TEST(Emit, PodRowsAreDistinguishableByLinkDesignPoint)
@@ -483,10 +547,17 @@ TEST(Emit, PodRowsAreDistinguishableByLinkDesignPoint)
     b.scenario.pod.interconnectGBs = 140.0;
     ScenarioResult c = a;
     c.scenario.pod.linkLatencyCycles = 2000;
+    // Twins in the 7th significant digit of ICI bandwidth.
+    ScenarioResult d = a;
+    d.scenario.pod.interconnectGBs = 1.0000001;
+    ScenarioResult e = a;
+    e.scenario.pod.interconnectGBs = 1.0000004;
     EXPECT_NE(csvRow(a), csvRow(b));
     EXPECT_NE(csvRow(a), csvRow(c));
+    EXPECT_NE(csvRow(d), csvRow(e));
     EXPECT_NE(a.scenario.label(), b.scenario.label());
     EXPECT_NE(a.scenario.label(), c.scenario.label());
+    EXPECT_NE(d.scenario.label(), e.scenario.label());
     std::ostringstream json;
     SweepReport report;
     report.results = {a, b};
@@ -504,9 +575,9 @@ TEST(Scenario, CanonicalKeySeparatesBackends)
     Scenario gpu = chip;
     gpu.backend = SweepBackend::kGpu;
     gpu.gpu = GpuConfig::a100Fp16();
-    EXPECT_NE(chip.canonicalKey(), pod.canonicalKey());
-    EXPECT_NE(chip.canonicalKey(), gpu.canonicalKey());
-    EXPECT_NE(pod.canonicalKey(), gpu.canonicalKey());
+    EXPECT_NE(chip.key(), pod.key());
+    EXPECT_NE(chip.key(), gpu.key());
+    EXPECT_NE(pod.key(), gpu.key());
 }
 
 } // namespace
