@@ -47,7 +47,7 @@ struct ReplaySpec
     SchedPolicy policy = SchedPolicy::kRoundRobin;
 
     /** Allowed isolated-cost backends, as in ServeSpec::backends. */
-    std::vector<std::string> backends;
+    std::vector<SweepBackend> backends;
 
     /**
      * Serve knobs. openLoop is forced on by replayTrace: replay is

@@ -1,22 +1,19 @@
 /**
  * @file
- * The pluggable simulation-backend layer. A SimBackend evaluates one
- * sweep Scenario on one execution substrate -- a single accelerator
- * chip, a data-parallel pod, a roofline GPU, or anything a future
- * backend models -- filling a ScenarioResult.
+ * The simulation backends. evaluate() runs one sweep Scenario on the
+ * execution substrate its SweepBackend names -- a single accelerator
+ * chip, a data-parallel pod, or the Figure-17 roofline GPU -- filling
+ * a ScenarioResult. The three substrates are fixed by the method, so
+ * one switch over the enum dispatches them.
  *
- * Backends declare *capability flags* for the metrics they actually
- * model; the emitters consult them so a backend that has no cycle or
- * energy notion (the GPU roofline) produces empty/NaN cells instead of
- * fake zeros. Backends are registered by name in the BackendRegistry
- * (see backend/registry.h), which is how the sweep runner, the tenant
- * serve loop, and the CLIs' --backends flag reach them.
+ * Each substrate declares *capability flags* for the metrics it
+ * actually models; the emitters consult them so a substrate that has
+ * no cycle or energy notion (the GPU roofline) produces empty/NaN
+ * cells instead of fake zeros.
  */
 
 #ifndef DIVA_BACKEND_BACKEND_H
 #define DIVA_BACKEND_BACKEND_H
-
-#include <memory>
 
 #include "backend/plan_cache.h"
 #include "sweep/scenario.h"
@@ -46,55 +43,29 @@ struct BackendCaps
 
     /** enginePowerW / engineAreaMm2 design-point ratings. */
     bool engineRating = false;
-
-    /** A backend that models every metric (chip and pod substrates). */
-    static BackendCaps all()
-    {
-        return {true, true, true, true, true};
-    }
-};
-
-/** One execution substrate that can evaluate sweep scenarios. */
-class SimBackend
-{
-  public:
-    virtual ~SimBackend() = default;
-
-    /** Registry key and the name scenarios/reports use ("chip"). */
-    virtual const char *name() const = 0;
-
-    /** The Scenario::backend tag this backend evaluates. */
-    virtual SweepBackend kind() const = 0;
-
-    virtual BackendCaps capabilities() const = 0;
-
-    /**
-     * Evaluate `scenario`, filling the metric fields of `out`
-     * (out.scenario and out.cacheHit belong to the caller). Workload
-     * plans come from `plans` so repeated workloads lower once.
-     * Simulation errors are thrown (the runner converts them into
-     * out.error); on throw, `out` may be partially filled and must be
-     * discarded.
-     */
-    virtual void evaluate(const Scenario &scenario, PlanCache &plans,
-                          ScenarioResult &out) const = 0;
 };
 
 /**
- * Fetch the scenario's network from the plan cache and resolve its
- * mini-batch into out.resolvedBatch -- the common first step of every
- * backend's evaluate().
+ * The metrics `backend` models: every one on the chip and the pod,
+ * wall-clock seconds only on the GPU roofline.
  */
-std::shared_ptr<const Network> planNetwork(const Scenario &scenario,
-                                           PlanCache &plans,
-                                           ScenarioResult &out);
+BackendCaps capabilities(SweepBackend backend);
 
 /**
- * Shared metric assembly for engine-rating capable backends: the
- * design point's engine power (scaled by `chips` for pods) and area.
+ * Evaluate `scenario` on scenario.backend, filling the metric fields
+ * of `out` (out.scenario and out.cacheHit belong to the caller).
+ * Workload plans come from `plans` so repeated workloads lower once.
+ * Simulation errors are thrown (the runner converts them into
+ * out.error); on throw, `out` may be partially filled and must be
+ * discarded.
+ *
+ * Known gap: a pod prices each chip's shard as one monolithic pass
+ * and never reads Scenario::microbatch, so a pod row at micro-batch m
+ * equals its micro-batch-0 twin byte for byte (pinned by
+ * PodBackend.IgnoresMicrobatch; honoring it changes pod outputs).
  */
-void assembleEngineRating(ScenarioResult &out,
-                          const AcceleratorConfig &config, int chips);
+void evaluate(const Scenario &scenario, PlanCache &plans,
+              ScenarioResult &out);
 
 } // namespace diva
 

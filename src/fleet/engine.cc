@@ -500,12 +500,12 @@ FleetSim::price(SweepRunner &runner)
     }
     numCls = clsRep.size();
 
-    // Every allowed name must resolve, and every substrate the pods
-    // need must be permitted. Types are in first-pod order, so the
-    // first failing type reports the first failing pod's need.
+    // Every substrate the pods need must be permitted. Types are in
+    // first-pod order, so the first failing type reports the first
+    // failing pod's need.
     for (const PodSpec &type : types) {
         const std::string err =
-            backendListError(spec.backends, type.backendName());
+            backendListError(spec.backends, type.backend());
         if (!err.empty())
             return err;
     }
@@ -1277,7 +1277,7 @@ FleetSim::assemble(int threads)
         r.name = ps.name;
         r.configName = ps.config.name;
         r.chips = ps.chips;
-        r.backend = ps.backendName();
+        r.backend = backendName(ps.backend());
         r.placed = pod.placed;
         r.migratedIn = pod.migIn;
         r.migratedOut = pod.migOut;

@@ -25,6 +25,7 @@
 #include "arch/accelerator_config.h"
 #include "fleet/placement.h"
 #include "sim/multichip.h"
+#include "sweep/scenario.h"
 #include "tenant/scheduler.h"
 
 namespace diva
@@ -45,8 +46,12 @@ struct PodSpec
     /** Pod link parameters (used when chips > 1, and by migration). */
     MultiChipConfig pod;
 
-    /** BackendRegistry name this pod prices isolated costs on. */
-    const char *backendName() const { return chips > 1 ? "pod" : "chip"; }
+    /** The backend this pod prices isolated costs on. */
+    SweepBackend backend() const
+    {
+        return chips > 1 ? SweepBackend::kMultiChip
+                         : SweepBackend::kSingleChip;
+    }
 
     /** Why this pod is malformed, or "". */
     std::string validationError() const;
@@ -130,12 +135,11 @@ struct FleetSpec
     double wallLimitSec = 0.0;
 
     /**
-     * Simulation backends pods may price isolated costs on, by
-     * BackendRegistry name; empty = any. Every name must resolve, and
-     * the backends the fleet's pods actually need ("chip"/"pod") must
-     * be in the list.
+     * Simulation backends pods may price isolated costs on; empty =
+     * any. The backends the fleet's pods actually need
+     * (PodSpec::backend()) must be in the list.
      */
-    std::vector<std::string> backends;
+    std::vector<SweepBackend> backends;
 
     /** First problem found (empty fleet, bad pod, bad knob), or "". */
     std::string validationError() const;

@@ -2,30 +2,10 @@
 
 #include <limits>
 
-#include "backend/registry.h"
+#include "backend/backend.h"
 
 namespace diva
 {
-
-namespace
-{
-
-/**
- * Capability flags of the backend a result was evaluated by --
- * resolved by effective name, falling back to the kind's built-in for
- * results whose (since-unregistered) backend is unknown.
- */
-BackendCaps
-capsFor(const Scenario &s)
-{
-    const SimBackend *backend =
-        BackendRegistry::instance().find(s.effectiveBackend());
-    return backend ? backend->capabilities()
-                   : BackendRegistry::instance().at(s.backend)
-                         .capabilities();
-}
-
-} // namespace
 
 std::string
 csvHeader()
@@ -46,7 +26,7 @@ appendCsvRow(std::string &out, const ScenarioResult &r)
     // Metrics the backend does not model are emitted as empty cells
     // (integral columns) or "nan" (floating columns), never as fake
     // zeros a reader could mistake for measurements.
-    const BackendCaps caps = capsFor(s);
+    const BackendCaps caps = capabilities(s.backend);
     constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
     appendCsvCell(out, gpu ? s.gpu.name : s.config.name);
     appendCells(out, gpu ? "-" : dataflowName(s.config.dataflow),
@@ -54,7 +34,7 @@ appendCsvRow(std::string &out, const ScenarioResult &r)
                 gpu ? 0 : s.config.peCols,
                 gpu ? 0 : s.config.sramBytes >> 20,
                 gpu ? s.gpu.bandwidthGBs : s.config.dramBandwidthGBs,
-                s.effectiveBackend(), pod ? s.pod.numChips : 1);
+                backendName(s.backend), pod ? s.pod.numChips : 1);
     // Pod link design point; zeros for backends without interconnect.
     if (pod)
         appendCells(out, s.pod.interconnectGBs, s.pod.linkLatencyCycles);
@@ -102,11 +82,10 @@ writeJson(std::ostream &os, const SweepReport &report)
         const Scenario &s = r.scenario;
         const bool gpu = s.backend == SweepBackend::kGpu;
         // Unmodeled metrics are null, never fake zeros.
-        const BackendCaps caps = capsFor(s);
+        const BackendCaps caps = capabilities(s.backend);
         os << (i ? ",\n    {" : "\n    {") << "\"config\": \""
            << jsonEscape(gpu ? s.gpu.name : s.config.name)
-           << "\", \"backend\": \""
-           << jsonEscape(s.effectiveBackend()) << '"';
+           << "\", \"backend\": \"" << backendName(s.backend) << '"';
         if (s.backend == SweepBackend::kMultiChip)
             os << ", \"chips\": " << s.pod.numChips << ", \"ici_gbs\": "
                << jsonNumber(s.pod.interconnectGBs)

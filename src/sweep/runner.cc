@@ -5,8 +5,7 @@
 #include <exception>
 #include <string_view>
 
-#include "backend/registry.h"
-#include "common/logging.h"
+#include "backend/backend.h"
 #include "common/task_pool.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -20,14 +19,7 @@ runScenario(const Scenario &scenario, PlanCache &plans)
     ScenarioResult out;
     out.scenario = scenario;
     try {
-        // Routed by registry *name*, so a non-built-in backend (set
-        // via Scenario::backendId) is reached without any enum edit.
-        const SimBackend *backend = BackendRegistry::instance().find(
-            scenario.effectiveBackend());
-        if (!backend)
-            DIVA_FATAL("no backend registered under '",
-                       scenario.effectiveBackend(), "'");
-        backend->evaluate(scenario, plans, out);
+        evaluate(scenario, plans, out);
     } catch (const std::exception &e) {
         out.error = e.what();
     }
@@ -47,12 +39,8 @@ SweepRunner::SweepRunner(SweepOptions opts)
 {
     if (opts_.threads < 1)
         opts_.threads = 1;
-    if (!opts_.cacheDir.empty()) {
+    if (!opts_.cacheDir.empty())
         disk_ = std::make_unique<DiskCache>(opts_.cacheDir);
-        // The one and only preload: run() extends this mirror with
-        // fresh appends instead of re-reading the store per call.
-        persistent_ = disk_->entries();
-    }
 }
 
 const ScenarioResult *
@@ -60,9 +48,11 @@ SweepRunner::cached(const std::string &key) const
 {
     if (const auto it = cache_.find(key); it != cache_.end())
         return &it->second;
-    if (const auto it = persistent_.find(key); it != persistent_.end())
-        return &it->second;
-    return nullptr;
+    if (!disk_)
+        return nullptr;
+    const auto &stored = disk_->entries();
+    const auto it = stored.find(key);
+    return it == stored.end() ? nullptr : &it->second;
 }
 
 SweepReport
@@ -77,8 +67,8 @@ SweepRunner::run(const std::vector<Scenario> &scenarios)
     SweepReport report;
     report.results.resize(scenarios.size());
 
-    // The persistent_ mirror always survives (it reflects the disk
-    // store); only fresh in-memory results are forgotten between runs.
+    // The disk store's entries always survive; only in-memory results
+    // are forgotten between runs.
     if (!opts_.cacheAcrossRuns)
         cache_.clear();
 
@@ -148,19 +138,19 @@ SweepRunner::run(const std::vector<Scenario> &scenarios)
 
     // Only successful results enter the cross-run cache (and the disk
     // store): a cached failure would replay a possibly transient error
-    // forever instead of retrying it. With a disk store, fresh results
-    // go into the persistent_ mirror (matching the bytes appended);
-    // otherwise into the in-memory cache. Either way each is copied
-    // once; the report takes the claimant's own result below.
+    // forever instead of retrying it. With a disk store, the store
+    // keeps the one in-memory copy of each result it accepts; the
+    // in-memory cache takes the rest. Either way each is copied once;
+    // the report takes the claimant's own result below.
     std::vector<std::pair<std::string, ScenarioResult>> fresh_ok;
     for (std::size_t j = 0; j < jobs.size(); ++j)
         if (job_results[j].ok())
             fresh_ok.emplace_back(keys[jobs[j]], job_results[j]);
     if (disk_)
         disk_->append(fresh_ok);
-    auto &store = disk_ ? persistent_ : cache_;
     for (auto &[key, result] : fresh_ok)
-        store.emplace(std::move(key), std::move(result));
+        if (!disk_ || !disk_->contains(key))
+            cache_.emplace(std::move(key), std::move(result));
 
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
         ScenarioResult &r = report.results[i];

@@ -12,9 +12,9 @@
  * are served from the cache and flagged as hits. Failed results are
  * never cached beyond the run that produced them.
  *
- * Scenario evaluation is delegated to the pluggable backend layer
- * (src/backend/): runScenario() resolves the scenario's backend
- * through the BackendRegistry, and a shared thread-safe PlanCache
+ * Scenario evaluation is delegated to the backend layer
+ * (src/backend/): runScenario() calls evaluate(), which switches on
+ * the scenario's SweepBackend, and a shared thread-safe PlanCache
  * memoizes workload lowering (buildModel + buildOpStream) so a sweep
  * crossing many design points with few workloads builds each workload
  * once, not once per cell. Jobs sharing the key's workload part run on
@@ -117,18 +117,14 @@ class SweepRunner
     /** Run an explicit scenario list. */
     SweepReport run(const std::vector<Scenario> &scenarios);
 
-    /** Number of cached unique-scenario results (memory + preload). */
+    /** Number of cached unique-scenario results (memory + disk). */
     std::size_t cacheSize() const
     {
-        return cache_.size() + persistent_.size();
+        return cache_.size() + (disk_ ? disk_->size() : 0);
     }
 
-    /** Drop the in-memory caches (the disk store is untouched). */
-    void clearCache()
-    {
-        cache_.clear();
-        persistent_.clear();
-    }
+    /** Drop the in-memory results (the disk store's stay served). */
+    void clearCache() { cache_.clear(); }
 
     const SweepOptions &options() const { return opts_; }
 
@@ -147,21 +143,19 @@ class SweepRunner
     /**
      * Scenario::key() -> successful result, fresh simulations only
      * (failures are never kept). Cleared per run() when
-     * !opts.cacheAcrossRuns; unused when a disk store exists.
+     * !opts.cacheAcrossRuns. With a disk store, holds only the
+     * results the store refused (keys its line format cannot carry,
+     * or a failed write); the rest are served from disk_->entries().
      */
     std::unordered_map<std::string, ScenarioResult> cache_;
-    /**
-     * In-memory mirror of the disk store: loaded *once* at
-     * construction, then extended with every appended result -- never
-     * re-read per run(). Empty without a disk store.
-     */
-    std::unordered_map<std::string, ScenarioResult> persistent_;
+    /** Loaded once at construction; appended to after every run(). */
     std::unique_ptr<DiskCache> disk_;
 };
 
 /**
- * Simulate one scenario synchronously through the backend registry,
- * memoizing workload plans in `plans` (shared across calls).
+ * Simulate one scenario synchronously through evaluate(), memoizing
+ * workload plans in `plans` (shared across calls); a thrown
+ * simulation error becomes the result's `error`.
  */
 ScenarioResult runScenario(const Scenario &scenario, PlanCache &plans);
 

@@ -23,6 +23,16 @@ backendName(SweepBackend b)
     return "?";
 }
 
+std::optional<SweepBackend>
+backendFromName(const std::string &name)
+{
+    for (SweepBackend b : {SweepBackend::kSingleChip,
+                           SweepBackend::kMultiChip, SweepBackend::kGpu})
+        if (name == backendName(b))
+            return b;
+    return std::nullopt;
+}
+
 std::string
 Scenario::label() const
 {
@@ -83,12 +93,10 @@ appendDesignKey(std::string &out, SweepBackend backend,
 std::string
 Scenario::key(std::size_t *workloadSize) const
 {
-    // Keyed on the *effective* backend: a registered non-built-in
-    // backend must never alias the built-in of the same kind in the
-    // result caches. Text cells are CSV-quoted when they need it, so
-    // cell boundaries are exact too.
+    // Text cells are CSV-quoted when they need it, so cell boundaries
+    // are exact.
     std::string out;
-    appendCsvCell(out, effectiveBackend());
+    appendCsvCell(out, backendName(backend));
     appendCells(out, model, modelScale, algorithmName(algorithm), batch,
                 microbatch);
     // The auto-batch protocol depends on the budget only when active.

@@ -17,6 +17,7 @@
 #define DIVA_SWEEP_SCENARIO_H
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,9 @@ enum class SweepBackend
 
 /** Short name of a backend ("chip", "pod", "gpu"). */
 const char *backendName(SweepBackend b);
+
+/** The backend backendName() calls `name`, or nullopt. */
+std::optional<SweepBackend> backendFromName(const std::string &name);
 
 /** Sentinel batch meaning "largest vanilla DP-SGD batch that fits". */
 constexpr int kAutoBatch = 0;
@@ -74,16 +78,8 @@ struct Scenario
 
     TrainingAlgorithm algorithm = TrainingAlgorithm::kDpSgdR;
 
+    /** The substrate evaluate() runs this scenario on. */
     SweepBackend backend = SweepBackend::kSingleChip;
-
-    /**
-     * BackendRegistry name of the backend that evaluates this
-     * scenario; empty = the built-in for `backend`. A registered
-     * non-built-in backend (whose kind() must equal `backend`, which
-     * decides the scenario fields and sweep axes that apply) is
-     * routed to by name alone -- see effectiveBackend().
-     */
-    std::string backendId;
 
     /** Pod shape; used only by the kMultiChip backend. */
     MultiChipConfig pod;
@@ -98,17 +94,8 @@ struct Scenario
     std::string label() const;
 
     /**
-     * The registry name this scenario is evaluated (and keyed,
-     * reported) under: backendId when set, else backendName(backend).
-     */
-    std::string effectiveBackend() const
-    {
-        return backendId.empty() ? backendName(backend) : backendId;
-    }
-
-    /**
      * Exact key of the simulation inputs this scenario denotes, one
-     * CSV row of cells: the workload part (effective backend, model,
+     * CSV row of cells: the workload part (backendName(), model,
      * scale, algorithm, batch, micro-batch, and the memory budget when
      * the batch is auto), then the design part from appendDesignKey().
      * Doubles are written in their round-trip form, so two scenarios

@@ -39,17 +39,8 @@ struct SweepSpec
 
     std::vector<TrainingAlgorithm> algorithms{TrainingAlgorithm::kDpSgdR};
 
+    /** Execution backends (required); see backend/backend.h. */
     std::vector<SweepBackend> backends{SweepBackend::kSingleChip};
-
-    /**
-     * Backend axis by BackendRegistry name; when non-empty it
-     * replaces `backends`. Each name resolves through the registry
-     * (unknown names are fatal) to the backend's kind() for axis
-     * crossing, and non-built-in names are carried into
-     * Scenario::backendId -- so a registered custom backend is
-     * sweepable with no enum edits.
-     */
-    std::vector<std::string> backendNames;
 
     /** Pod shapes crossed in when backends contains kMultiChip. */
     std::vector<MultiChipConfig> pods;

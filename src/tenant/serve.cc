@@ -5,7 +5,6 @@
 #include <limits>
 #include <sstream>
 
-#include "backend/registry.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
@@ -260,16 +259,14 @@ iterationCost(const ScenarioResult &r)
 }
 
 std::string
-backendListError(const std::vector<std::string> &allowed,
-                 const std::string &needed)
+backendListError(const std::vector<SweepBackend> &allowed,
+                 SweepBackend needed)
 {
-    for (const std::string &name : allowed)
-        if (!BackendRegistry::instance().find(name))
-            return "unknown backend '" + name + "'";
     if (allowed.empty() ||
         std::find(allowed.begin(), allowed.end(), needed) != allowed.end())
         return "";
-    return "backend '" + needed + "' is not in the allowed --backends list";
+    return std::string("backend '") + backendName(needed) +
+           "' is not in the allowed --backends list";
 }
 
 void
@@ -433,10 +430,10 @@ isolatedCosts(const ServeSpec &spec, SweepRunner &runner,
         return {};
     }
 
-    // Every allowed name must resolve, and the substrate this spec
-    // needs must be permitted.
+    // The substrate this spec needs must be permitted.
     *error = backendListError(spec.backends,
-                              spec.chips > 1 ? "pod" : "chip");
+                              spec.chips > 1 ? SweepBackend::kMultiChip
+                                             : SweepBackend::kSingleChip);
     if (!error->empty())
         return {};
 

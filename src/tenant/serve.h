@@ -111,13 +111,12 @@ struct ServeSpec
     SchedPolicy policy = SchedPolicy::kRoundRobin;
 
     /**
-     * Simulation backends the serve may price isolated costs on, by
-     * BackendRegistry name; empty = any. Every name must resolve
-     * through the registry, and the backend the spec actually needs
-     * ("pod" when chips > 1, else "chip") must be in the list --
+     * Simulation backends the serve may price isolated costs on;
+     * empty = any. The backend the spec actually needs (kMultiChip
+     * when chips > 1, else kSingleChip) must be in the list --
      * otherwise simulateServe returns an error-carrying result.
      */
-    std::vector<std::string> backends;
+    std::vector<SweepBackend> backends;
 
     ServeOptions opts;
 };
@@ -378,12 +377,11 @@ Scenario tenantScenario(const AcceleratorConfig &config, int chips,
 IterationCost iterationCost(const ScenarioResult &r);
 
 /**
- * "" when every name in `allowed` resolves through the
- * BackendRegistry and the backend a run needs (`needed`) is in the
- * list -- an empty list allows any backend; otherwise the error.
+ * "" when the backend a run needs (`needed`) is in `allowed` -- an
+ * empty list allows any backend; otherwise the error.
  */
-std::string backendListError(const std::vector<std::string> &allowed,
-                             const std::string &needed);
+std::string backendListError(const std::vector<SweepBackend> &allowed,
+                             SweepBackend needed);
 
 } // namespace diva
 

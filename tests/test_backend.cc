@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the pluggable simulation-backend layer: registry lookup
- * and unknown-name handling, capability flags driving empty/NaN CSV
+ * Tests for the simulation-backend layer: backend names and their
+ * parse, capability flags driving empty/NaN CSV
  * and null JSON cells for unmodeled metrics, PlanCache hit/miss
  * accounting, and byte-identity of a mixed chip/pod/gpu sweep across
  * plan-cache on/off and thread counts.
@@ -9,16 +9,14 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "backend/backend.h"
-#include "backend/chip_backend.h"
 #include "backend/plan_cache.h"
-#include "backend/registry.h"
 #include "common/task_pool.h"
 #include "sweep/emit.h"
 #include "sweep/runner.h"
@@ -61,104 +59,35 @@ column(const std::string &name)
     return 0;
 }
 
-TEST(BackendRegistry, BuiltInsResolveByNameAndKind)
+TEST(Backend, BuiltInsResolveByNameAndKind)
 {
-    BackendRegistry &reg = BackendRegistry::instance();
-    for (const char *name : {"chip", "pod", "gpu"}) {
-        const SimBackend *b = reg.find(name);
-        ASSERT_NE(b, nullptr) << name;
-        EXPECT_STREQ(b->name(), name);
-        // The kind round-trips through the name-keyed map.
-        EXPECT_EQ(&reg.at(b->kind()), b);
+    for (const SweepBackend b : {SweepBackend::kSingleChip,
+                                 SweepBackend::kMultiChip,
+                                 SweepBackend::kGpu}) {
+        // The kind round-trips through its name.
+        const std::optional<SweepBackend> parsed =
+            backendFromName(backendName(b));
+        ASSERT_TRUE(parsed.has_value()) << backendName(b);
+        EXPECT_EQ(*parsed, b);
     }
-    const std::vector<std::string> names = reg.names();
-    EXPECT_GE(names.size(), 3u);
-    EXPECT_EQ(names[0], "chip");
-    EXPECT_EQ(names[1], "pod");
-    EXPECT_EQ(names[2], "gpu");
+    EXPECT_STREQ(backendName(SweepBackend::kSingleChip), "chip");
+    EXPECT_STREQ(backendName(SweepBackend::kMultiChip), "pod");
+    EXPECT_STREQ(backendName(SweepBackend::kGpu), "gpu");
+    EXPECT_FALSE(backendFromName("warp-drive").has_value());
+    EXPECT_FALSE(backendFromName("").has_value());
+    EXPECT_FALSE(backendFromName("Chip").has_value());
 }
 
-TEST(BackendRegistry, UnknownNameIsNullAndDuplicateAddThrows)
+TEST(Backend, CapabilitiesMatchSubstrates)
 {
-    EXPECT_EQ(BackendRegistry::instance().find("tpu-v9"), nullptr);
-    // Registering over an existing name must be refused: shadowing a
-    // substrate would silently change what cached keys mean.
-    EXPECT_THROW(BackendRegistry::instance().add(
-                     std::make_unique<ChipBackend>()),
-                 std::runtime_error);
-}
-
-/** A toy substrate registered at runtime: proves register-and-go. */
-class EchoBackend : public SimBackend
-{
-  public:
-    const char *name() const override { return "echo"; }
-    SweepBackend kind() const override
-    {
-        return SweepBackend::kSingleChip;
+    for (const SweepBackend b :
+         {SweepBackend::kSingleChip, SweepBackend::kMultiChip}) {
+        const BackendCaps caps = capabilities(b);
+        EXPECT_TRUE(caps.cycles && caps.utilization && caps.energy &&
+                    caps.dramTraffic && caps.engineRating)
+            << backendName(b);
     }
-    BackendCaps capabilities() const override { return {}; }
-    void evaluate(const Scenario &scenario, PlanCache &plans,
-                  ScenarioResult &out) const override
-    {
-        planNetwork(scenario, plans, out);
-        out.seconds = 42.0;
-    }
-};
-
-TEST(BackendRegistry, RuntimeBackendIsReachableByNameAlone)
-{
-    if (!BackendRegistry::instance().find("echo"))
-        BackendRegistry::instance().add(
-            std::make_unique<EchoBackend>());
-
-    SweepSpec spec;
-    spec.configs = {divaDefault(true)};
-    spec.models = {"SqueezeNet"};
-    spec.batches = {8};
-    spec.backendNames = {"chip", "echo"};
-    SweepRunner runner;
-    const SweepReport report = runner.run(spec);
-    ASSERT_EQ(report.results.size(), 2u);
-    const ScenarioResult &chip = report.results[0];
-    const ScenarioResult &echo = report.results[1];
-    ASSERT_TRUE(echo.ok()) << echo.error;
-    // The registered backend, not the built-in of its kind, ran.
-    EXPECT_EQ(echo.scenario.effectiveBackend(), "echo");
-    EXPECT_EQ(echo.seconds, 42.0);
-    ASSERT_TRUE(chip.ok()) << chip.error;
-    EXPECT_NE(chip.seconds, 42.0);
-    // Distinct keys: no result-cache aliasing.
-    EXPECT_NE(chip.scenario.key(),
-              echo.scenario.key());
-    // CSV reports the registered name and its capability flags.
-    const std::vector<std::string> row = cells(echo);
-    EXPECT_EQ(row[column("backend")], "echo");
-    EXPECT_EQ(row[column("cycles")], "");
-    EXPECT_EQ(row[column("utilization")], "nan");
-}
-
-TEST(SweepRunner, UnknownBackendIdIsAnErrorResult)
-{
-    Scenario s;
-    s.config = divaDefault(true);
-    s.model = "SqueezeNet";
-    s.batch = 8;
-    s.backendId = "warp-drive";
-    const ScenarioResult r = runScenario(s);
-    EXPECT_FALSE(r.ok());
-    EXPECT_NE(r.error.find("no backend registered"),
-              std::string::npos);
-}
-
-TEST(BackendRegistry, CapabilitiesMatchSubstrates)
-{
-    const BackendCaps chip =
-        BackendRegistry::instance().find("chip")->capabilities();
-    EXPECT_TRUE(chip.cycles && chip.utilization && chip.energy &&
-                chip.dramTraffic && chip.engineRating);
-    const BackendCaps gpu =
-        BackendRegistry::instance().find("gpu")->capabilities();
+    const BackendCaps gpu = capabilities(SweepBackend::kGpu);
     EXPECT_FALSE(gpu.cycles || gpu.utilization || gpu.energy ||
                  gpu.dramTraffic || gpu.engineRating);
 }
@@ -431,7 +360,7 @@ TEST(Emit, ChipRowsStillCarryEveryMetric)
     EXPECT_NE(row[column("dram_bytes")], "");
 }
 
-TEST(Serve, BackendAllowListResolvesThroughRegistry)
+TEST(Serve, BackendAllowListGatesThePricingSubstrate)
 {
     ServeSpec spec;
     spec.config = divaDefault(true);
@@ -443,17 +372,13 @@ TEST(Serve, BackendAllowListResolvesThroughRegistry)
     spec.workload.name = "mix";
     spec.workload.jobs = {job};
 
-    spec.backends = {"warp-drive"};
-    EXPECT_NE(simulateServe(spec).error.find("unknown backend"),
-              std::string::npos);
-
     // Pricing needs "chip" here (chips == 1); a pod-only allow-list
     // must refuse rather than silently switch substrates.
-    spec.backends = {"pod"};
-    EXPECT_NE(simulateServe(spec).error.find("not in the allowed"),
-              std::string::npos);
+    spec.backends = {SweepBackend::kMultiChip};
+    EXPECT_EQ(simulateServe(spec).error,
+              "backend 'chip' is not in the allowed --backends list");
 
-    spec.backends = {"chip", "pod"};
+    spec.backends = {SweepBackend::kSingleChip, SweepBackend::kMultiChip};
     const ServeResult ok = simulateServe(spec);
     EXPECT_TRUE(ok.ok()) << ok.error;
 }

@@ -443,6 +443,52 @@ TEST(DiskCache, IciTwinsAreTwoEntriesAndV1StoresAreIgnored)
     EXPECT_EQ(v1.corruptLinesSkipped(), 0u);
 }
 
+TEST(DiskCache, RefusedKeysStayHitsOnTheSameRunner)
+{
+    // A key the line format cannot carry (a config name holding a
+    // newline) is refused by the store but must still be served from
+    // the runner's memory on its next run(); a storable twin is served
+    // from the store. Every hit equals the cold run byte for byte.
+    const std::string dir = freshCacheDir("refused");
+    Scenario stored;
+    stored.config = divaDefault(true);
+    stored.model = "SqueezeNet";
+    stored.batch = 8;
+    Scenario refused = stored;
+    refused.config.name = "Di\nVa";
+    const std::vector<Scenario> scenarios = {stored, refused};
+    SweepOptions opts;
+    opts.cacheDir = dir;
+    SweepRunner runner(opts);
+
+    const auto csvOf = [](const SweepReport &report) {
+        std::ostringstream oss;
+        writeCsv(oss, report);
+        return oss.str();
+    };
+    const SweepReport cold = runner.run(scenarios);
+    EXPECT_EQ(cold.cacheMisses, 2u);
+    ASSERT_EQ(cold.failures, 0u);
+    ASSERT_NE(runner.diskCache(), nullptr);
+    EXPECT_EQ(runner.diskCache()->size(), 1u);
+    EXPECT_TRUE(runner.diskCache()->contains(stored.key()));
+    EXPECT_EQ(runner.cacheSize(), 2u);
+
+    const SweepReport warm = runner.run(scenarios);
+    EXPECT_EQ(warm.cacheMisses, 0u);
+    EXPECT_EQ(warm.cacheHits, 2u);
+    EXPECT_EQ(csvOf(warm), csvOf(cold));
+
+    // A new process has only the store: the refused key is simulated
+    // again, the stored one is a hit, and the bytes do not change.
+    SweepRunner fresh(opts);
+    const SweepReport reopened = fresh.run(scenarios);
+    EXPECT_EQ(reopened.cacheHits, 1u);
+    EXPECT_EQ(reopened.cacheMisses, 1u);
+    EXPECT_TRUE(reopened.results[0].cacheHit);
+    EXPECT_EQ(csvOf(reopened), csvOf(cold));
+}
+
 TEST(DiskCache, RunnerWithoutCacheDirDoesNotTouchDisk)
 {
     SweepRunner runner;

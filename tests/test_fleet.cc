@@ -92,7 +92,7 @@ TEST(FleetSpecParse, TemplatesExpandAndValidate)
     const std::vector<PodSpec> group = podsOf("df=OS,chips=2,count=3");
     ASSERT_EQ(group.size(), 3u);
     EXPECT_EQ(group[0].chips, 2);
-    EXPECT_STREQ(group[0].backendName(), "pod");
+    EXPECT_EQ(group[0].backend(), SweepBackend::kMultiChip);
 
     std::string err;
     EXPECT_FALSE(parsePodTemplate("df=WS,ppu=on", &err).has_value());
@@ -452,10 +452,11 @@ TEST(FleetValidation, BadSpecsAndTracesErrorOut)
 
     FleetSpec bad_backend = fleetOf({podsOf("df=DiVa")},
                                     PlacementKind::kFirstFit);
-    bad_backend.backends = {"bogus"};
+    bad_backend.backends = {SweepBackend::kMultiChip}; // 1-chip pods
     r = simulateFleet(bad_backend, one);
     EXPECT_FALSE(r.ok());
-    EXPECT_NE(r.error.find("unknown backend"), std::string::npos)
+    EXPECT_NE(r.error.find("backend 'chip' is not in the allowed"),
+              std::string::npos)
         << r.error;
 
     const FleetSpec good = fleetOf({podsOf("df=DiVa")},

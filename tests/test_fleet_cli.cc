@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -46,6 +47,28 @@ runToFile(const std::string &cmd, const std::string &path)
 {
     const int status =
         std::system((cmd + " >" + path + " 2>/dev/null").c_str());
+    if (status == -1)
+        return -1;
+#ifdef WEXITSTATUS
+    return WEXITSTATUS(status);
+#else
+    return status;
+#endif
+}
+
+/** Run a command with stdout dropped and stderr captured into
+ *  `*err`; returns the exit code (-1 if system() failed). */
+int
+runStderr(const std::string &cmd, std::string *err)
+{
+    const std::string path = "fleet_cli.err";
+    const int status =
+        std::system((cmd + " >/dev/null 2>" + path).c_str());
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    *err = text.str();
+    std::remove(path.c_str());
     if (status == -1)
         return -1;
 #ifdef WEXITSTATUS
@@ -243,6 +266,14 @@ TEST_F(FleetCli, SavedTraceReplaysIdentically)
     std::remove(trace_csv.c_str());
     std::remove(a.c_str());
     std::remove(b.c_str());
+}
+
+TEST_F(FleetCli, UnknownBackendNameFailsWithTheChoices)
+{
+    std::string err;
+    EXPECT_EQ(runStderr("./diva_fleet --backends warp-drive", &err), 1);
+    EXPECT_EQ(err, "diva_fleet: unknown backend 'warp-drive' (want chip, "
+                   "pod, or gpu)\n");
 }
 
 } // namespace

@@ -5,8 +5,9 @@
  * against accidental drift (each expected value is derived in the
  * accompanying comment from the model equations), and byte-exact
  * fixtures under tests/golden/csv/ for the sweep CSV (every dataflow,
- * both backends, micro-batched passes) and the serve telemetry CSV,
- * locking the cycle models and the CSV writers against drift.
+ * every backend, micro-batched passes), the mixed sweep's JSON and the
+ * serve telemetry CSV, locking the cycle models and the CSV/JSON
+ * writers against drift.
  */
 
 #include <fstream>
@@ -175,15 +176,15 @@ csvFixture(const std::string &name)
 }
 
 /**
- * A sweep whose CSV holds every cell shape the writer emits: a chip
- * row, a pod row (link cells), a GPU row (empty integral cells and
- * "nan" metrics), and two kinds of failing scenario -- an unknown
+ * A sweep whose CSV and JSON hold every cell shape the writers emit:
+ * a chip row, a pod row (link cells), a GPU row (empty integral cells
+ * and "nan" metrics in the CSV, null ones in the JSON), and two kinds of failing scenario -- an unknown
  * model whose name and error message both need RFC-4180 quoting, and
  * a pod with more chips than the batch has samples, whose error cell
  * needs none.
  */
-std::string
-sweepGoldenCsv()
+SweepReport
+sweepGoldenReport()
 {
     SweepSpec spec;
     spec.configs = {divaDefault(true)};
@@ -198,9 +199,7 @@ sweepGoldenCsv()
     spec.pods = {pair, wide};
     spec.gpus = {GpuConfig::v100Fp32()};
     SweepRunner runner(SweepOptions{});
-    std::ostringstream csv;
-    writeCsv(csv, runner.run(spec));
-    return csv.str();
+    return runner.run(spec);
 }
 
 /**
@@ -280,7 +279,18 @@ TEST(GoldenCsv, SweepCsvMatchesFixture)
 {
     const std::string want = csvFixture("sweep.csv");
     ASSERT_FALSE(want.empty()) << "sweep.csv fixture unreadable";
-    EXPECT_EQ(sweepGoldenCsv(), want);
+    std::ostringstream csv;
+    writeCsv(csv, sweepGoldenReport());
+    EXPECT_EQ(csv.str(), want);
+}
+
+TEST(GoldenCsv, SweepJsonMatchesFixture)
+{
+    const std::string want = csvFixture("sweep.json");
+    ASSERT_FALSE(want.empty()) << "sweep.json fixture unreadable";
+    std::ostringstream json;
+    writeJson(json, sweepGoldenReport());
+    EXPECT_EQ(json.str(), want);
 }
 
 TEST(GoldenCsv, SweepDataflowsCsvMatchesFixture)

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -45,6 +46,28 @@ runToFile(const std::string &cmd, const std::string &path)
 {
     const int status =
         std::system((cmd + " >" + path + " 2>/dev/null").c_str());
+    if (status == -1)
+        return -1;
+#ifdef WEXITSTATUS
+    return WEXITSTATUS(status);
+#else
+    return status;
+#endif
+}
+
+/** Run a command with stdout dropped and stderr captured into
+ *  `*err`; returns the exit code (-1 if system() failed). */
+int
+runStderr(const std::string &cmd, std::string *err)
+{
+    const std::string path = "serve_cli.err";
+    const int status =
+        std::system((cmd + " >/dev/null 2>" + path).c_str());
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    *err = text.str();
+    std::remove(path.c_str());
     if (status == -1)
         return -1;
 #ifdef WEXITSTATUS
@@ -259,6 +282,18 @@ TEST_F(ServeCli, CaughtScenarioFailuresStayOffStderrUnderQuiet)
 #endif
     EXPECT_EQ(fileSize(err), 0) << "stderr must stay empty";
     std::remove(err.c_str());
+}
+
+TEST_F(ServeCli, UnknownBackendNamesFailWithTheChoices)
+{
+    for (const std::string tool : {"diva_sweep", "diva_serve"}) {
+        std::string err;
+        EXPECT_EQ(runStderr("./" + tool + " --backends warp-drive", &err),
+                  1)
+            << tool;
+        EXPECT_EQ(err, tool + ": unknown backend 'warp-drive' (want "
+                              "chip, pod, or gpu)\n");
+    }
 }
 
 } // namespace

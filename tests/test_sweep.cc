@@ -534,6 +534,41 @@ TEST(Scenario, KeyCoversEveryDesignField)
     }));
 }
 
+TEST(Scenario, KeyTextIsPinned)
+{
+    // The disk store (DiskCache::kFormatVersion 2) is keyed on this
+    // exact text: changing it without a format bump would orphan or
+    // alias every stored record.
+    Scenario chip;
+    chip.config = divaDefault(true);
+    chip.model = "SqueezeNet";
+    chip.batch = 8;
+    EXPECT_EQ(chip.key(), "chip,SqueezeNet,0,DP-SGD(R),8,0,DiVa,DiVa,128,"
+                          "128,0.94,16777216,450,100,8,0,8,1,2,4,1024");
+
+    Scenario pod;
+    pod.config = tpuV3Ws();
+    pod.model = "ResNet-50";
+    pod.modelScale = 64;
+    pod.microbatch = 4;
+    pod.algorithm = TrainingAlgorithm::kDpSgd;
+    pod.backend = SweepBackend::kMultiChip;
+    pod.pod.numChips = 4;
+    pod.pod.interconnectGBs = 1.0000001;
+    EXPECT_EQ(pod.key(),
+              "pod,ResNet-50,64,DP-SGD,0,4,17179869184,Systolic-WS,WS,128,"
+              "128,0.94,16777216,450,100,8,0,8,0,2,4,1024,4,1.0000001,500");
+
+    Scenario gpu;
+    gpu.model = "BERT-base";
+    gpu.batch = 16;
+    gpu.algorithm = TrainingAlgorithm::kSgd;
+    gpu.backend = SweepBackend::kGpu;
+    gpu.gpu = GpuConfig::a100Fp16();
+    EXPECT_EQ(gpu.key(), "gpu,BERT-base,0,SGD,16,0,A100(FP16),312,1555,"
+                         "108,128,128,16,5e-06,0.85");
+}
+
 TEST(Emit, PodRowsAreDistinguishableByLinkDesignPoint)
 {
     // Regression: two pods differing only in --ici-gbs/--link-lat

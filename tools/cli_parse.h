@@ -37,11 +37,11 @@
 #include "arch/accelerator_config.h"
 #include "arrivals/generate.h"
 #include "arrivals/trace.h"
-#include "backend/registry.h"
 #include "common/logging.h"
 #include "common/parse.h"
 #include "obs/cli.h"
 #include "sweep/disk_cache.h"
+#include "sweep/scenario.h"
 #include "tenant/scheduler.h"
 
 namespace diva::cli
@@ -566,7 +566,7 @@ addServing(Spec &spec, Serving &s)
  *  --verbose. */
 struct Execution
 {
-    std::vector<std::string> backends; ///< empty = the tool's default
+    std::vector<SweepBackend> backends; ///< empty = the tool's default
     int threads = 1;
     std::string cacheDir;
     bool quiet = false;
@@ -578,28 +578,21 @@ inline void
 addExecution(Spec &spec, Execution &e, const std::string &backendsHelp,
              int minThreads = 1)
 {
+    // A repeated name counts once: the list is a set of substrates.
+    Flag backends = list("--backends", "LIST", backendsHelp, e.backends,
+                         named(backendFromName, "backend",
+                               "chip, pod, or gpu"));
+    backends.set = [set = backends.set, &e](const std::string &v) {
+        std::string err = set(v);
+        std::vector<SweepBackend> unique;
+        for (SweepBackend b : e.backends)
+            if (std::find(unique.begin(), unique.end(), b) == unique.end())
+                unique.push_back(b);
+        e.backends = unique;
+        return err;
+    };
     spec.section("Execution")
-        .add({"--backends", "LIST", backendsHelp,
-              [&e](const std::string &v) -> std::string {
-                  std::vector<std::string> names;
-                  for (const std::string &name : splitList(v)) {
-                      if (!BackendRegistry::instance().find(name)) {
-                          std::string known;
-                          for (const std::string &n :
-                               BackendRegistry::instance().names())
-                              known += (known.empty() ? "" : ", ") + n;
-                          return "unknown backend '" + name +
-                                 "' (registered: " + known + ")";
-                      }
-                      if (std::find(names.begin(), names.end(), name) ==
-                          names.end())
-                          names.push_back(name);
-                  }
-                  if (names.empty())
-                      return "--backends needs at least one name";
-                  e.backends = names;
-                  return "";
-              }})
+        .add(std::move(backends))
         .add(value("--threads", "N",
                    "worker threads (default 1; output is byte-identical "
                    "for any value)",

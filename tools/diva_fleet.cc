@@ -130,8 +130,7 @@ flagSpec(Args &args)
                         args.workingSet, cli::fraction()));
     cli::addServing(spec, args.serving);
     cli::addExecution(spec, args.exec,
-                      "allowed isolated-cost backends by registry name "
-                      "(default: all)");
+                      "allowed isolated-cost backends (default: all)");
     cli::addOutput(spec, args.out,
                    "also write the per-tenant CSV (one row per session; "
                    "large traces make this big)",

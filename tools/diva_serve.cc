@@ -176,7 +176,7 @@ flagSpec(Args &args)
                         "(default 1)",
                         args.chips, cli::integer<int>(1)));
     cli::addExecution(spec, args.exec,
-                      "allowed isolated-cost backends by registry name "
+                      "allowed isolated-cost backends "
                       "(default: all); the serve prices tenants on 'pod' "
                       "when --chips > 1, else 'chip'");
     cli::addOutput(spec, args.out,

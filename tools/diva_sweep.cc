@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "arrivals/replay.h"
-#include "backend/registry.h"
 #include "cli_parse.h"
 #include "common/table.h"
 #include "obs/profile.h"
@@ -133,7 +132,7 @@ struct Args
     std::vector<double> loads = {1.0};
     bool admission = false;
     cli::Serving serving;
-    /** exec.backends: registry names; empty = infer from the axes. */
+    /** exec.backends: empty = infer from the axes. */
     cli::Execution exec;
     cli::Output out;
     obs::CliObs obs;
@@ -201,7 +200,7 @@ flagSpec(Args &args)
                                   "a100-fp16"),
                        true));
     cli::addExecution(spec, args.exec,
-                      "execution backends by registry name (chip,pod,gpu); "
+                      "execution backends (chip,pod,gpu); "
                       "default: chip, plus pod when a pod axis is given, "
                       "plus gpu when --gpus is given",
                       std::numeric_limits<int>::min());
@@ -345,23 +344,16 @@ buildSpec(const Args &args)
     spec.batches = args.batches;
     spec.microbatches = args.microbatches;
 
-    // The backend axis: --backends names resolved through the
-    // registry (carried by name so non-built-in backends work), or
-    // (without the flag) chip plus whatever backends the pod/GPU axes
-    // imply. spec.backends always holds the kinds: the pod/GPU axis
-    // decisions below and the speedup-table gating read them.
-    spec.backends.clear();
-    if (args.exec.backends.empty()) {
+    // The backend axis: the --backends list, or (without the flag)
+    // chip plus whatever backends the pod/GPU axes imply. The pod/GPU
+    // axis decisions below and the speedup-table gating read it.
+    spec.backends = args.exec.backends;
+    if (spec.backends.empty()) {
         spec.backends = {SweepBackend::kSingleChip};
         if (hasPodAxis(args))
             spec.backends.push_back(SweepBackend::kMultiChip);
         if (!args.gpus.empty())
             spec.backends.push_back(SweepBackend::kGpu);
-    } else {
-        spec.backendNames = args.exec.backends;
-        for (const std::string &name : args.exec.backends)
-            spec.backends.push_back(
-                BackendRegistry::instance().find(name)->kind());
     }
     const auto has_backend = [&](SweepBackend b) {
         return std::find(spec.backends.begin(), spec.backends.end(),
@@ -888,9 +880,6 @@ run(int argc, char **argv)
         SweepSpec base = spec;
         base.configs = {tpuV3Ws()};
         base.backends = {SweepBackend::kSingleChip};
-        // expand() gives backendNames priority over backends; the
-        // baseline is chip-only whatever axis the main sweep uses.
-        base.backendNames = {"chip"};
         base.pods.clear();
         base.gpus.clear();
         if (!args.exec.quiet)
