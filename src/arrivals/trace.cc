@@ -91,8 +91,13 @@ applyField(TenantJob &job, Column column, std::string_view text)
         job.model = text;
         return "";
       case Column::kAlgorithm:
-        if (!algorithmFromName(text, &job.algorithm))
+        if (text.empty()) {
+            job.algorithm = TrainingAlgorithm::kDpSgdR;
+        } else if (const auto algo = algorithmFromName(text)) {
+            job.algorithm = *algo;
+        } else {
             return "unknown algorithm '" + std::string(text) + "'";
+        }
         return "";
       case Column::kScale:
       case Column::kBatch:
@@ -270,29 +275,6 @@ scanFlatJson(const std::string &line,
 }
 
 } // namespace
-
-bool
-algorithmFromName(std::string_view text, TrainingAlgorithm *out)
-{
-    if (text.empty()) {
-        *out = TrainingAlgorithm::kDpSgdR;
-        return true;
-    }
-    if (equalsLower(text, "sgd")) {
-        *out = TrainingAlgorithm::kSgd;
-        return true;
-    }
-    if (equalsLower(text, "dpsgd") || equalsLower(text, "dp-sgd")) {
-        *out = TrainingAlgorithm::kDpSgd;
-        return true;
-    }
-    if (equalsLower(text, "dpsgdr") || equalsLower(text, "dp-sgd-r") ||
-        equalsLower(text, "dp-sgd(r)")) {
-        *out = TrainingAlgorithm::kDpSgdR;
-        return true;
-    }
-    return false;
-}
 
 std::string
 ArrivalTrace::validationError(bool wallLimited) const

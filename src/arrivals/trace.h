@@ -19,7 +19,6 @@
 
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "tenant/tenant.h"
@@ -84,10 +83,6 @@ ArrivalTrace loadTraceJsonl(std::istream &is, std::string *error);
  * defaults to the file's basename when the file does not set one.
  */
 ArrivalTrace loadTraceFile(const std::string &path, std::string *error);
-
-/** Parse an algorithm name as emitted by algorithmName() (plus the
- *  CLI aliases sgd/dpsgd/dpsgdr); empty text means kDpSgdR. */
-bool algorithmFromName(std::string_view text, TrainingAlgorithm *out);
 
 } // namespace diva
 

@@ -86,11 +86,6 @@ streamKey(const std::string &model, int scale, TrainingAlgorithm algo,
 
 } // namespace
 
-PlanCache::PlanCache(bool enabled, std::size_t stripes)
-    : enabled_(enabled), stripes_(std::max<std::size_t>(1, stripes))
-{
-}
-
 std::shared_ptr<const Network>
 PlanCache::network(const std::string &model, int scale)
 {

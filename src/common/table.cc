@@ -4,8 +4,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "common/format.h"
-
 namespace diva
 {
 
@@ -68,25 +66,6 @@ TextTable::print(std::ostream &os) const
             printCells(row);
     }
     printRule();
-}
-
-void
-TextTable::printCsv(std::ostream &os) const
-{
-    std::string buf;
-    auto appendRow = [&](const std::vector<std::string> &cells) {
-        for (std::size_t c = 0; c < header_.size(); ++c) {
-            if (c > 0)
-                buf += ',';
-            appendCsvCell(buf, c < cells.size() ? cells[c] : "");
-        }
-        buf += '\n';
-    };
-    appendRow(header_);
-    for (const auto &row : rows_)
-        if (row.empty() || row[0] != kSeparatorTag)
-            appendRow(row);
-    flushRows(os, buf, true);
 }
 
 std::string

@@ -34,11 +34,6 @@ class DramModel
      */
     Cycles streamingCycles(Bytes bytes) const;
 
-    /** Peak deliverable bytes per core clock. */
-    double bytesPerCycle() const { return bytesPerCycle_; }
-
-    Cycles latency() const { return latency_; }
-
   private:
     double bytesPerCycle_;
     Cycles latency_;

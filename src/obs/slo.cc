@@ -25,6 +25,23 @@ prioSeriesBase(const std::string &prefix, int priority)
     return prefix + "lat.p" + std::to_string(priority) + ".";
 }
 
+/** Add `r` into `dst` field by field; every row merge goes through
+ *  here, so the float sums replay in one order. */
+void
+mergeRow(ComponentWindows::Row &dst, const ComponentWindows::Row &r)
+{
+    dst.w = r.w;
+    dst.steps += r.steps;
+    dst.withinTarget += r.withinTarget;
+    dst.withinGlobal += r.withinGlobal;
+    dst.queueWaitSec += r.queueWaitSec;
+    dst.switchSec += r.switchSec;
+    dst.migrationSec += r.migrationSec;
+    dst.serviceSec += r.serviceSec;
+    dst.totalSec += r.totalSec;
+    dst.sketch.merge(r.sketch);
+}
+
 /** Evaluate one scope's windows and summary from merged rows, using
  *  `within(row)` as the in-target step count. */
 template <typename WithinFn>
@@ -168,19 +185,8 @@ void
 mergeComponentRows(const std::vector<ComponentWindows::Row> &rows,
                    std::map<std::int64_t, ComponentWindows::Row> *into)
 {
-    for (const ComponentWindows::Row &r : rows) {
-        ComponentWindows::Row &dst = (*into)[r.w];
-        dst.w = r.w;
-        dst.steps += r.steps;
-        dst.withinTarget += r.withinTarget;
-        dst.withinGlobal += r.withinGlobal;
-        dst.queueWaitSec += r.queueWaitSec;
-        dst.switchSec += r.switchSec;
-        dst.migrationSec += r.migrationSec;
-        dst.serviceSec += r.serviceSec;
-        dst.totalSec += r.totalSec;
-        dst.sketch.merge(r.sketch);
-    }
+    for (const ComponentWindows::Row &r : rows)
+        mergeRow((*into)[r.w], r);
 }
 
 void
@@ -224,19 +230,8 @@ publishLatencyWindows(
     // float sums replay identically every run.
     std::map<std::int64_t, ComponentWindows::Row> all;
     for (const auto &[prio, rows] : byPriority) {
-        for (const auto &[w, row] : rows) {
-            ComponentWindows::Row &dst = all[w];
-            dst.w = w;
-            dst.steps += row.steps;
-            dst.withinTarget += row.withinTarget;
-            dst.withinGlobal += row.withinGlobal;
-            dst.queueWaitSec += row.queueWaitSec;
-            dst.switchSec += row.switchSec;
-            dst.migrationSec += row.migrationSec;
-            dst.serviceSec += row.serviceSec;
-            dst.totalSec += row.totalSec;
-            dst.sketch.merge(row.sketch);
-        }
+        for (const auto &[w, row] : rows)
+            mergeRow(all[w], row);
         publishComponentSeries(rows, prioSeriesBase(prefix, prio),
                                snap);
     }

@@ -68,9 +68,10 @@ double windowUpperEdge(std::int64_t w, double windowSec,
  *                    wait (fleet only)
  *   serviceSec    -- the step's own execution time
  *
- * Invariant (enforced by decomposeLatency, checked per step by the
- * engines): reconstructLatency(c) == the step's emitted latency,
- * bitwise, so the existing p50/p95/p99 columns are untouched.
+ * Invariant (enforced and checked per step by
+ * decomposeLatencyAudited): reconstructLatency(c) == the step's
+ * emitted latency, bitwise, so the existing p50/p95/p99 columns are
+ * untouched.
  */
 struct LatencyComponents
 {
@@ -88,7 +89,7 @@ reconstructLatency(const LatencyComponents &c)
            c.serviceSec;
 }
 
-/** Out-of-line fixup ladder (see decomposeLatency). */
+/** Out-of-line fixup ladder (see decomposeLatencyAudited). */
 LatencyComponents decomposeLatencySlow(double totalSec,
                                        double serviceSec,
                                        double switchOverlapSec,
@@ -97,31 +98,15 @@ LatencyComponents decomposeLatencySlow(double totalSec,
 /**
  * Split `totalSec` (the step latency the engines already emit) into
  * components, given the measured service time and the switch /
- * migration stall overlaps. The queue-wait component is the residual,
- * nudged by ulps where needed so the fixed-order reconstruction is
- * bitwise equal to `totalSec` -- never approximately. The common
- * serve-core case (no switch, no migration stall ahead of the step)
- * stays on this inline two-op path.
- */
-inline LatencyComponents
-decomposeLatency(double totalSec, double serviceSec,
-                 double switchOverlapSec, double migOverlapSec)
-{
-    if (switchOverlapSec == 0.0 && migOverlapSec == 0.0) {
-        const double q = totalSec - serviceSec;
-        if (q + serviceSec == totalSec)
-            return {q, 0.0, 0.0, serviceSec};
-    }
-    return decomposeLatencySlow(totalSec, serviceSec,
-                                switchOverlapSec, migOverlapSec);
-}
-
-/**
- * decomposeLatency plus the per-step exactness audit in one pass:
- * true means reconstructLatency(*out) equals `totalSec`. On the
- * stall-free fast path the check q + s == totalSec IS the
- * reconstruction (the zero components add nothing), so the engines'
- * per-step audit costs no extra arithmetic there.
+ * migration stall overlaps, and audit the result: true means
+ * reconstructLatency(*out) equals `totalSec`. The queue-wait
+ * component is the residual, nudged by ulps where needed so the
+ * fixed-order reconstruction is bitwise equal to `totalSec` -- never
+ * approximately. The common serve-core case (no switch, no migration
+ * stall ahead of the step) stays on an inline two-op path, where the
+ * check q + s == totalSec IS the reconstruction (the zero components
+ * add nothing), so the engines' per-step audit costs no extra
+ * arithmetic there.
  */
 inline bool
 decomposeLatencyAudited(double totalSec, double serviceSec,
@@ -330,13 +315,6 @@ class TimeSeriesSnapshot
         TimeSeries &s = series[name];
         s.kind = TimeSeries::Kind::kGauge;
         s.points[w] = value;
-    }
-
-    void
-    mergeSketch(const std::string &name, std::int64_t w,
-                const QuantileSketch &sk)
-    {
-        sketches[name][w].merge(sk);
     }
 
     bool

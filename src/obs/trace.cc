@@ -83,10 +83,7 @@ TraceSink::write(std::ostream &os) const
             os << ", \"dur\": " << jsonNumber(ev.durSec * 1e6);
         if (ev.ph == 'i')
             os << ", \"s\": \"t\""; // instant scope: thread
-        os << ", \"pid\": 1, \"tid\": " << s.tid;
-        if (!ev.args.empty())
-            os << ", \"args\": " << ev.args;
-        os << "}";
+        os << ", \"pid\": 1, \"tid\": " << s.tid << "}";
         sep = ",\n";
     }
     std::uint64_t totalDropped = 0;

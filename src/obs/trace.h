@@ -41,8 +41,6 @@ struct TraceEvent
     char ph = 'X';
     std::string name;
     const char *cat = "";
-    /** Pre-rendered JSON object for "args", or empty for none. */
-    std::string args;
 };
 
 /** Single-writer event list for one timeline. */
@@ -68,18 +66,16 @@ class TraceTrack
 
     /** Append a complete span [t0, t1). */
     void
-    span(double t0, double t1, std::string name, const char *cat,
-         std::string args = {})
+    span(double t0, double t1, std::string name, const char *cat)
     {
-        push({t0, t1 - t0, 'X', std::move(name), cat, std::move(args)});
+        push({t0, t1 - t0, 'X', std::move(name), cat});
     }
 
     /** Append an instant event at t. */
     void
-    instant(double t, std::string name, const char *cat,
-            std::string args = {})
+    instant(double t, std::string name, const char *cat)
     {
-        push({t, 0.0, 'i', std::move(name), cat, std::move(args)});
+        push({t, 0.0, 'i', std::move(name), cat});
     }
 
     /** Events discarded once the per-track cap was reached. */

@@ -397,14 +397,6 @@ enqueueReadyT(Client &c, Executor &ex, const Config &cfg,
     ex.ready.insert(tc.readyKey);
 }
 
-template <class Client>
-inline void
-enqueueReady(Client &c, Executor &ex, const Config &cfg,
-             std::uint32_t idx)
-{
-    enqueueReadyT<false>(c, ex, cfg, idx);
-}
-
 /** Park `idx` until `dueSec`; a fresh generation invalidates any older
  *  heap entry the task may still have. */
 template <class Client>
@@ -480,15 +472,8 @@ promoteT(Client &c, Executor &ex, const Config &cfg)
     }
 }
 
-template <class Client>
-inline void
-promote(Client &c, Executor &ex, const Config &cfg)
-{
-    promoteT<false>(c, ex, cfg);
-}
-
 /** Next pending arrival on this executor; +inf if none.  Consumes
- *  stale cursor entries exactly like `promote` would. */
+ *  stale cursor entries exactly like `promoteT` would. */
 template <class Client>
 inline double
 nextArrivalSec(Client &c, Executor &ex)
@@ -663,7 +648,7 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
     };
 
     // Cache of nextArrivalSec.  The next pending arrival's time can
-    // only change when `promote` consumes it, and promote consumes
+    // only change when `promoteT` consumes it, and promote consumes
     // arrivals exactly when they are <= now + kEps -- the invalidation
     // test below.  Nothing else inside one runUntil call moves a task
     // into or out of kPending (placement runs between epochs), so a

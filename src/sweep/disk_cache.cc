@@ -146,6 +146,7 @@ DiskCache::load()
     // std::getline copies, no re-parse of untouched bytes.
     const char *data = nullptr;
     std::string buffer;
+    std::size_t fileBytes = 0; // of the backing file, mapped or read
 #ifndef _WIN32
     void *map = nullptr;
     const int fd = ::open(path_.c_str(), O_RDONLY);
@@ -156,25 +157,25 @@ DiskCache::load()
         ::close(fd);
         return;
     }
-    bytesMapped_ = std::size_t(st.st_size);
-    if (bytesMapped_ > 0) {
-        map = ::mmap(nullptr, bytesMapped_, PROT_READ, MAP_PRIVATE,
+    fileBytes = std::size_t(st.st_size);
+    if (fileBytes > 0) {
+        map = ::mmap(nullptr, fileBytes, PROT_READ, MAP_PRIVATE,
                      fd, 0);
         if (map != MAP_FAILED) {
             data = static_cast<const char *>(map);
         } else {
             map = nullptr;
-            buffer.resize(bytesMapped_);
+            buffer.resize(fileBytes);
             std::size_t got = 0;
-            while (got < bytesMapped_) {
+            while (got < fileBytes) {
                 const ::ssize_t k = ::read(fd, buffer.data() + got,
-                                           bytesMapped_ - got);
+                                           fileBytes - got);
                 if (k <= 0)
                     break;
                 got += std::size_t(k);
             }
             buffer.resize(got);
-            bytesMapped_ = got;
+            fileBytes = got;
             data = buffer.data();
         }
     }
@@ -186,11 +187,11 @@ DiskCache::load()
     std::ostringstream whole;
     whole << in.rdbuf();
     buffer = whole.str();
-    bytesMapped_ = buffer.size();
+    fileBytes = buffer.size();
     data = buffer.data();
 #endif
 
-    const std::string_view file(data ? data : "", bytesMapped_);
+    const std::string_view file(data ? data : "", fileBytes);
     bool first = true;
     for (std::size_t pos = 0; pos < file.size();) {
         std::size_t nl = file.find('\n', pos);
@@ -233,7 +234,7 @@ DiskCache::load()
 
 #ifndef _WIN32
     if (map)
-        ::munmap(map, bytesMapped_);
+        ::munmap(map, fileBytes);
 #endif
 
     if (obs::MetricsRegistry::instance().enabled()) {
@@ -241,13 +242,13 @@ DiskCache::load()
         metrics.addCounter("disk_cache.preload_entries",
                            entries_.size());
         metrics.addCounter("disk_cache.preload_corrupt", corrupt_);
-        metrics.addCounter("disk_cache.preload_bytes", bytesMapped_);
+        metrics.addCounter("disk_cache.preload_bytes", fileBytes);
     }
     // Verbose-only: CI byte-diffs stderr across cold/warm cache runs,
     // and the preload line is the one piece of output that differs.
     DIVA_VERBOSE("disk cache preload: ", entries_.size(),
                  " entries loaded, ", corrupt_,
-                 " corrupt lines skipped, ", bytesMapped_,
+                 " corrupt lines skipped, ", fileBytes,
                  " bytes mapped from ", path_);
 }
 

@@ -85,9 +85,6 @@ class DiskCache
     /** Lines rejected during load (bad checksum, truncation, ...). */
     std::size_t corruptLinesSkipped() const { return corrupt_; }
 
-    /** Bytes of the backing file mapped (or read) by the preload. */
-    std::size_t bytesMapped() const { return bytesMapped_; }
-
     /**
      * Persist the given results. Entries whose key is already stored,
      * whose result has `error` set, or whose key contains characters
@@ -109,7 +106,6 @@ class DiskCache
     std::string path_;
     std::unordered_map<std::string, ScenarioResult> entries_;
     std::size_t corrupt_ = 0;
-    std::size_t bytesMapped_ = 0;
     /** Set when the existing file has a foreign header: the next
      *  append rewrites the whole file instead of appending to it. */
     bool rewrite_needed_ = false;

@@ -6,6 +6,11 @@
 #ifndef DIVA_TRAIN_ALGORITHM_H
 #define DIVA_TRAIN_ALGORITHM_H
 
+#include <algorithm>
+#include <cctype>
+#include <optional>
+#include <string_view>
+
 namespace diva
 {
 
@@ -33,6 +38,29 @@ algorithmName(TrainingAlgorithm a)
       case TrainingAlgorithm::kDpSgdR: return "DP-SGD(R)";
     }
     return "?";
+}
+
+/** Parse an algorithm name as emitted by algorithmName(), or one of
+ *  the aliases sgd/dpsgd/dpsgdr/dp-sgd-r, ignoring ASCII case. */
+inline std::optional<TrainingAlgorithm>
+algorithmFromName(std::string_view name)
+{
+    auto is = [name](std::string_view lowered) {
+        return name.size() == lowered.size() &&
+               std::equal(name.begin(), name.end(), lowered.begin(),
+                          [](char a, char b) {
+                              return std::tolower(
+                                         static_cast<unsigned char>(a)) ==
+                                     b;
+                          });
+    };
+    if (is("sgd"))
+        return TrainingAlgorithm::kSgd;
+    if (is("dpsgd") || is("dp-sgd"))
+        return TrainingAlgorithm::kDpSgd;
+    if (is("dpsgdr") || is("dp-sgd-r") || is("dp-sgd(r)"))
+        return TrainingAlgorithm::kDpSgdR;
+    return std::nullopt;
 }
 
 } // namespace diva

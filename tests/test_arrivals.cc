@@ -730,8 +730,9 @@ TEST(Generate, ArrivalsRespectHorizonCapAndOrdering)
     for (std::size_t i = 0; i < t.jobs.size(); ++i) {
         EXPECT_GE(t.jobs[i].arrivalSec, 0.0);
         EXPECT_LT(t.jobs[i].arrivalSec, spec.horizonSec);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(t.jobs[i].arrivalSec, t.jobs[i - 1].arrivalSec);
+        }
     }
     EXPECT_TRUE(t.validationError(false).empty())
         << t.validationError(false);

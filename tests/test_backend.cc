@@ -135,21 +135,20 @@ TEST(PlanCache, DisabledCacheBuildsFreshAndCountsNothing)
 }
 
 /**
- * The striping width and the caller's thread count are pure
- * concurrency knobs: a key hashes to one stripe whatever their
- * number, concurrent same-key misses resolve first-insert-wins with
- * the loser counting a hit, and stats() sums stripes in index order.
- * So the hit/miss totals must be byte-identical across stripe counts
- * {1, 4, 16} x thread counts {1, 4} for the same lookup workload.
+ * The caller's thread count is a pure concurrency knob: a key hashes
+ * to one stripe, concurrent same-key misses resolve first-insert-wins
+ * with the loser counting a hit, and stats() sums stripes in index
+ * order. So the hit/miss totals must be byte-identical across thread
+ * counts {1, 4} for the same lookup workload.
  */
-TEST(PlanCache, HitMissTotalsIndependentOfStripesAndThreads)
+TEST(PlanCache, HitMissTotalsIndependentOfThreads)
 {
     const char *kModels[] = {"SqueezeNet", "MobileNet"};
     const int kBatches[] = {4, 8};
 
     // Each of `tasks` workers performs the identical lookup sequence:
     // misses == distinct keys, hits == lookups - misses, regardless
-    // of which worker builds first or which stripe a key lands on.
+    // of which worker builds first.
     auto drive = [&](PlanCache &plans, int threads) {
         TaskPool pool;
         const std::size_t tasks = std::size_t(threads) * 2;
@@ -165,21 +164,14 @@ TEST(PlanCache, HitMissTotalsIndependentOfStripesAndThreads)
     };
 
     for (int threads : {1, 4}) {
-        for (std::size_t stripes : {1u, 4u, 16u}) {
-            PlanCache plans(true, stripes);
-            EXPECT_EQ(plans.stripeCount(), stripes);
-            const std::size_t tasks = drive(plans, threads);
-            const PlanCache::Stats s = plans.stats();
-            EXPECT_EQ(s.networkMisses, 2u)
-                << stripes << " stripes, " << threads << " threads";
-            EXPECT_EQ(s.streamMisses, 4u)
-                << stripes << " stripes, " << threads << " threads";
-            EXPECT_EQ(s.networkHits, tasks * 2u - 2u)
-                << stripes << " stripes, " << threads << " threads";
-            EXPECT_EQ(s.streamHits, tasks * 4u - 4u)
-                << stripes << " stripes, " << threads << " threads";
-            EXPECT_EQ(plans.size(), 6u);
-        }
+        PlanCache plans;
+        const std::size_t tasks = drive(plans, threads);
+        const PlanCache::Stats s = plans.stats();
+        EXPECT_EQ(s.networkMisses, 2u) << threads << " threads";
+        EXPECT_EQ(s.streamMisses, 4u) << threads << " threads";
+        EXPECT_EQ(s.networkHits, tasks * 2u - 2u) << threads << " threads";
+        EXPECT_EQ(s.streamHits, tasks * 4u - 4u) << threads << " threads";
+        EXPECT_EQ(plans.size(), 6u);
     }
 }
 

@@ -172,17 +172,6 @@ TEST(TextTable, SeparatorDoesNotCountAsRow)
     EXPECT_EQ(t.numRows(), 2u);
 }
 
-TEST(TextTable, CsvOutput)
-{
-    TextTable t({"a", "b"});
-    t.addRow({"1", "two, three"});
-    t.addSeparator();
-    t.addRow({"quo\"te", ""});
-    std::ostringstream oss;
-    t.printCsv(oss);
-    EXPECT_EQ(oss.str(), "a,b\n1,\"two, three\"\n\"quo\"\"te\",\n");
-}
-
 TEST(TextTable, Formatters)
 {
     EXPECT_EQ(TextTable::fmt(3.14159, 2), "3.14");

@@ -21,7 +21,6 @@
 #include "sim/multichip.h"
 #include "train/memory_model.h"
 #include "train/planner.h"
-#include "train/schedule.h"
 
 namespace diva
 {
@@ -89,15 +88,6 @@ TEST(FailureInjection, MemoryModelInputs)
                  std::logic_error);
     EXPECT_THROW(trainingMemoryMicrobatched(
                      resnet50(), TrainingAlgorithm::kDpSgd, 4, 8),
-                 std::logic_error);
-}
-
-TEST(FailureInjection, ScheduleInputs)
-{
-    TrainingRunConfig run;
-    run.datasetSize = 0;
-    EXPECT_THROW(projectTrainingRun(divaDefault(true), resnet50(),
-                                    TrainingAlgorithm::kDpSgd, run),
                  std::logic_error);
 }
 

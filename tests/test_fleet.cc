@@ -285,8 +285,13 @@ TEST(FleetPlacement, LoadAwareBeatsFirstFitOnTailLatency)
     // each other; load-aware spreads them 4/4 and the p99 step latency
     // drops.
     std::vector<TenantJob> jobs;
-    for (int i = 0; i < 8; ++i)
-        jobs.push_back(job("t" + std::to_string(i), 0.0, 12, 20.0));
+    for (int i = 0; i < 8; ++i) {
+        // Not `"t" + std::to_string(i)`: gcc 12's -Wrestrict misfires
+        // on a literal plus a temporary string at -O2.
+        std::string name = "t";
+        name += std::to_string(i);
+        jobs.push_back(job(name, 0.0, 12, 20.0));
+    }
 
     const std::vector<std::vector<PodSpec>> pods = {
         podsOf("df=DiVa,count=2")};
@@ -603,13 +608,16 @@ TEST(FleetDeterminism, EmittersAreByteIdenticalAcrossThreads)
         };
         SweepRunner cold;
         const auto [r1, serial] = emit(cold, 1);
-        if (v.podDemandCap < 1.0 && v.wallSec == 0.0)
+        if (v.podDemandCap < 1.0 && v.wallSec == 0.0) {
             EXPECT_GT(r1.rejectedCount, 0u) << v.name;
-        if (v.wallSec > 0.0)
+        }
+        if (v.wallSec > 0.0) {
             EXPECT_LT(r1.placedCount + r1.rejectedCount, t.jobs.size())
                 << v.name << ": the wall budget must cut the trace";
-        if (v.powerCapW > 0.0)
+        }
+        if (v.powerCapW > 0.0) {
             EXPECT_GT(r1.suspensions, 0u) << v.name;
+        }
         for (int k = 0; k < 2; ++k)
             EXPECT_TRUE(emit(warm[k], warm[k].options().threads).second ==
                         serial)

@@ -54,9 +54,12 @@ shortestPrecision(double v)
         const long long m = std::stoll(digits);
         const int exp = std::atoi(e + 1) - (p - 1);
         for (const long long cand : {m - 1, m, m + 1}) {
-            const std::string text = (std::signbit(v) ? "-" : "") +
-                                     std::to_string(cand) + "e" +
-                                     std::to_string(exp);
+            // Appended piecewise: gcc 12's -Wrestrict misfires on
+            // `"-" + std::string&&` at -O2.
+            std::string text = std::signbit(v) ? "-" : "";
+            text += std::to_string(cand);
+            text += 'e';
+            text += std::to_string(exp);
             if (std::strtod(text.c_str(), nullptr) == v)
                 return p;
         }
@@ -406,10 +409,11 @@ TEST(CsvCells, SplitEdgeCasesArePinned)
     for (const auto &c : cases) {
         std::string line = c.line;
         EXPECT_EQ(splitCsvCells(line, &got), c.error) << c.line;
-        if (c.error.empty())
+        if (c.error.empty()) {
             EXPECT_EQ(std::vector<std::string>(got.begin(), got.end()),
                       c.cells)
                 << c.line;
+        }
     }
 }
 

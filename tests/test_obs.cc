@@ -282,9 +282,10 @@ TEST(ObsTrace, SpansNestPerTrackAndJsonIsWellFormed)
             while (!open_ends.empty() &&
                    t0 >= open_ends.back() - 1e-12)
                 open_ends.pop_back();
-            if (!open_ends.empty())
+            if (!open_ends.empty()) {
                 EXPECT_LE(t1, open_ends.back() + 1e-9)
                     << "span overlaps an open span on " << track->name();
+            }
             open_ends.push_back(t1);
         }
     }

@@ -312,11 +312,12 @@ TEST(Percentile, MultiBufferMatchesConcatenationBitForBit)
         expectBitEqual(multi, sortReference(concat, true));
         std::size_t at = 0;
         for (const std::vector<double> &p : parts) {
-            if (!p.empty())
+            if (!p.empty()) {
                 EXPECT_EQ(std::memcmp(p.data(), before.data() + at,
                                       p.size() * sizeof(double)),
                           0)
                     << "buffers must be read, not reordered";
+            }
             at += p.size();
         }
     };

@@ -284,6 +284,33 @@ TEST_F(ServeCli, CaughtScenarioFailuresStayOffStderrUnderQuiet)
     std::remove(err.c_str());
 }
 
+TEST_F(ServeCli, SweepSummaryCountsTheBaselinePass)
+{
+    // The default sweep runs its WS baseline pass and then the main
+    // pass on one runner, and the summary counts both. Cold, the
+    // baseline misses its 12 scenarios and builds every plan; the main
+    // pass takes those 12 from the cache and misses the other 48.
+    const std::string out = "serve_cli_sweep_summary.txt";
+    ASSERT_EQ(runToFile("./diva_sweep --quiet", out), 0);
+    std::ifstream in(out);
+    std::ostringstream text;
+    text << in.rdbuf();
+    std::remove(out.c_str());
+    const std::string summary = text.str();
+    EXPECT_NE(summary.find("\ncache: 12 hits, 60 misses\n"),
+              std::string::npos)
+        << summary;
+    const std::size_t at = summary.find("\nplan cache: ");
+    ASSERT_NE(at, std::string::npos) << summary;
+    unsigned long hits = 0, misses = 0;
+    ASSERT_EQ(std::sscanf(summary.c_str() + at,
+                          "\nplan cache: %lu hits, %lu misses", &hits,
+                          &misses),
+              2);
+    EXPECT_GT(misses, 0u);
+    EXPECT_GT(hits, 0u);
+}
+
 TEST_F(ServeCli, UnknownBackendNamesFailWithTheChoices)
 {
     for (const std::string tool : {"diva_sweep", "diva_serve"}) {

@@ -1,15 +1,12 @@
 /**
  * @file
- * Tests for the model summary printer and the GEMM shape statistics
- * (the quantified form of Section III-C's small-K diagnosis).
+ * Tests for the GEMM shape statistics (the quantified form of
+ * Section III-C's small-K diagnosis).
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "gemm/shape_stats.h"
-#include "models/summary.h"
 #include "models/zoo.h"
 #include "train/planner.h"
 
@@ -17,44 +14,6 @@ namespace diva
 {
 namespace
 {
-
-TEST(Summary, LayerKindNames)
-{
-    EXPECT_STREQ(layerKindName(LayerKind::kConv2d), "conv2d");
-    EXPECT_STREQ(layerKindName(LayerKind::kDepthwiseConv2d),
-                 "dwconv2d");
-    EXPECT_STREQ(layerKindName(LayerKind::kLinear), "linear");
-    EXPECT_STREQ(layerKindName(LayerKind::kTimeSeriesLinear),
-                 "ts-linear");
-    EXPECT_STREQ(layerKindName(LayerKind::kAttentionMatmul),
-                 "attention");
-    EXPECT_STREQ(layerKindName(LayerKind::kPool), "pool");
-}
-
-TEST(Summary, GeometryStrings)
-{
-    const Layer conv = Layer::conv2d("c", 3, 64, 3, 3, 2, 1, 32, 32);
-    EXPECT_EQ(layerGeometry(conv), "3x3 s2 3->64 @32x32");
-    const Layer fc = Layer::linear("f", 128, 10);
-    EXPECT_EQ(layerGeometry(fc), "128->10");
-    const Layer ts = Layer::timeSeriesLinear("t", 64, 256, 8, true);
-    EXPECT_EQ(layerGeometry(ts), "64->256 L8 seq");
-    const Layer att = Layer::attentionScores("a", 12, 64, 32);
-    EXPECT_EQ(layerGeometry(att), "12h d64 L32");
-}
-
-TEST(Summary, PrintsEveryLayerAndTotals)
-{
-    std::ostringstream oss;
-    const Network net = resnet50();
-    printModelSummary(oss, net, 32);
-    const std::string out = oss.str();
-    EXPECT_NE(out.find("ResNet-50"), std::string::npos);
-    EXPECT_NE(out.find("conv1"), std::string::npos);
-    EXPECT_NE(out.find("layer4.2.conv3"), std::string::npos);
-    EXPECT_NE(out.find(std::to_string(net.paramCount())),
-              std::string::npos);
-}
 
 TEST(ShapeStats, BucketBoundaries)
 {

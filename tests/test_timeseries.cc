@@ -236,8 +236,8 @@ sameBits(double a, double b)
 
 TEST(DecomposeLatencyTest, FastPathIsExact)
 {
-    const LatencyComponents c = obs::decomposeLatency(1.5, 0.5, 0.0,
-                                                      0.0);
+    LatencyComponents c;
+    EXPECT_TRUE(obs::decomposeLatencyAudited(1.5, 0.5, 0.0, 0.0, &c));
     EXPECT_TRUE(sameBits(obs::reconstructLatency(c), 1.5));
     EXPECT_EQ(c.queueWaitSec, 1.0);
     EXPECT_EQ(c.switchSec, 0.0);
@@ -261,8 +261,11 @@ TEST(DecomposeLatencyTest, ExactnessFuzzAcrossMagnitudes)
             stalls ? rng.uniform() * wait * 1.5 : 0.0;
         const double mig =
             stalls && (rng.next() & 1) ? rng.uniform() * wait : 0.0;
-        const LatencyComponents c =
-            obs::decomposeLatency(total, service, sw, mig);
+        LatencyComponents c;
+        ASSERT_TRUE(
+            obs::decomposeLatencyAudited(total, service, sw, mig, &c))
+            << "total=" << total << " service=" << service
+            << " sw=" << sw << " mig=" << mig;
         ASSERT_TRUE(sameBits(obs::reconstructLatency(c), total))
             << "total=" << total << " service=" << service
             << " sw=" << sw << " mig=" << mig;
@@ -276,8 +279,9 @@ TEST(ComponentWindowsTest, RollsWindowsAndCountsTargets)
     cw.configure(1.0, 0.6, 1.0); // 1s windows, target 0.6s, global 1s
 
     auto step = [&](double end, double total) {
-        const LatencyComponents c =
-            obs::decomposeLatency(total, total * 0.5, 0.0, 0.0);
+        LatencyComponents c;
+        EXPECT_TRUE(obs::decomposeLatencyAudited(total, total * 0.5, 0.0,
+                                                 0.0, &c));
         cw.record(end, total, c);
     };
     step(0.3, 0.5); // window 0, within both targets

@@ -25,7 +25,6 @@
  */
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <iostream>
 #include <limits>
@@ -48,6 +47,7 @@
 #include "sweep/spec.h"
 #include "tenant/emit.h"
 #include "tenant/serve.h"
+#include "train/algorithm.h"
 
 using namespace diva;
 
@@ -55,20 +55,6 @@ namespace
 {
 
 constexpr char kTool[] = "diva_sweep";
-
-std::optional<TrainingAlgorithm>
-parseAlgo(std::string name)
-{
-    for (char &c : name)
-        c = char(std::tolower(c));
-    if (name == "sgd")
-        return TrainingAlgorithm::kSgd;
-    if (name == "dpsgd" || name == "dp-sgd")
-        return TrainingAlgorithm::kDpSgd;
-    if (name == "dpsgdr" || name == "dp-sgd-r" || name == "dp-sgd(r)")
-        return TrainingAlgorithm::kDpSgdR;
-    return std::nullopt;
-}
 
 std::optional<GpuConfig>
 parseGpu(const std::string &name)
@@ -169,7 +155,7 @@ flagSpec(Args &args)
         .add(cli::list("--algos", "LIST",
                        "sgd,dpsgd,dpsgdr (default dpsgd,dpsgdr)",
                        args.algos,
-                       cli::named(parseAlgo, "algorithm",
+                       cli::named(algorithmFromName, "algorithm",
                                   "sgd, dpsgd, or dpsgdr")))
         .add(cli::list("--batches", "LIST",
                        "sizes or 'auto' = largest vanilla DP-SGD batch "
@@ -246,7 +232,9 @@ flagSpec(Args &args)
                              "fifo,rr,prio,edf or 'all' (default all)",
                              args.policies, true))
         .add(cli::value("--steps", "N",
-                        "steps per tenant in tenant mode (default 32)",
+                        "steps per tenant in tenant mode, and per generated "
+                        "session in trace mode when --arrivals sets no "
+                        "steps (default 32)",
                         args.steps, cli::integer<std::uint64_t>(1)))
         .add(cli::value("--arrive-every", "S",
                         "stagger tenant arrivals (default 0)",
@@ -916,15 +904,19 @@ run(int argc, char **argv)
             return 1;
     }
 
+    // The cache lines count every lookup this runner made: the WS
+    // baseline pass (empty when skipped) and the main pass.
     std::cout << "\n=== sweep summary ===\n"
               << "scenarios: " << report.results.size() << " (cartesian "
               << expansion.rawCount << ", invalid skipped "
               << expansion.invalidSkipped << ", duplicates removed "
               << expansion.duplicatesRemoved << ")\n"
-              << "cache: " << report.cacheHits << " hits, "
-              << report.cacheMisses << " misses\n"
-              << "plan cache: " << report.planHits << " hits, "
-              << report.planMisses << " misses\n"
+              << "cache: " << baseline.cacheHits + report.cacheHits
+              << " hits, " << baseline.cacheMisses + report.cacheMisses
+              << " misses\n"
+              << "plan cache: " << baseline.planHits + report.planHits
+              << " hits, " << baseline.planMisses + report.planMisses
+              << " misses\n"
               << "failures: " << report.failures << "\n";
 
     const SweepSummary stats = summarizeResults(report.results);
