@@ -7,7 +7,7 @@
  * fresh-runner repetitions so the CI gate measures more than a few
  * milliseconds), "warm-memory" (the same runner
  * resolving a tiled request list from its result cache) and
- * "warm-disk" (a fresh runner whose mmap preload of the on-disk store
+ * "warm-disk" (a fresh runner whose preload of the on-disk store
  * serves the same tiled list). Besides the google-benchmark
  * microbenchmarks it writes BENCH_sweep.json (path overridable with
  * --out) -- scenarios/sec and /min plus plan- and result-cache hit
@@ -182,7 +182,7 @@ printSweepThroughput(const std::string &outPath)
     }
     {
         // A fresh runner on the now-populated store: resolution runs
-        // entirely off the mmap-preloaded disk mirror.
+        // entirely off the preloaded disk mirror.
         SweepRunner runner(opts);
         figures.push_back(timeSweep("warm-disk", runner, tiled));
     }

@@ -3,12 +3,16 @@
 
 Usage: check_reachable.py [REPO_ROOT]
 
-Every src/**/*.h header must be #included by some file under src/,
-tools/, bench/, examples/ or perfbench/src/ other than its own .cc.
-Tests do not count: a module that only its own tests reach is code no
-program runs.  A header that fails the rule is either deleted with its
-tests, wired into a program, or named in ALLOWED below with the reason
-it stays.
+Walks the include closure of the programs: every source file under
+tools/, bench/, examples/ and perfbench/src/ is a root, each quoted
+#include is followed (relative to the including file, else to src/),
+and a reached src/ header brings in its own .cc, which is linked
+whenever the header's functions are called.  Every src/**/*.h header
+must be reached.  Tests do not count: a module that only its own tests
+reach is code no program runs.  Nor do allowlisted modules: a header
+that only they include is reached through them, not through a program.
+A header that fails the rule is either deleted with its tests, wired
+into a program, or named in ALLOWED below with the reason it stays.
 
 Exits 1, naming each unreached header and each stale ALLOWED entry;
 otherwise 0.
@@ -18,7 +22,7 @@ import pathlib
 import re
 import sys
 
-# Modules kept although no program includes them, each for a reason.
+# Modules kept although no program reaches them, each for a reason.
 ALLOWED = {
     "dp/seq_linear.h":
         "SeqLinear.ShapeMatchesFigure6ThirdRow cross-checks the planner's "
@@ -31,9 +35,14 @@ ALLOWED = {
     "dp/convnet.h":
         "the Trainer<ConvNet> model whose bits GenericTrainer.PinnedBits "
         "pins",
+    "dp/conv2d.h":
+        "the convolution layer of the allowlisted ConvNet",
+    "dp/im2col.h":
+        "the patch lowering behind the allowlisted ConvNet's convolution "
+        "layer",
 }
 
-PROGRAM_DIRS = ("src", "tools", "bench", "examples", "perfbench/src")
+PROGRAM_DIRS = ("tools", "bench", "examples", "perfbench/src")
 SOURCE_SUFFIXES = (".h", ".cc", ".cpp")
 INCLUDE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
 
@@ -44,28 +53,34 @@ def main() -> int:
     headers = sorted(p.relative_to(src).as_posix()
                      for p in src.rglob("*.h"))
 
-    includers = {}  # header -> files (relative to root) that include it
-    for d in PROGRAM_DIRS:
-        for f in sorted((root / d).rglob("*")):
-            if f.suffix not in SOURCE_SUFFIXES:
+    todo = [f for d in PROGRAM_DIRS for f in sorted((root / d).rglob("*"))
+            if f.suffix in SOURCE_SUFFIXES]
+    seen = set(todo)
+    while todo:
+        f = todo.pop()
+        for inc in INCLUDE.findall(f.read_text(encoding="utf-8")):
+            target = next((base / inc for base in (f.parent, src)
+                           if (base / inc).is_file()), None)
+            if target is None:
                 continue
-            rel = f.relative_to(root).as_posix()
-            for inc in INCLUDE.findall(f.read_text(encoding="utf-8")):
-                includers.setdefault(inc, set()).add(rel)
+            for g in (target, target.with_suffix(".cc")):
+                if g.is_file() and g not in seen:
+                    seen.add(g)
+                    todo.append(g)
+    reached = {p.resolve().relative_to(src.resolve()).as_posix()
+               for p in seen if p.resolve().is_relative_to(src.resolve())}
 
     failed = False
     for h in headers:
-        own = "src/" + h[:-2] + ".cc"
-        reached = includers.get(h, set()) - {own}
         if h in ALLOWED:
-            if reached:
-                print(f"stale allowlist entry: src/{h} is included by "
-                      f"{sorted(reached)[0]}")
+            if h in reached:
+                print(f"stale allowlist entry: src/{h} is reached from "
+                      f"{', '.join(PROGRAM_DIRS)}")
                 failed = True
             continue
-        if not reached:
-            print(f"unreached: src/{h} has no includer in "
-                  f"{', '.join(PROGRAM_DIRS)} but its own .cc")
+        if h not in reached:
+            print(f"unreached: src/{h} is outside the include closure of "
+                  f"{', '.join(PROGRAM_DIRS)}")
             failed = True
     for h in sorted(set(ALLOWED) - set(headers)):
         print(f"stale allowlist entry: src/{h} does not exist")

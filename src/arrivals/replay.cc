@@ -23,8 +23,7 @@ rejectedMetrics(const TenantJob &job, const IterationCost &cost)
     TenantMetrics m;
     m.job = job;
     m.admitted = false;
-    m.resolvedBatch = cost.resolvedBatch > 0 ? cost.resolvedBatch
-                                             : job.batch;
+    m.resolvedBatch = reportedBatch(cost, job);
     m.endSec = job.arrivalSec;
     m.waitSec = kNaN;
     m.achievedStepsPerSec = 0.0;

@@ -13,32 +13,28 @@
  * same monolithic stream entry) and is safe to use from the sweep
  * runner's worker pool.
  *
- * Concurrency: the table is striped 16 ways -- each stripe owns its own
- * mutex, map and counters, and a key hashes to exactly one stripe --
- * so concurrent lookups of different keys proceed in parallel instead
- * of serializing on one global lock. Hot-path probes are heterogeneous:
- * the key is rendered into a stack buffer and looked up as a
- * std::string_view, so a cache hit allocates no std::string.
+ * Keys are the exact cell text of the inputs (common/format.h's CSV
+ * cell grammar, as in Scenario::key()), so two inputs share a plan
+ * only when they are equal.
  *
- * Thread-safety and determinism: plans are built *outside* the stripe
- * lock, so two workers missing the same key concurrently both build,
+ * Concurrency: one mutex guards both tables and the counters. A sweep
+ * makes tens of thousands of lookups per second, and the runner hands
+ * each workload group to one lane, so the lock is rarely contended.
+ * Plans are built *outside* the lock, so builds on different lanes
+ * overlap; two workers missing the same key concurrently both build,
  * and the first to insert wins (the loser adopts the winner's plan and
  * counts a hit). That rule makes the hit/miss counters a pure function
- * of the scenario set -- misses == distinct keys built, hits ==
- * lookups - misses -- so totals stay byte-identical across thread
- * counts (a key lands on one stripe; stats() sums the stripes
- * sequentially).
+ * of the lookups -- misses == distinct keys built, hits == lookups -
+ * misses -- so totals stay byte-identical across thread counts.
  */
 
 #ifndef DIVA_BACKEND_PLAN_CACHE_H
 #define DIVA_BACKEND_PLAN_CACHE_H
 
-#include <array>
 #include <cstddef>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 
 #include "models/network.h"
@@ -48,17 +44,11 @@
 namespace diva
 {
 
-/** Thread-safe, stripe-locked memoizer for buildModel+buildOpStream. */
+/** Thread-safe memoizer for buildModel+buildOpStream. */
 class PlanCache
 {
   public:
-    /** A disabled cache builds every plan fresh and counts nothing. */
-    explicit PlanCache(bool enabled = true) : enabled_(enabled) {}
-
-    PlanCache(const PlanCache &) = delete;
-    PlanCache &operator=(const PlanCache &) = delete;
-
-    /** Cumulative lookup accounting since construction / clear(). */
+    /** Cumulative lookup accounting since construction. */
     struct Stats
     {
         std::size_t networkHits = 0;
@@ -94,53 +84,35 @@ class PlanCache
                                            TrainingAlgorithm algo,
                                            int batch, int microbatch);
 
-    bool enabled() const { return enabled_; }
-
-    /** Summed over the stripes in index order (deterministic). */
     Stats stats() const;
 
-    /** Number of cached plans (networks + streams). */
-    std::size_t size() const;
-
-    /** Drop every cached plan and reset the counters. */
-    void clear();
-
   private:
-    /** Transparent hasher: lets find() take a std::string_view probe
-     *  against std::string keys without materializing a string. */
-    struct KeyHash
+    /** One kind of plan: its entries, counters and metric names. */
+    template <typename T>
+    struct Table
     {
-        using is_transparent = void;
-        std::size_t operator()(std::string_view key) const
+        Table(const char *hit, const char *miss)
+            : hitMetric(hit), missMetric(miss)
         {
-            return std::hash<std::string_view>{}(key);
         }
+
+        const std::string hitMetric;
+        const std::string missMetric;
+        std::size_t hits = 0;
+        std::size_t misses = 0;
+        std::unordered_map<std::string, std::shared_ptr<const T>> plans;
     };
 
-    /** One lock-striped shard: its own mutex, maps and counters. */
-    struct Stripe
-    {
-        mutable std::mutex mutex;
-        Stats stats;
-        std::unordered_map<std::string,
-                           std::shared_ptr<const Network>, KeyHash,
-                           std::equal_to<>>
-            networks;
-        std::unordered_map<std::string,
-                           std::shared_ptr<const OpStream>, KeyHash,
-                           std::equal_to<>>
-            streams;
-    };
+    /** The plan under `key`, built by `build()` on a miss. */
+    template <typename T, typename Build>
+    std::shared_ptr<const T> lookup(Table<T> &table, std::string key,
+                                    const Build &build);
 
-    Stripe &stripeOf(std::string_view key)
-    {
-        return stripes_[std::hash<std::string_view>{}(key) % kStripes];
-    }
-
-    static constexpr std::size_t kStripes = 16;
-
-    const bool enabled_;
-    std::array<Stripe, kStripes> stripes_;
+    mutable std::mutex mutex_; ///< guards both tables
+    Table<Network> networks_{"plan_cache.network_hits",
+                             "plan_cache.network_misses"};
+    Table<OpStream> streams_{"plan_cache.stream_hits",
+                             "plan_cache.stream_misses"};
 };
 
 } // namespace diva

@@ -1234,8 +1234,7 @@ FleetSim::assemble(int threads)
 
         const std::uint32_t type = pods[rt.pod].type;
         const IterationCost &cost = costOf(type, rt.cls);
-        m.resolvedBatch =
-            cost.resolvedBatch > 0 ? cost.resolvedBatch : job.batch;
+        m.resolvedBatch = reportedBatch(cost, job);
 
         scoreSession(m, job, rt.core, cost.seconds, wall,
                      out.makespanSec);

@@ -9,12 +9,8 @@
 #include <sstream>
 #include <string_view>
 
-#ifndef _WIN32
 #include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -140,58 +136,18 @@ void
 DiskCache::load()
 {
     obs::ScopedPhase phase("disk_preload");
-    // Preload maps the whole store read-only (POSIX; one buffered
-    // read elsewhere or when mmap fails) and indexes records by
-    // scanning string_views over the mapping -- no per-line
+    // Preload reads the whole store with one buffered read and indexes
+    // records by scanning string_views over it -- no per-line
     // std::getline copies, no re-parse of untouched bytes.
-    const char *data = nullptr;
-    std::string buffer;
-    std::size_t fileBytes = 0; // of the backing file, mapped or read
-#ifndef _WIN32
-    void *map = nullptr;
-    const int fd = ::open(path_.c_str(), O_RDONLY);
-    if (fd < 0)
-        return; // no file yet: empty cache
-    struct ::stat st = {};
-    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-        ::close(fd);
-        return;
-    }
-    fileBytes = std::size_t(st.st_size);
-    if (fileBytes > 0) {
-        map = ::mmap(nullptr, fileBytes, PROT_READ, MAP_PRIVATE,
-                     fd, 0);
-        if (map != MAP_FAILED) {
-            data = static_cast<const char *>(map);
-        } else {
-            map = nullptr;
-            buffer.resize(fileBytes);
-            std::size_t got = 0;
-            while (got < fileBytes) {
-                const ::ssize_t k = ::read(fd, buffer.data() + got,
-                                           fileBytes - got);
-                if (k <= 0)
-                    break;
-                got += std::size_t(k);
-            }
-            buffer.resize(got);
-            fileBytes = got;
-            data = buffer.data();
-        }
-    }
-    ::close(fd);
-#else
     std::ifstream in(path_, std::ios::binary);
     if (!in)
         return; // no file yet: empty cache
     std::ostringstream whole;
     whole << in.rdbuf();
-    buffer = whole.str();
-    fileBytes = buffer.size();
-    data = buffer.data();
-#endif
+    const std::string buffer = std::move(whole).str();
+    const std::size_t fileBytes = buffer.size();
 
-    const std::string_view file(data ? data : "", fileBytes);
+    const std::string_view file(buffer);
     bool first = true;
     for (std::size_t pos = 0; pos < file.size();) {
         std::size_t nl = file.find('\n', pos);
@@ -232,11 +188,6 @@ DiskCache::load()
         rewrite_needed_ = true; // existing file with no header line
     torn_tail_ = !file.empty() && file.back() != '\n';
 
-#ifndef _WIN32
-    if (map)
-        ::munmap(map, fileBytes);
-#endif
-
     if (obs::MetricsRegistry::instance().enabled()) {
         auto &metrics = obs::MetricsRegistry::instance();
         metrics.addCounter("disk_cache.preload_entries",
@@ -249,7 +200,7 @@ DiskCache::load()
     DIVA_VERBOSE("disk cache preload: ", entries_.size(),
                  " entries loaded, ", corrupt_,
                  " corrupt lines skipped, ", fileBytes,
-                 " bytes mapped from ", path_);
+                 " bytes read from ", path_);
 }
 
 namespace
@@ -259,13 +210,11 @@ namespace
  * Append `data` to `path` with ONE write so concurrent appenders on
  * the same store interleave at record-batch granularity, never inside
  * a record: POSIX guarantees O_APPEND write() calls are atomic with
- * respect to each other. The Windows fallback is stream-buffered and
- * therefore single-writer only.
+ * respect to each other.
  */
 bool
 appendAtomically(const std::string &path, const std::string &data)
 {
-#ifndef _WIN32
     const int fd =
         ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
     if (fd < 0)
@@ -283,14 +232,6 @@ appendAtomically(const std::string &path, const std::string &data)
     }
     ::close(fd);
     return ok;
-#else
-    std::ofstream out(path, std::ios::app | std::ios::binary);
-    if (!out)
-        return false;
-    out << data;
-    out.flush();
-    return bool(out);
-#endif
 }
 
 } // namespace

@@ -21,11 +21,11 @@
  *    write is retried by the next append instead of silently dropped.
  *  - Failed results are never persisted: a transient failure must be
  *    retried on the next run, not replayed from the cache.
- *  - mmap-backed preload: the store is mapped read-only (one buffered
- *    read where mmap is unavailable) and indexed by scanning
- *    string_views over the mapping, and the preload reports a
- *    one-line summary (entries loaded, corrupt lines skipped, bytes
- *    mapped) to stderr instead of silently dropping corrupt lines.
+ *  - One-read preload: the store is read whole with one buffered read
+ *    and indexed by scanning string_views over it, and the preload
+ *    reports a one-line summary (entries loaded, corrupt lines
+ *    skipped, bytes read) to stderr instead of silently dropping
+ *    corrupt lines.
  *
  * Only simulation *outputs* are stored; the scenario itself is
  * identified by its key, and the runner re-attaches the

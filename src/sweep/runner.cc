@@ -34,8 +34,7 @@ runScenario(const Scenario &scenario)
 }
 
 SweepRunner::SweepRunner(SweepOptions opts)
-    : opts_(std::move(opts)),
-      plans_(opts_.planCache)
+    : opts_(std::move(opts))
 {
     if (opts_.threads < 1)
         opts_.threads = 1;

@@ -55,14 +55,6 @@ struct SweepOptions
     bool cacheAcrossRuns = true;
 
     /**
-     * Memoize workload plans (buildModel + buildOpStream) across
-     * scenarios and run() calls. Results are byte-identical either
-     * way; disable only to benchmark plan lowering or to verify that
-     * identity.
-     */
-    bool planCache = true;
-
-    /**
      * When non-empty, persist results in a DiskCache under this
      * directory: previously stored scenarios are served without
      * simulation (counted as cache hits) and fresh successful results
@@ -98,8 +90,7 @@ struct SweepReport
     /**
      * Workload-plan cache accounting for this run: lookups served
      * from (hits) or added to (misses) the shared PlanCache. Both are
-     * deterministic across thread counts; both are zero when
-     * SweepOptions::planCache is false.
+     * deterministic across thread counts.
      */
     std::size_t planHits = 0;
     std::size_t planMisses = 0;
@@ -123,15 +114,12 @@ class SweepRunner
         return cache_.size() + (disk_ ? disk_->size() : 0);
     }
 
-    /** Drop the in-memory results (the disk store's stay served). */
-    void clearCache() { cache_.clear(); }
-
     const SweepOptions &options() const { return opts_; }
 
     /** The persistent store, or nullptr when options().cacheDir empty. */
     const DiskCache *diskCache() const { return disk_.get(); }
 
-    /** The shared workload-plan cache (disabled when !opts.planCache). */
+    /** The workload-plan cache shared by every run() call. */
     const PlanCache &planCache() const { return plans_; }
 
   private:

@@ -380,9 +380,7 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
     for (std::size_t i = 0; i < n; ++i) {
         TenantMetrics m;
         m.job = jobs[i];
-        m.resolvedBatch = costs[i].resolvedBatch > 0
-                              ? costs[i].resolvedBatch
-                              : jobs[i].batch;
+        m.resolvedBatch = reportedBatch(costs[i], jobs[i]);
         m.stepsDone = cores[i].done;
         m.completed = cores[i].completed;
         scoreSession(m, jobs[i], cores[i], costs[i].seconds, wall,

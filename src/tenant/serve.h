@@ -139,6 +139,14 @@ struct IterationCost
     int resolvedBatch = 0;
 };
 
+/** The mini-batch `job`'s report row shows: the cost's resolved batch,
+ *  or the job's own when pricing resolved none. */
+inline int
+reportedBatch(const IterationCost &cost, const TenantJob &job)
+{
+    return cost.resolvedBatch > 0 ? cost.resolvedBatch : job.batch;
+}
+
 /** What one tenant experienced over the serve run. */
 struct TenantMetrics
 {

@@ -3,8 +3,9 @@
  * Tests for the simulation-backend layer: backend names and their
  * parse, capability flags driving empty/NaN CSV
  * and null JSON cells for unmodeled metrics, PlanCache hit/miss
- * accounting, and byte-identity of a mixed chip/pod/gpu sweep across
- * plan-cache on/off and thread counts.
+ * accounting and exact keys, and byte-identity of mixed chip/pod/gpu
+ * and pod x micro-batch sweeps between shared-cache runs at 1 and 4
+ * threads and plans built fresh per scenario.
  */
 
 #include <gtest/gtest.h>
@@ -95,6 +96,7 @@ TEST(Backend, CapabilitiesMatchSubstrates)
 TEST(PlanCache, CountsHitsAndMissesPerDistinctKey)
 {
     PlanCache plans;
+    EXPECT_EQ(plans.stats().hits() + plans.stats().misses(), 0u);
     const auto net_a = plans.network("SqueezeNet", 0);
     const auto net_b = plans.network("SqueezeNet", 0);
     EXPECT_EQ(net_a.get(), net_b.get()); // shared, not rebuilt
@@ -115,30 +117,28 @@ TEST(PlanCache, CountsHitsAndMissesPerDistinctKey)
     EXPECT_EQ(s.streamHits, 1u);
     EXPECT_EQ(s.hits(), 2u);
     EXPECT_EQ(s.misses(), 4u);
-    EXPECT_EQ(plans.size(), 4u);
-
-    plans.clear();
-    EXPECT_EQ(plans.size(), 0u);
-    EXPECT_EQ(plans.stats().hits(), 0u);
 }
 
-TEST(PlanCache, DisabledCacheBuildsFreshAndCountsNothing)
+TEST(PlanCache, LongModelNamesAreDistinctPlans)
 {
-    PlanCache plans(false);
-    EXPECT_FALSE(plans.enabled());
-    const auto a = plans.network("SqueezeNet", 0);
-    const auto b = plans.network("SqueezeNet", 0);
+    // Keys hold the whole name: names sharing a long prefix must not
+    // share a plan.
+    PlanCache plans;
+    const auto net = plans.network("SqueezeNet", 0);
+    const std::string prefix(192, 'm');
+    const auto a = plans.stream(*net, prefix + "A", 0,
+                                TrainingAlgorithm::kDpSgdR, 8, 0);
+    const auto b = plans.stream(*net, prefix + "B", 0,
+                                TrainingAlgorithm::kDpSgdR, 8, 0);
     EXPECT_NE(a.get(), b.get());
-    EXPECT_EQ(plans.size(), 0u);
-    EXPECT_EQ(plans.stats().hits(), 0u);
-    EXPECT_EQ(plans.stats().misses(), 0u);
+    EXPECT_EQ(plans.stats().streamMisses, 2u);
+    EXPECT_EQ(plans.stats().streamHits, 0u);
 }
 
 /**
- * The caller's thread count is a pure concurrency knob: a key hashes
- * to one stripe, concurrent same-key misses resolve first-insert-wins
- * with the loser counting a hit, and stats() sums stripes in index
- * order. So the hit/miss totals must be byte-identical across thread
+ * The caller's thread count is a pure concurrency knob: concurrent
+ * same-key misses resolve first-insert-wins with the loser counting a
+ * hit. So the hit/miss totals must be byte-identical across thread
  * counts {1, 4} for the same lookup workload.
  */
 TEST(PlanCache, HitMissTotalsIndependentOfThreads)
@@ -171,7 +171,6 @@ TEST(PlanCache, HitMissTotalsIndependentOfThreads)
         EXPECT_EQ(s.streamMisses, 4u) << threads << " threads";
         EXPECT_EQ(s.networkHits, tasks * 2u - 2u) << threads << " threads";
         EXPECT_EQ(s.streamHits, tasks * 4u - 4u) << threads << " threads";
-        EXPECT_EQ(plans.size(), 6u);
     }
 }
 
@@ -179,7 +178,9 @@ TEST(PlanCache, UnknownModelThrowsAndCachesNothing)
 {
     PlanCache plans;
     EXPECT_THROW(plans.network("AlexNet", 0), std::runtime_error);
-    EXPECT_EQ(plans.size(), 0u);
+    // Nothing was cached, so a retry builds (and throws) again.
+    EXPECT_THROW(plans.network("AlexNet", 0), std::runtime_error);
+    EXPECT_EQ(plans.stats().hits(), 0u);
     EXPECT_EQ(plans.stats().misses(), 0u);
 }
 
@@ -201,6 +202,28 @@ mixedSpec()
     return spec;
 }
 
+/**
+ * Pods x micro-batches: a 4- and a 5-example pass over odd batch 37
+ * leave remainder passes; chip and pod backends.
+ */
+SweepSpec
+podMicrobatchSpec()
+{
+    SweepSpec spec;
+    spec.configs = {tpuV3Ws(), divaDefault(true)};
+    spec.models = {"SqueezeNet", "BERT-base"};
+    spec.batches = {37, 64};
+    spec.microbatches = {0, 4, 5};
+    spec.algorithms = {TrainingAlgorithm::kDpSgdR};
+    spec.backends = {SweepBackend::kSingleChip, SweepBackend::kMultiChip};
+    for (const int chips : {2, 8}) {
+        MultiChipConfig pod;
+        pod.numChips = chips;
+        spec.pods.push_back(pod);
+    }
+    return spec;
+}
+
 TEST(SweepRunner, PlanCacheCountersSurfaceInReport)
 {
     SweepRunner runner;
@@ -209,7 +232,7 @@ TEST(SweepRunner, PlanCacheCountersSurfaceInReport)
     // builds than plan lookups.
     EXPECT_GT(cold.planMisses, 0u);
     EXPECT_GT(cold.planHits, 0u);
-    EXPECT_GT(runner.planCache().size(), 0u);
+    EXPECT_EQ(runner.planCache().stats().misses(), cold.planMisses);
 
     // A warm rerun is all result-cache hits: no jobs, no plan lookups.
     const SweepReport warm = runner.run(mixedSpec());
@@ -217,41 +240,37 @@ TEST(SweepRunner, PlanCacheCountersSurfaceInReport)
     EXPECT_EQ(warm.planMisses, 0u);
 }
 
-TEST(SweepRunner, DisabledPlanCacheReportsZeroCounters)
+/** CSV + JSON of `report`. */
+std::string
+emitted(const SweepReport &report)
 {
-    SweepOptions opts;
-    opts.planCache = false;
-    SweepRunner runner(opts);
-    const SweepReport report = runner.run(mixedSpec());
-    EXPECT_EQ(report.planHits, 0u);
-    EXPECT_EQ(report.planMisses, 0u);
-    EXPECT_FALSE(runner.planCache().enabled());
+    std::ostringstream csv, json;
+    writeCsv(csv, report);
+    writeJson(json, report);
+    return csv.str() + json.str();
 }
 
 TEST(SweepRunner, MixedSweepCsvIsByteIdenticalAcrossPlanCacheAndThreads)
 {
-    const std::vector<Scenario> scenarios = mixedSpec().expand().scenarios;
-    ASSERT_FALSE(scenarios.empty());
-    std::string reference;
-    for (const bool plan_cache : {true, false})
+    // Plans shared across a whole sweep, at any thread count, give the
+    // bytes of plans built fresh per scenario.
+    for (const SweepSpec &spec : {mixedSpec(), podMicrobatchSpec()}) {
+        const std::vector<Scenario> scenarios = spec.expand().scenarios;
+        ASSERT_FALSE(scenarios.empty());
+        SweepReport fresh;
+        for (const Scenario &s : scenarios)
+            fresh.results.push_back(runScenario(s));
+        const std::string reference = emitted(fresh);
         for (const int threads : {1, 4}) {
             SweepOptions opts;
             opts.threads = threads;
-            opts.planCache = plan_cache;
             SweepRunner runner(opts);
             const SweepReport report = runner.run(scenarios);
             EXPECT_EQ(report.failures, 0u);
-            std::ostringstream csv, json;
-            writeCsv(csv, report);
-            writeJson(json, report);
-            if (reference.empty()) {
-                reference = csv.str() + json.str();
-                continue;
-            }
-            EXPECT_EQ(csv.str() + json.str(), reference)
-                << "plan_cache=" << plan_cache
-                << " threads=" << threads;
+            EXPECT_EQ(emitted(report), reference)
+                << scenarios.front().label() << ", threads=" << threads;
         }
+    }
 }
 
 TEST(PodBackend, IgnoresMicrobatch)

@@ -164,8 +164,8 @@ TEST(SweepRunner, CachePersistsAcrossRuns)
         EXPECT_EQ(first.results[i].cycles, second.results[i].cycles);
     }
 
-    runner.clearCache();
-    EXPECT_EQ(runner.cacheSize(), 0u);
+    EXPECT_EQ(runner.cacheSize(), scenarios.size());
+    EXPECT_EQ(SweepRunner().cacheSize(), 0u);
 }
 
 TEST(SweepRunner, AutoBatchResolvesToFigureProtocol)

@@ -107,7 +107,6 @@ struct Args
     std::vector<int> linkLatencies;
     std::vector<GpuConfig> gpus;
     std::vector<Objective> pareto;
-    bool planCache = true;
     bool speedupTable = true;
     CliMode mode = CliMode::kSweep;
     EnergyBudget budget;
@@ -190,10 +189,6 @@ flagSpec(Args &args)
                       "default: chip, plus pod when a pod axis is given, "
                       "plus gpu when --gpus is given",
                       std::numeric_limits<int>::min());
-    spec.add(cli::toggle("--no-plan-cache",
-                         "rebuild workload plans per scenario (output is "
-                         "byte-identical either way)",
-                         args.planCache, false));
     spec.section("Search mode")
         .add(cli::value("--mode", "MODE",
                         "sweep (default), energy (best config under an "
@@ -821,7 +816,6 @@ run(int argc, char **argv)
 
     SweepOptions opts;
     opts.threads = args.exec.threads;
-    opts.planCache = args.planCache;
     opts.cacheDir = args.exec.cacheDir;
     if (!args.exec.quiet)
         opts.progress = [](std::size_t done, std::size_t total,
